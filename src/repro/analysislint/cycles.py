@@ -14,7 +14,7 @@ mentions a skip/jump amount) must, in the same function, either
 * write the ``ticks`` counter or an ``occ_*`` counter (through
   ``Stats.bump`` or the raw mapping), or
 * call an accounting method (``tick``, ``tick_reference``,
-  ``bulk_tick``, ``consume_wait``, ``consume_bulk``) — directly, on a
+  ``bulk_tick``, ``consume_wait``) — directly, on a
   sub-object, or through a local bound-method alias, or
 * carry a ``# lint: no-integral`` waiver on the storing line or on its
   ``def`` line — the explicit claim that the function moves a clock
@@ -46,7 +46,6 @@ ACCOUNTING_METHODS = {
     "tick_reference",
     "bulk_tick",
     "consume_wait",
-    "consume_bulk",
 }
 
 #: Stats keys that count as touching the per-cycle integrals.

@@ -230,12 +230,11 @@ class _FileScan(ast.NodeVisitor):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return "literal", (node.value,), None
         if isinstance(node, ast.IfExp):
-            arms = []
-            for arm in (node.body, node.orelse):
-                if isinstance(arm, ast.Constant) and isinstance(arm.value, str):
-                    arms.append(arm.value)
-            if len(arms) == 2:
-                return "literal", tuple(arms), None
+            # literal when every arm is (arms may nest further IfExps)
+            body = self._classify_key(node.body)
+            orelse = self._classify_key(node.orelse)
+            if body[0] == orelse[0] == "literal":
+                return "literal", body[1] + orelse[1], None
         if isinstance(node, ast.JoinedStr):
             return self._classify_fstring(node)
         return "dynamic", (), None

@@ -4,6 +4,12 @@ Lines are identified by their global line address; the set index is the
 low bits of the line address and the remainder is the tag.  The cache
 tracks dirty bits and reports evictions so a write-back hierarchy can
 turn dirty victims into DRAM writes.
+
+Every preset uses LRU replacement, which :class:`Cache` implements with
+one recency-ordered dict per set (line -> dirty, least recent first):
+a touch is a pop and re-insert, the victim is the first key.  A
+``tree_plru`` config or an injected ``policy=`` object selects
+:class:`PolicyCache`, which tracks ways and asks the policy for victims.
 """
 
 from __future__ import annotations
@@ -20,16 +26,34 @@ from repro.common.config import CacheConfig
 from repro.common.stats import Stats
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Eviction:
-    """A line pushed out of the cache by a fill."""
+    """A line pushed out of the cache by a fill.
+
+    Not frozen: one is built per eviction, and a frozen dataclass's
+    ``__init__`` costs twice as much.
+    """
 
     line: int
     dirty: bool
 
 
 class Cache:
-    """Contents-accurate set-associative cache with pluggable replacement."""
+    """Contents-accurate set-associative LRU cache.
+
+    ``Cache(config, policy=...)`` and ``tree_plru`` configs construct a
+    :class:`PolicyCache` instead; ``policy`` is None on the dict-LRU path.
+    """
+
+    def __new__(
+        cls,
+        config: CacheConfig,
+        name: str = "cache",
+        policy: Optional[ReplacementPolicy] = None,
+    ) -> "Cache":
+        if cls is Cache and (policy is not None or config.replacement != "lru"):
+            cls = PolicyCache
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -42,17 +66,9 @@ class Cache:
         self.name = name
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        if policy is not None:
-            self.policy = policy
-        elif config.replacement == "tree_plru":
-            self.policy = TreePLRUPolicy(self.num_sets, self.assoc)
-        else:
-            self.policy = LRUPolicy(self.num_sets, self.assoc)
-        # per set: way -> line  and  way -> dirty
-        self._lines: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._dirty: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
-        # reverse map per set: line -> way (fast lookup)
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        self.policy = policy
+        # per set: line -> dirty, least recently used first
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         self.stats = Stats()
         # hot path: lookup/fill add straight into the underlying
         # counter mapping (see Stats.raw)
@@ -64,12 +80,84 @@ class Cache:
 
     def contains(self, line: int) -> bool:
         """Presence check with no replacement-state side effects."""
-        return line in self._where[self.set_index(line)]
+        return line in self._sets[line % self.num_sets]
 
     def lookup(self, line: int, write: bool = False) -> bool:
         """Access the cache: returns True on hit (updating recency/dirty)."""
+        entries = self._sets[line % self.num_sets]
+        if line not in entries:
+            self._stat_values["misses"] += 1
+            return False
+        self._stat_values["hits"] += 1
+        entries[line] = entries.pop(line) or write
+        return True
+
+    def fill(self, line: int, dirty: bool = False) -> Optional[Eviction]:
+        """Install ``line``; returns the eviction it caused, if any.
+
+        Filling a line that is already present only updates recency and
+        ORs in the dirty bit (a prefetch fill must not lose a dirty bit).
+        """
+        entries = self._sets[line % self.num_sets]
+        if line in entries:
+            entries[line] = entries.pop(line) or dirty
+            return None
+        values = self._stat_values
+        evicted = None
+        if len(entries) >= self.assoc:
+            victim = next(iter(entries))
+            evicted = Eviction(victim, entries.pop(victim))
+            values["evictions"] += 1
+            if evicted.dirty:
+                values["dirty_evictions"] += 1
+        entries[line] = dirty
+        values["fills"] += 1
+        return evicted
+
+    def invalidate(self, line: int) -> bool:
+        """Drop ``line`` if present (dirty data is discarded); True if hit."""
+        entries = self._sets[line % self.num_sets]
+        if line not in entries:
+            return False
+        del entries[line]
+        self._stat_values["invalidations"] += 1
+        return True
+
+    @property
+    def occupancy(self) -> int:
+        """Number of valid lines currently resident."""
+        return sum(len(s) for s in self._sets)
+
+    def resident_lines(self):
+        """Iterate over all resident line addresses (test/debug helper)."""
+        for s in self._sets:
+            yield from s
+
+
+class PolicyCache(Cache):
+    """Way-indexed cache whose victims come from a ReplacementPolicy."""
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        name: str = "cache",
+        policy: Optional[ReplacementPolicy] = None,
+    ) -> None:
+        if policy is None:
+            if config.replacement == "tree_plru":
+                policy = TreePLRUPolicy(config.num_sets, config.assoc)
+            else:
+                policy = LRUPolicy(config.num_sets, config.assoc)
+        super().__init__(config, name, policy)
+        # per set: way -> line  and  way -> dirty; the inherited
+        # ``_sets`` maps line -> way here (the reverse map)
+        self._lines: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        self._dirty: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+
+    # ------------------------------------------------------------------
+    def lookup(self, line: int, write: bool = False) -> bool:
         s = line % self.num_sets
-        way = self._where[s].get(line)
+        way = self._sets[s].get(line)
         if way is None:
             self._stat_values["misses"] += 1
             return False
@@ -80,13 +168,8 @@ class Cache:
         return True
 
     def fill(self, line: int, dirty: bool = False) -> Optional[Eviction]:
-        """Install ``line``; returns the eviction it caused, if any.
-
-        Filling a line that is already present only updates recency and
-        ORs in the dirty bit (a prefetch fill must not lose a dirty bit).
-        """
         s = line % self.num_sets
-        where = self._where[s]
+        where = self._sets[s]
         existing = where.get(line)
         if existing is not None:
             self.policy.touch(s, existing)
@@ -117,22 +200,11 @@ class Cache:
         return evicted
 
     def invalidate(self, line: int) -> bool:
-        """Drop ``line`` if present (dirty data is discarded); True if hit."""
-        s = self.set_index(line)
-        way = self._where[s].pop(line, None)
+        s = line % self.num_sets
+        way = self._sets[s].pop(line, None)
         if way is None:
             return False
         del self._lines[s][way]
         self._dirty[s].pop(way, None)
-        self.stats.bump("invalidations")
+        self._stat_values["invalidations"] += 1
         return True
-
-    @property
-    def occupancy(self) -> int:
-        """Number of valid lines currently resident."""
-        return sum(len(s) for s in self._lines)
-
-    def resident_lines(self):
-        """Iterate over all resident line addresses (test/debug helper)."""
-        for s in self._lines:
-            yield from s.values()

@@ -45,6 +45,12 @@ class AccessResult:
     writebacks: List[int] = field(default_factory=list)
 
 
+_L1 = Level.L1
+_L2 = Level.L2
+_L3 = Level.L3
+_MEMORY = Level.MEMORY
+
+
 class CacheHierarchy:
     """L1D + shared L2 + off-chip L3, write-back, write-validate stores."""
 
@@ -61,17 +67,14 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # internal fill plumbing
     # ------------------------------------------------------------------
-    def _fill_l3(self, line: int, dirty: bool, writebacks: List[int]) -> None:
-        ev = self.l3.fill(line, dirty)
-        if ev is not None and ev.dirty:
-            writebacks.append(ev.line)
-
     def _fill_l2(self, line: int, dirty: bool, writebacks: List[int]) -> None:
         # The L3 is a victim cache of the L2 (Power5 castout path): every
         # L2 victim, clean or dirty, is installed in the L3.
         ev = self.l2.fill(line, dirty)
         if ev is not None:
-            self._fill_l3(ev.line, ev.dirty, writebacks)
+            ev = self.l3.fill(ev.line, ev.dirty)
+            if ev is not None and ev.dirty:
+                writebacks.append(ev.line)
 
     def _fill_l1(self, line: int, dirty: bool, writebacks: List[int]) -> None:
         ev = self.l1.fill(line, dirty)
@@ -87,26 +90,26 @@ class CacheHierarchy:
         values = self._stat_values
         if self.l1.lookup(line, write):
             values["l1_hits"] += 1
-            return AccessResult(Level.L1, self.config.l1.latency, writebacks)
+            return AccessResult(_L1, self.config.l1.latency, writebacks)
 
         if self.l2.lookup(line):
             values["l2_hits"] += 1
             self._fill_l1(line, write, writebacks)
-            return AccessResult(Level.L2, self.config.l2.latency, writebacks)
+            return AccessResult(_L2, self.config.l2.latency, writebacks)
 
         if self.l3.lookup(line):
             values["l3_hits"] += 1
             self._fill_l2(line, False, writebacks)
             self._fill_l1(line, write, writebacks)
-            return AccessResult(Level.L3, self.config.l3.latency, writebacks)
+            return AccessResult(_L3, self.config.l3.latency, writebacks)
 
         values["memory_accesses"] += 1
         if write:
             # write-validate: install dirty without a memory read
             self._fill_l1(line, True, writebacks)
             values["write_validates"] += 1
-            return AccessResult(Level.MEMORY, self.config.l2.latency, writebacks)
-        return AccessResult(Level.MEMORY, 0, writebacks)
+            return AccessResult(_MEMORY, self.config.l2.latency, writebacks)
+        return AccessResult(_MEMORY, 0, writebacks)
 
     def fill_from_memory(self, line: int, to_l1: bool = True) -> List[int]:
         """Install a line that arrived from DRAM; returns dirty L3 victims.
@@ -117,7 +120,10 @@ class CacheHierarchy:
         writebacks: List[int] = []
         self._fill_l2(line, False, writebacks)
         if to_l1:
-            self._fill_l1(line, False, writebacks)
+            # _fill_l1, inlined: this runs once per completed read
+            ev = self.l1.fill(line, False)
+            if ev is not None and ev.dirty:
+                self._fill_l2(ev.line, True, writebacks)
         return writebacks
 
     # ------------------------------------------------------------------

@@ -317,6 +317,13 @@ class MemorySidePrefetcherConfig:
             raise ValueError(f"engine must be one of {MS_ENGINES}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if self.engine == "asd" and self.degree >= self.slh.table_len:
+            # inequality (6) compares lht(k) with lht(k + degree)
+            raise ValueError(
+                f"need 1 <= ms_prefetcher.degree < slh.table_len for the "
+                f"asd engine (degree={self.degree}, "
+                f"table_len={self.slh.table_len})"
+            )
         if self.lpq_depth <= 0:
             raise ValueError("lpq_depth must be positive")
         self.stream_filter.validate()

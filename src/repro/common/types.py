@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 #: Cache line size in bytes (Power5+ L2/L3 line size).
 LINE_SIZE = 128
@@ -45,6 +45,11 @@ class Provenance(enum.Enum):
     PS_PREFETCH = "ps_prefetch"
     MS_PREFETCH = "ms_prefetch"
 
+    # Identity hash: members are singletons compared by identity, and
+    # Enum's own __hash__ hashes the member name in Python on every
+    # lookup of the per-provenance tables the controller keys by them.
+    __hash__ = object.__hash__
+
     @property
     def is_regular(self) -> bool:
         """True for commands the controller treats as regular traffic."""
@@ -57,6 +62,10 @@ class Direction(enum.Enum):
     ASCENDING = 1
     DESCENDING = -1
 
+    # Identity hash, as for Provenance: the ASD engine keys its
+    # per-direction Likelihood Tables by these members.
+    __hash__ = object.__hash__
+
     @property
     def step(self) -> int:
         """Line-address delta of one stream step (+1 or -1)."""
@@ -64,14 +73,19 @@ class Direction(enum.Enum):
 
 
 _command_ids = itertools.count()
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
+_MS_PREFETCH = Provenance.MS_PREFETCH
 
 
-@dataclass(slots=True)
 class MemoryCommand:
     """One line-granularity command flowing through the memory controller.
 
-    Slotted: tens of thousands are allocated per run, and the
-    controller's hot loops read their fields every cycle.
+    Slotted, with plain-field predicates: tens of thousands are
+    allocated per run, and the controller's hot loops read their fields
+    every cycle.  ``kind`` and ``provenance`` are fixed at construction,
+    so ``is_read``/``is_write``/``is_ms_prefetch`` are computed once
+    here.  Equality is identity: every command is a distinct request.
 
     Attributes:
         kind: READ or WRITE.
@@ -83,24 +97,27 @@ class MemoryCommand:
         uid: unique, monotonically increasing id (tie-breaker / debugging).
     """
 
-    kind: CommandKind
-    line: int
-    thread: int = 0
-    provenance: Provenance = Provenance.DEMAND
-    arrival: int = 0
-    uid: int = field(default_factory=lambda: next(_command_ids))
+    __slots__ = ("kind", "line", "thread", "provenance", "arrival", "uid",
+                 "is_read", "is_write", "is_ms_prefetch")
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind is CommandKind.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind is CommandKind.WRITE
-
-    @property
-    def is_ms_prefetch(self) -> bool:
-        return self.provenance is Provenance.MS_PREFETCH
+    def __init__(
+        self,
+        kind: CommandKind,
+        line: int,
+        thread: int = 0,
+        provenance: Provenance = Provenance.DEMAND,
+        arrival: int = 0,
+        uid: Optional[int] = None,
+    ) -> None:
+        self.kind = kind
+        self.line = line
+        self.thread = thread
+        self.provenance = provenance
+        self.arrival = arrival
+        self.uid = next(_command_ids) if uid is None else uid
+        self.is_read = kind is _READ
+        self.is_write = kind is _WRITE
+        self.is_ms_prefetch = provenance is _MS_PREFETCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,8 +19,8 @@ for Adaptive Scheduling and for Figure 13's "delayed regular commands".
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.common.config import ControllerConfig
@@ -30,7 +30,7 @@ from repro.controller.queues import CommandQueue, ReorderQueues
 from repro.controller.schedulers import build_scheduler
 from repro.controller.schedulers.base import Scheduler
 from repro.dram.device import DRAMDevice
-from repro.prefetch.adaptive_scheduling import SchedulerView
+from repro.prefetch.adaptive_scheduling import lpq_allowed
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.telemetry.events import QueueDepthSample
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -49,10 +49,15 @@ _LAT_KEYS = {
         f"lat_sum_{prov.value}",
         f"lat_cnt_{prov.value}",
         f"lat_max_{prov.value}",
-        f"lat_hist_{prov.value}_",
+        # histogram bucket b counts latencies in [2^b, 2^(b+1))
+        tuple(f"lat_hist_{prov.value}_{b}" for b in range(64)),
     )
     for prov in Provenance
 }
+
+_DEMAND = Provenance.DEMAND
+_PS_PREFETCH = Provenance.PS_PREFETCH
+_MS_PREFETCH = Provenance.MS_PREFETCH
 
 
 class MemoryController:
@@ -96,16 +101,11 @@ class MemoryController:
         self._wq_items = self.queues.writes._items
         self._caq_items = self.caq._items
         self._lpq_items = self.ms.lpq._queue
+        self._caq_depth = self.caq.depth
 
     # ------------------------------------------------------------------
     # command entry
     # ------------------------------------------------------------------
-    def can_accept_read(self) -> bool:
-        return not self.queues.reads.full
-
-    def can_accept_write(self) -> bool:
-        return not self.queues.writes.full
-
     def enqueue(self, cmd: MemoryCommand, now: int) -> bool:
         """Admit a command into the reorder queues; False means retry."""
         values = self._stat_values
@@ -115,12 +115,13 @@ class MemoryController:
                 return False
             cmd.arrival = now
             values["reads_arrived"] += 1
-            if cmd.provenance is Provenance.PS_PREFETCH:
+            if cmd.provenance is _PS_PREFETCH:
                 values["reads_ps"] += 1
             else:
                 values["reads_demand"] += 1
-            # Figure 4: Reads fork into the Stream Filter on entry.
-            self.ms.observe_read(cmd, now, now * self.cpu_ratio)
+            if self.ms.enabled:
+                # Figure 4: Reads fork into the Stream Filter on entry.
+                self.ms.observe_read(cmd, now, now * self.cpu_ratio)
             self._rq_items.append(cmd)
             return True
         if len(self._wq_items) >= self.queues.writes.depth:
@@ -128,8 +129,9 @@ class MemoryController:
             return False
         cmd.arrival = now
         values["writes_arrived"] += 1
-        self.ms.observe_write(cmd)
-        self.queues.writes.push(cmd)
+        if self.ms.enabled:
+            self.ms.observe_write(cmd)
+        self._wq_items.append(cmd)
         self._pending_write_lines[cmd.line] += 1
         return True
 
@@ -141,7 +143,10 @@ class MemoryController:
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._deliver_completions(now)
-        self.ms.tick(now * self.cpu_ratio, now)
+        ms = self.ms
+        if ms._tick_engine or ms.tracer.enabled:
+            # otherwise MemorySidePrefetcher.tick has nothing to do
+            ms.tick(now * self.cpu_ratio, now)
         if self._caq_items or self._lpq_items:
             self._final_scheduler(now)
         if self._rq_items or self._wq_items:
@@ -210,22 +215,22 @@ class MemoryController:
         """
         end = start + cycles - 1
         self._now = end
-        self.ms.tick(end * self.cpu_ratio, end)
-        if self._rq_items or self._wq_items:
+        ms = self.ms
+        if ms._tick_engine or ms.tracer.enabled:
+            ms.tick(end * self.cpu_ratio, end)
+        rq_items = self._rq_items
+        if rq_items and ms.enabled:
             # CAQ-full wait: _reorder_to_caq still probes the oldest
             # read for a prefetch-held bank every cycle.  The hold is
             # monotone (held_until is frozen mid-wait), so the first
             # window cycle decides the whole window.
-            head_read = self.queues.reads.head()
+            head_read = rq_items[0]
             if (
-                self.ms.enabled
-                and head_read is not None
-                and head_read.uid not in self._conflict_counted
-                and self.dram.bank_holder(head_read.line, start)
-                is Provenance.MS_PREFETCH
+                head_read.uid not in self._conflict_counted
+                and self.dram.bank_holder(head_read.line, start) is _MS_PREFETCH
             ):
                 self._conflict_counted.add(head_read.uid)
-                self.ms.scheduler.record_conflict()
+                ms.scheduler.record_conflict()
         values = self._stat_values
         values["ticks"] += cycles
         values["occ_read_queue"] += len(self._rq_items) * cycles
@@ -259,35 +264,29 @@ class MemoryController:
           accounting (see :meth:`note_wait_refusal`).
         """
         caq_items = self._caq_items
-        caq_head = caq_items[0] if caq_items else None
-        ms = self.ms
         lpq_items = self._lpq_items
-        lpq_head = lpq_items[0] if lpq_items else None
-        if caq_head is None and lpq_head is None:
+        if not (caq_items or lpq_items):
             return None, None
-        if caq_head is not None and caq_head.is_read and ms.would_serve(
-            caq_head.line
+        ms = self.ms
+        if not ms.enabled:
+            if caq_items:
+                cmd = caq_items[0]
+                return self.dram.earliest_issue_cycle(cmd), cmd
+            return None, None
+        if caq_items and caq_items[0].is_read and ms.would_serve(
+            caq_items[0].line
         ):
             return -1, None
-        use_lpq = False
-        if ms.enabled and lpq_head is not None:
-            # The policy predicates, inlined on the wait-path facts:
-            # reorder_has_issuable (policy 2) is only read with an
-            # empty CAQ, and the caller guarantees the reorder queues
-            # are empty whenever the CAQ is — so with an empty CAQ
-            # every policy (1's reorder_empty included) allows the LPQ
-            # head (``allows_lpq`` on the equivalent SchedulerView
-            # agrees; the golden equality test pins this).
-            caq_len = len(caq_items)
-            policy = ms.scheduler.policy
-            if caq_len == 0:
-                use_lpq = True
-            elif policy == 4:
-                use_lpq = caq_len <= 1 and len(lpq_items) >= ms.lpq.depth
-            elif policy == 5:
-                use_lpq = lpq_head.arrival < caq_head.arrival
-        cmd = lpq_head if use_lpq else caq_head
-        if cmd is None:
+        # The caller guarantees the reorder queues are empty whenever
+        # the CAQ is, so policy 1 sees them empty and policy 2 finds
+        # nothing issuable in them.
+        if lpq_allowed(
+            ms.scheduler.policy, caq_items, lpq_items, ms.lpq.depth, True, False
+        ):
+            cmd = lpq_items[0]
+        elif caq_items:
+            cmd = caq_items[0]
+        else:
             return None, None
         return self.dram.earliest_issue_cycle(cmd), cmd
 
@@ -312,7 +311,7 @@ class MemoryController:
         completions = self._completions
         values = self._stat_values
         while completions and completions[0][0] <= now:
-            _, _, cmd = heapq.heappop(completions)
+            cmd = heappop(completions)[2]
             if cmd.is_ms_prefetch:
                 self.ms.notify_complete(cmd)
             elif cmd.is_read:
@@ -324,88 +323,77 @@ class MemoryController:
                     values[k_max] = latency  # lint: stats-dynamic
                 # log2-bucketed histogram: bucket b counts latencies in
                 # [2^b, 2^(b+1)); bucket 0 holds 0- and 1-cycle responses
-                values[k_hist + str(max(latency, 1).bit_length() - 1)] += 1  # lint: stats-dynamic
+                values[k_hist[max(latency, 1).bit_length() - 1]] += 1  # lint: stats-dynamic
                 if self.on_read_complete is not None:
                     self.on_read_complete(cmd, now)
-
-    def _respond_at(self, cmd: MemoryCommand, when: int) -> None:
-        heapq.heappush(self._completions, (when, cmd.uid, cmd))
 
     def _merge_ready(self, cmd: MemoryCommand) -> None:
         """A read merged with an in-flight prefetch got its data."""
         self.stats.bump("merged_responses")
-        self._respond_at(cmd, self._now + self.config.overhead_mc_cycles)
+        heappush(self._completions, (
+            self._now + self.config.overhead_mc_cycles, cmd.uid, cmd
+        ))
 
     # -- Final Scheduler ------------------------------------------------
     def _final_scheduler(self, now: int) -> None:
         ms = self.ms
+        config = self.config
+        values = self._stat_values
         caq_items = self._caq_items
-        # Second Prefetch Buffer check: the head of the CAQ may have been
-        # covered by a prefetch that completed while it sat in the queue.
-        while caq_items:
-            head = caq_items[0]
-            if not head.is_read:
-                break
-            if ms.read_lookup(head.line):
-                self.caq.pop()
-                self.stats.bump("pb_hits_caq")
-                self.stats.bump(f"pb_hits_{head.provenance.value}")
-                self._respond_at(
-                    head,
-                    now
-                    + self.config.pb_hit_latency_mc
-                    + self.config.overhead_mc_cycles,
-                )
-            elif ms.try_merge(head):
-                self.caq.pop()
-                self.stats.bump("pb_merges_caq")
-                self.stats.bump(f"pb_merges_{head.provenance.value}")
-            else:
-                break
+        if ms.enabled:
+            # Second Prefetch Buffer check: the head of the CAQ may have
+            # been covered by a prefetch that completed while it sat in
+            # the queue.
+            while caq_items:
+                head = caq_items[0]
+                if not head.is_read:
+                    break
+                if ms.read_lookup(head.line):
+                    caq_items.popleft()
+                    self._buffer_hit(head, now, True)
+                elif ms.try_merge(head):
+                    caq_items.popleft()
+                    self._merged(head, True)
+                else:
+                    break
 
-        lpq = ms.lpq
-        caq_head = caq_items[0] if caq_items else None
         lpq_items = self._lpq_items
-        lpq_head = lpq_items[0] if lpq_items else None
-        if caq_head is None and lpq_head is None:
-            return
-
         use_lpq = False
-        if ms.enabled and lpq_head is not None:
-            scheduler = ms.scheduler
-            caq_len = len(caq_items)
-            # reorder_has_issuable is only read by policy 2, and only
-            # when the CAQ is empty — has_issuable scans every reorder
-            # candidate against DRAM timing, so compute it lazily
+        if lpq_items and ms.enabled:
+            policy = ms.scheduler.policy
             has_issuable = False
-            if caq_len == 0 and scheduler.policy == 2:
-                drain = (
-                    len(self.queues.writes)
-                    >= self.config.write_drain_threshold
-                )
+            if policy == 2 and not caq_items:
+                # only policy 2 reads it, and only with an empty CAQ:
+                # has_issuable scans every reorder candidate against
+                # DRAM timing, so compute it lazily
+                drain = len(self._wq_items) >= config.write_drain_threshold
                 has_issuable = Scheduler.has_issuable(
                     self.queues.candidates(drain), self.dram, now
                 )
-            view = SchedulerView(
-                caq_len=caq_len,
-                caq_head_arrival=caq_head.arrival if caq_head else None,
-                reorder_empty=not (self._rq_items or self._wq_items),
-                reorder_has_issuable=has_issuable,
-                lpq_len=len(lpq_items),
-                lpq_full=len(lpq_items) >= lpq.depth,
-                lpq_head_arrival=lpq_head.arrival,
+            use_lpq = lpq_allowed(
+                policy,
+                caq_items,
+                lpq_items,
+                ms.lpq.depth,
+                not (self._rq_items or self._wq_items),
+                has_issuable,
             )
-            use_lpq = scheduler.allows_lpq(view)
-
-        source = lpq if use_lpq else self.caq
-        cmd = source.head()
-        if cmd is None:
+        if use_lpq:
+            cmd = lpq_items[0]
+        elif caq_items:
+            cmd = caq_items[0]
+        else:
             return
         result = self.dram.try_issue(cmd, now)
         if result.accepted:
-            source.pop()
+            if use_lpq:
+                ms.lpq.pop()
+            else:
+                caq_items.popleft()
             self.scheduler.notify_issue(cmd, self.dram)
-            self._respond_at(cmd, result.completion + self.config.overhead_mc_cycles)
+            heappush(self._completions, (
+                result.completion + config.overhead_mc_cycles, cmd.uid, cmd
+            ))
             if cmd.is_write:
                 count = self._pending_write_lines.get(cmd.line, 0)
                 if count <= 1:
@@ -413,71 +401,104 @@ class MemoryController:
                 else:
                     self._pending_write_lines[cmd.line] = count - 1
             if cmd.is_ms_prefetch:
-                self.ms.notify_issue(cmd)
-                self._stat_values["issued_prefetch"] += 1
+                ms.notify_issue(cmd)
+                values["issued_prefetch"] += 1
             else:
-                self._stat_values["issued_regular"] += 1
+                values["issued_regular"] += 1
                 self._delayed_counted.discard(cmd.uid)
                 self._conflict_counted.discard(cmd.uid)
         elif (
-            result.blocked_by is Provenance.MS_PREFETCH
+            result.blocked_by is _MS_PREFETCH
             and not cmd.is_ms_prefetch
             and cmd.uid not in self._delayed_counted
         ):
             # Figure 13: a regular command delayed by a memory-side prefetch.
             self._delayed_counted.add(cmd.uid)
-            self.stats.bump("delayed_regular")
+            values["delayed_regular"] += 1
 
     # -- reorder queues -> CAQ -------------------------------------------
     def _reorder_to_caq(self, now: int) -> None:
-        if not (self._rq_items or self._wq_items):
+        rq_items = self._rq_items
+        wq_items = self._wq_items
+        if not (rq_items or wq_items):
             return
+        ms = self.ms
 
         # Adaptive Scheduling feedback: the oldest read being held off the
         # CAQ by a bank occupied by an in-flight prefetch is a conflict.
-        head_read = self.queues.reads.head()
-        if (
-            self.ms.enabled
-            and head_read is not None
-            and head_read.uid not in self._conflict_counted
-            and self.dram.bank_holder(head_read.line, now) is Provenance.MS_PREFETCH
-        ):
-            self._conflict_counted.add(head_read.uid)
-            self.ms.scheduler.record_conflict()
+        if rq_items and ms.enabled:
+            head_read = rq_items[0]
+            if (
+                head_read.uid not in self._conflict_counted
+                and self.dram.bank_holder(head_read.line, now) is _MS_PREFETCH
+            ):
+                self._conflict_counted.add(head_read.uid)
+                ms.scheduler.record_conflict()
 
-        if self.caq.full:
+        caq_items = self._caq_items
+        if len(caq_items) >= self._caq_depth:
             return
-        drain = len(self.queues.writes) >= self.config.write_drain_threshold
-        candidates = self.queues.candidates(drain)
+        # ReorderQueues.candidates, on the live queues: reads always,
+        # writes when draining or when there are no reads
+        if not rq_items:
+            candidates = wq_items
+        elif len(wq_items) >= self.config.write_drain_threshold:
+            candidates = [*rq_items, *wq_items]
+        else:
+            candidates = rq_items
         cmd = self.scheduler.select(candidates, self.dram, now)
         if cmd is None:
             return
-        self.queues.remove(cmd)
-        if cmd.is_read:
-            if self._pending_write_lines.get(cmd.line, 0) > 0:
+        if cmd.is_write:
+            wq_items.remove(cmd)
+        else:
+            rq_items.remove(cmd)
+            if cmd.line in self._pending_write_lines:
                 # read-after-write hazard: the freshest data for this
                 # line sits in the write queue — forward it
-                self.stats.bump("raw_forwards")
-                self._respond_at(
-                    cmd, now + self.config.overhead_mc_cycles
-                )
+                self._stat_values["raw_forwards"] += 1
+                heappush(self._completions, (
+                    now + self.config.overhead_mc_cycles, cmd.uid, cmd
+                ))
                 return
-            if self.ms.read_lookup(cmd.line):
-                # First Prefetch Buffer check: serve the read without DRAM.
-                self.stats.bump("pb_hits_pre_caq")
-                self.stats.bump(f"pb_hits_{cmd.provenance.value}")
-                self._respond_at(
-                    cmd,
-                    now
-                    + self.config.pb_hit_latency_mc
-                    + self.config.overhead_mc_cycles,
-                )
-                return
-            if self.ms.try_merge(cmd):
-                self.stats.bump("pb_merges_pre_caq")
-                self.stats.bump(f"pb_merges_{cmd.provenance.value}")
-                return
-        self.caq.push(cmd)
+            if ms.enabled:
+                if ms.read_lookup(cmd.line):
+                    # First Prefetch Buffer check: serve the read without DRAM.
+                    self._buffer_hit(cmd, now, False)
+                    return
+                if ms.try_merge(cmd):
+                    self._merged(cmd, False)
+                    return
+        caq_items.append(cmd)
+
+    # -- Prefetch Buffer check points -------------------------------------
+    # Literal per-provenance keys (no f-string or enum ``.value`` per
+    # event); the stat-key registry reads each conditional as its arms.
+    def _buffer_hit(self, cmd: MemoryCommand, now: int, in_caq: bool) -> None:
+        """Count a read served by the Prefetch Buffer and schedule its data."""
+        values = self._stat_values
+        prov = cmd.provenance
+        values["pb_hits_caq" if in_caq else "pb_hits_pre_caq"] += 1
+        values[
+            "pb_hits_demand" if prov is _DEMAND
+            else "pb_hits_ps_prefetch" if prov is _PS_PREFETCH
+            else "pb_hits_ms_prefetch"
+        ] += 1
+        config = self.config
+        heappush(self._completions, (
+            now + config.pb_hit_latency_mc + config.overhead_mc_cycles, cmd.uid, cmd
+        ))
+
+    def _merged(self, cmd: MemoryCommand, in_caq: bool) -> None:
+        """Count a read merged with an in-flight prefetch of its line."""
+        values = self._stat_values
+        prov = cmd.provenance
+        values["pb_merges_caq" if in_caq else "pb_merges_pre_caq"] += 1
+        values[
+            "pb_merges_demand" if prov is _DEMAND
+            else "pb_merges_ps_prefetch" if prov is _PS_PREFETCH
+            else "pb_merges_ms_prefetch"
+        ] += 1
 
     # ------------------------------------------------------------------
     # queries

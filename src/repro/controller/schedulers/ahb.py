@@ -99,6 +99,5 @@ class AHBScheduler(Scheduler):
         return best
 
     def notify_issue(self, cmd: MemoryCommand, dram: DRAMDevice) -> None:
-        bank, _ = dram.locate(cmd.line)
-        self._recent_banks.append(bank)
+        self._recent_banks.append(cmd.line % dram.amap.total_banks)
         self._last_kind = cmd.kind

@@ -29,6 +29,13 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.trace import Trace
 
 
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
+_PS_PREFETCH = Provenance.PS_PREFETCH
+_L1 = Level.L1
+_MEMORY = Level.MEMORY
+
+
 class _ThreadContext:
     __slots__ = (
         "tid",
@@ -124,8 +131,13 @@ class Core:
         return sum(len(ctx.outstanding) for ctx in self.contexts)
 
     def tick(self, now: int) -> None:
+        budget = self.budget_per_thread
         for ctx in self.contexts:
-            self._run_thread(ctx, self.budget_per_thread, now)
+            if ctx.blocked_mem:
+                # all a memory-blocked thread's tick does (see _run_thread)
+                self._stat_values["stall_cycles_mem"] += budget
+            else:
+                self._run_thread(ctx, budget, now)
 
     # ------------------------------------------------------------------
     def _run_thread(self, ctx: _ThreadContext, budget: int, now: int) -> None:
@@ -174,9 +186,7 @@ class Core:
         """Push pending dirty-eviction writes to the MC; False = stalled."""
         while ctx.writebacks:
             line = ctx.writebacks[0]
-            cmd = MemoryCommand(
-                CommandKind.WRITE, line, thread=ctx.tid, arrival=now
-            )
+            cmd = MemoryCommand(_WRITE, line, thread=ctx.tid, arrival=now)
             if not self.controller.enqueue(cmd, now):
                 return False
             ctx.writebacks.popleft()
@@ -193,19 +203,17 @@ class Core:
         result = self.hierarchy.access(line, is_write)
         ctx.writebacks.extend(result.writebacks)
 
-        miss_to_memory = result.level is Level.MEMORY
-        if miss_to_memory and not is_write:
+        level = result.level
+        if level is _MEMORY and not is_write:
             if line in self._ps_inflight or line in self._waiters:
                 # merge with the in-flight fetch of the same line
                 self._waiters.setdefault(line, []).append(ctx)
                 ctx.outstanding.add(line)
-                self.stats.bump("demand_merged")
+                self._stat_values["demand_merged"] += 1
                 if len(ctx.outstanding) >= self.config.mlp:
                     ctx.blocked_mem = True
             else:
-                cmd = MemoryCommand(
-                    CommandKind.READ, line, thread=ctx.tid, arrival=now
-                )
+                cmd = MemoryCommand(_READ, line, thread=ctx.tid, arrival=now)
                 if not self._issue_demand(ctx, cmd, now):
                     ctx.retry_demand = cmd
         elif not is_write:
@@ -213,44 +221,44 @@ class Core:
             ctx.stall_cpu += max(0, result.latency_cpu - 1)
         # stores never stall the core beyond their 1 issue cycle
 
-        self._drive_ps(ctx, line, result.level, now)
+        if self.ps.enabled:
+            self._drive_ps(ctx, line, level, now)
 
     def _issue_demand(self, ctx: _ThreadContext, cmd: MemoryCommand, now: int) -> bool:
         if not self.controller.enqueue(cmd, now):
             return False
         self._waiters.setdefault(cmd.line, []).append(ctx)
         ctx.outstanding.add(cmd.line)
-        self.stats.bump("demand_issued")
+        self._stat_values["demand_issued"] += 1
         if len(ctx.outstanding) >= self.config.mlp:
             ctx.blocked_mem = True
         return True
 
     # ------------------------------------------------------------------
     def _drive_ps(self, ctx: _ThreadContext, line: int, level: Level, now: int) -> None:
-        if not self.ps.enabled:
-            return
-        requests = self.ps.observe(line, l1_hit=level is Level.L1)
+        values = self._stat_values
+        requests = self.ps.observe(line, l1_hit=level is _L1)
         for req in requests:
             if req.line < 0:
                 continue
             if req.line in self._ps_inflight or req.line in self._waiters:
-                self.stats.bump("ps_dropped_inflight")
+                values["ps_dropped_inflight"] += 1
                 continue
             if self.hierarchy.cached_anywhere(req.line):
-                self.stats.bump("ps_dropped_cached")
+                values["ps_dropped_cached"] += 1
                 continue
             cmd = MemoryCommand(
-                CommandKind.READ,
+                _READ,
                 req.line,
                 thread=ctx.tid,
-                provenance=Provenance.PS_PREFETCH,
+                provenance=_PS_PREFETCH,
                 arrival=now,
             )
             if self.controller.enqueue(cmd, now):
                 self._ps_inflight[req.line] = req.to_l1
-                self.stats.bump("ps_issued")
+                values["ps_issued"] += 1
             else:
-                self.stats.bump("ps_dropped_queue")
+                values["ps_dropped_queue"] += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         PrefetchDiscard(
@@ -261,14 +269,14 @@ class Core:
     # ------------------------------------------------------------------
     def _on_read_complete(self, cmd: MemoryCommand, now: int) -> None:
         line = cmd.line
-        if cmd.provenance is Provenance.PS_PREFETCH:
+        if cmd.provenance is _PS_PREFETCH:
             to_l1 = self._ps_inflight.pop(line, True)
             writebacks = self.hierarchy.fill_from_memory(line, to_l1=to_l1)
             self.ps.notify_fill(line, to_l1)
-            self.stats.bump("ps_fills")
+            self._stat_values["ps_fills"] += 1
         else:
             writebacks = self.hierarchy.fill_from_memory(line, to_l1=True)
-            self.stats.bump("demand_fills")
+            self._stat_values["demand_fills"] += 1
         if writebacks:
             self.contexts[cmd.thread].writebacks.extend(writebacks)
         for ctx in self._waiters.pop(line, ()):
@@ -329,7 +337,13 @@ class Core:
         cpu = ticks * self.budget_per_thread
         values = self._stat_values
         for ctx in self.contexts:
-            if ctx.finished:
+            if (  # ctx.finished, inlined as in `done`
+                ctx.trace_done
+                and ctx.pending is None
+                and ctx.retry_demand is None
+                and not ctx.outstanding
+                and not ctx.writebacks
+            ):
                 continue
             if ctx.blocked_mem:
                 values["stall_cycles_mem"] += cpu
@@ -343,36 +357,3 @@ class Core:
             if take_gap and not (ctx.trace_done and ctx.pending is None):
                 ctx.gap_cpu -= take_gap
                 self.retired_instructions += take_gap
-
-    def skippable_ticks(self) -> int:
-        """MC cycles that can be bulk-skipped because every active thread
-        is purely executing non-memory instructions.  0 = cannot skip."""
-        min_gap = None
-        for ctx in self.contexts:
-            if ctx.finished:
-                continue
-            # a pending access is fine while its gap is still running:
-            # the skip never reaches past the smallest remaining gap
-            if (
-                ctx.blocked_mem
-                or ctx.writebacks
-                or ctx.retry_demand is not None
-                or ctx.outstanding
-                or ctx.stall_cpu > 0
-                or ctx.gap_cpu <= 0
-            ):
-                return 0
-            if min_gap is None or ctx.gap_cpu < min_gap:
-                min_gap = ctx.gap_cpu
-        if min_gap is None:
-            return 0
-        return min_gap // self.budget_per_thread
-
-    def consume_bulk(self, ticks: int) -> None:
-        """Burn ``ticks`` MC cycles of pure instruction execution."""
-        cpu = ticks * self.budget_per_thread
-        for ctx in self.contexts:
-            if ctx.finished:
-                continue
-            ctx.gap_cpu -= cpu
-            self.retired_instructions += cpu

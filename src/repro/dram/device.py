@@ -143,12 +143,12 @@ class DRAMDevice:
 
     def bank_holder(self, line: int, now: int) -> Optional[Provenance]:
         """Provenance of the in-flight command holding the line's bank."""
-        bank, _ = self.amap.locate(line)
-        return self.banks[bank].holder_at(now)
-
-    def bank_busy(self, line: int, now: int) -> bool:
-        bank, _ = self.amap.locate(line)
-        return self.banks[bank].busy_at(now)
+        # Bank.holder_at, inlined: the controller probes the read-queue
+        # head's bank on most cycles
+        bank = self.banks[line % self.amap.total_banks]
+        if now < bank.held_until:
+            return bank.holder
+        return None
 
     def ready_now(self, cmd: MemoryCommand, now: int) -> bool:
         """Could this command start its column access without waiting on
@@ -214,7 +214,7 @@ class DRAMDevice:
         else:
             values["row_hits"] += 1
         if self.power is not None:
-            self.power.record_access(cmd.is_write, activated)
+            self.power.record_access(is_write, activated)
         if self.tracer.enabled:
             self.tracer.emit(
                 DramCommand(

@@ -43,21 +43,6 @@ class BankTimingTable:
     banks: int  # total banks across ranks (parallel servers)
     row_lines: int  # cache lines per DRAM row (locality granule)
 
-    def read_service(self, state: str) -> int:
-        """Service cycles of a read against bank ``state``."""
-        if state == "hit":
-            return self.read_hit
-        if state == "miss":
-            return self.read_miss
-        return self.read_empty
-
-    def write_service(self, state: str) -> int:
-        if state == "hit":
-            return self.write_hit
-        if state == "miss":
-            return self.write_miss
-        return self.write_empty
-
 
 _tables: Dict[Tuple, BankTimingTable] = {}
 

@@ -35,7 +35,7 @@ analysislint DET rules as the cycle-accurate packages.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.dram.power import DRAMPowerModel
@@ -192,83 +192,101 @@ def predict(
     st = _FastState(float(cpu_ratio))
     banks = table.banks
     row_lines = table.row_lines
+    bus_cycles = table.bus_cycles
+    read_hit, read_miss, read_empty = table.read_hit, table.read_miss, table.read_empty
+    write_hit, write_miss, write_empty = (
+        table.write_hit, table.write_miss, table.write_empty
+    )
     open_rows: Dict[int, int] = {}
     closed_page = table.page_policy == "closed"
+    # config fields the per-record loop reads, hoisted out of it
+    overhead_mc = ctrl.overhead_mc_cycles
+    pb_hit_mc = ctrl.overhead_mc_cycles + ctrl.pb_hit_latency_mc
+    ps_enabled = ps.enabled
+    ps_stream_cap = 4 * ps.max_streams
+    ms_enabled = ms.enabled
+    degree = ms.degree
+    engine = ms.engine
 
-    def dram_access(line: int, service_read: bool, is_write: bool) -> int:
+    def dram_access(line: int, is_write: bool) -> int:
         """Price one DRAM access; returns its service time in MC cycles."""
         bank = line % banks
         row = (line // banks) // row_lines
         held = open_rows.get(bank)
         if closed_page:
-            state_name = "empty"
+            service = write_empty if is_write else read_empty
             st.activations += 1
         elif held == row:
-            state_name = "hit"
+            service = write_hit if is_write else read_hit
             st.row_hits += 1
         else:
-            state_name = "empty" if held is None else "miss"
+            if held is None:
+                service = write_empty if is_write else read_empty
+            else:
+                service = write_miss if is_write else read_miss
             st.activations += 1
             open_rows[bank] = row
         st.row_refs += 1
-        service = (
-            table.read_service(state_name)
-            if service_read
-            else table.write_service(state_name)
-        )
         st.epoch_bank += service
-        st.epoch_bus += table.bus_cycles
+        st.epoch_bus += bus_cycles
         if is_write:
             st.dram_writes += 1
         else:
             st.dram_reads += 1
         return service
 
-    def issue_prefetch(line: int) -> None:
+    def issue_prefetch(line: int, now_mc: float) -> None:
         if line in pb:
             return
         st.pb_inserts += 1
         st.prefetch_reads += 1
-        service = dram_access(line, service_read=True, is_write=False)
+        service = dram_access(line, False)
         # The line is *resident* only after its DRAM round trip; a
         # demand read landing earlier finds it in flight (useful but
         # not covered — the exact MC merges it, it never hits the PB).
-        pb[line] = (
-            st.cpu_cycles / st.cpu_ratio
-            + ctrl.overhead_mc_cycles + st.q_wait + service
-        )
+        pb[line] = now_mc + overhead_mc + st.q_wait + service
         if len(pb) > pb_capacity:
             pb.popitem(last=False)
 
+    # Counters nothing reads until the end of the pass stay local; the
+    # clock and epoch counters are local too and are stored back to
+    # ``st`` before each _epoch_advance (which reads and resets them).
+    instructions = cache_refs = cache_misses = 0
+    ps_reads = demand_reads = pb_read_hits = 0
+    occ_integral = lat_sum_demand = lat_cnt_demand = 0
+    cpu_cycles = epoch_cpu = mc_reads = epoch_reads_seen = 0
+    cpu_ratio_f = st.cpu_ratio
     for gap, line, is_write in records:
-        st.instructions += gap + 1
-        st.cpu_cycles += gap + 1
-        st.epoch_cpu += gap + 1
-        st.cache_refs += 1
+        step = gap + 1
+        instructions += step
+        cpu_cycles += step
+        epoch_cpu += step
+        cache_refs += 1
 
-        dirty = lru.pop(line, None)
-        if dirty is not None:  # cache hit
-            lru[line] = dirty or is_write
+        if line in lru:  # cache hit
+            lru.move_to_end(line)
+            if is_write:
+                lru[line] = True
             continue
-        st.cache_misses += 1
+        cache_misses += 1
         lru[line] = is_write
         if len(lru) > capacity:
             victim_line, victim_dirty = lru.popitem(last=False)
             if victim_dirty:
-                dram_access(victim_line, service_read=False, is_write=True)
+                dram_access(victim_line, True)
         if is_write:
             continue  # write-validate allocation: no read, no stall
 
         # ---- this read reaches the memory controller ----
-        st.mc_reads += 1
+        mc_reads += 1
         ps_covered = False
         ps_late_mc = 0.0  # residual wait when the PS prefetch is late
-        now_cpu = st.cpu_cycles
-        if ps.enabled:
+        now_cpu = cpu_cycles
+        if ps_enabled:
             pos, last_cpu = ps_streams.pop(line, (0, now_cpu))
             pos += 1
             ps_streams[line + 1] = (pos, now_cpu)
-            if len(ps_streams) > 4 * ps.max_streams:
+            if len(ps_streams) > ps_stream_cap:
                 _, (dead_pos, _) = ps_streams.popitem(last=False)
                 if dead_pos >= _PS_RAMP_POSITION:
                     ps_overshoot += ps_waste(dead_pos)
@@ -281,26 +299,24 @@ def predict(
                 # (an extra read the exact system counts) and pays the
                 # residual latency instead of an L2 hit.
                 lead_window = ps_lead * max(1, now_cpu - last_cpu)
-                need = (
-                    ctrl.overhead_mc_cycles + st.q_wait + table.read_hit
-                ) * cpu_ratio
+                need = (overhead_mc + st.q_wait + read_hit) * cpu_ratio
                 if lead_window < need:
                     ps_late_mc = (need - lead_window) / cpu_ratio
-                    st.mc_reads += 1
+                    mc_reads += 1
         if ps_covered:
-            st.ps_reads += 1
+            ps_reads += 1
         else:
-            st.demand_reads += 1
+            demand_reads += 1
 
         # ---- memory-side prefetcher (stream filter + SLH + PB) ----
         pb_covered = False
         pb_inflight_mc = 0.0  # residual wait on an in-flight prefetch
-        if ms.enabled:
-            st.epoch_reads_seen += 1
+        if ms_enabled:
+            epoch_reads_seen += 1
             now_mc = now_cpu / cpu_ratio
             ready = pb.pop(line, None)
             if ready is not None:
-                st.pb_read_hits += 1  # the prefetch was useful either way
+                pb_read_hits += 1  # the prefetch was useful either way
                 if ready <= now_mc:
                     pb_covered = True
                     st.pb_hits += 1
@@ -309,56 +325,51 @@ def predict(
                     # and waits out the remainder (not a coverage hit).
                     pb_inflight_mc = ready - now_mc
             slot = slots.pop(line, None)
-            if slot is not None and slot.expires < st.mc_reads:
+            if slot is not None and slot.expires < mc_reads:
                 slh.record_stream(slot.length)  # expired before this read
                 slot = None
             if slot is not None:
                 slot.length += 1
-                slot.expires = st.mc_reads + life_ext
+                slot.expires = mc_reads + life_ext
                 slots[line + 1] = slot
                 k = slot.length
             else:
                 if len(slots) >= slot_limit:
                     expired = [
                         key for key, s in slots.items()
-                        if s.expires < st.mc_reads
+                        if s.expires < mc_reads
                     ]
                     for key in expired:
                         slh.record_stream(slots.pop(key).length)
                 if len(slots) >= slot_limit:  # still full: evict oldest
                     victim_key = min(slots, key=lambda k: slots[k].expires)
                     slh.record_stream(slots.pop(victim_key).length)
-                slots[line + 1] = _StreamSlot(st.mc_reads + life_init)
+                slots[line + 1] = _StreamSlot(mc_reads + life_init)
                 k = 1  # ASD prefetches even 2-line streams from here
             want = (
-                slh.should_prefetch(k, ms.degree)
-                if ms.engine == "asd"
-                else (True if ms.engine == "nextline" else k >= 2)
+                slh.should_prefetch(k, degree)
+                if engine == "asd"
+                else (True if engine == "nextline" else k >= 2)
             )
             if want:
-                for d in range(1, ms.degree + 1):
-                    issue_prefetch(line + d)
-            if st.epoch_reads_seen >= epoch_len:
+                for d in range(1, degree + 1):
+                    issue_prefetch(line + d, cpu_cycles / cpu_ratio_f)
+            if epoch_reads_seen >= epoch_len:
                 for slot in slots.values():
                     slh.record_stream_next_only(slot.length)
                 slh.rollover()
+                st.epoch_cpu, st.mc_reads = epoch_cpu, mc_reads
                 _epoch_advance(st, table, probes, slh)
+                epoch_cpu = epoch_reads_seen = 0
 
         # ---- latency of this read ----
         if pb_covered:
-            lat_mc = ctrl.overhead_mc_cycles + ctrl.pb_hit_latency_mc
+            lat_mc = pb_hit_mc
         elif pb_inflight_mc:
-            lat_mc = max(
-                ctrl.overhead_mc_cycles + ctrl.pb_hit_latency_mc,
-                pb_inflight_mc,
-            )
+            lat_mc = max(pb_hit_mc, pb_inflight_mc)
         else:
-            lat_mc = (
-                ctrl.overhead_mc_cycles
-                + st.q_wait
-                + dram_access(line, service_read=True, is_write=False)
-            )
-        st.occ_integral += lat_mc
+            lat_mc = overhead_mc + st.q_wait + dram_access(line, False)
+        occ_integral += lat_mc
         if ps_covered:
             stall_cpu = (
                 max(ps_cover_cost, ps_late_mc * cpu_ratio)
@@ -367,12 +378,28 @@ def predict(
             )
         else:
             stall_cpu = lat_mc * cpu_ratio
-            st.lat_sum_demand += lat_mc
-            st.lat_cnt_demand += 1
-        st.cpu_cycles += int(stall_cpu)
-        st.epoch_cpu += int(stall_cpu)
-        if not ms.enabled and st.mc_reads % epoch_len == 0:
+            lat_sum_demand += lat_mc
+            lat_cnt_demand += 1
+        stall = int(stall_cpu)
+        cpu_cycles += stall
+        epoch_cpu += stall
+        if not ms_enabled and mc_reads % epoch_len == 0:
+            st.epoch_cpu, st.mc_reads = epoch_cpu, mc_reads
             _epoch_advance(st, table, probes, None)
+            epoch_cpu = epoch_reads_seen = 0
+    st.cpu_cycles = cpu_cycles
+    st.epoch_cpu = epoch_cpu
+    st.mc_reads = mc_reads
+    st.epoch_reads_seen = epoch_reads_seen
+    st.instructions = instructions
+    st.cache_refs = cache_refs
+    st.cache_misses = cache_misses
+    st.ps_reads = ps_reads
+    st.demand_reads = demand_reads
+    st.pb_read_hits = pb_read_hits
+    st.occ_integral = occ_integral
+    st.lat_sum_demand = lat_sum_demand
+    st.lat_cnt_demand = lat_cnt_demand
 
     if ps.enabled:
         for dead_pos, _ in ps_streams.values():

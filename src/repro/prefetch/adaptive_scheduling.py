@@ -20,10 +20,11 @@ policy toward conservative (on many conflicts) or aggressive (on few).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.common.config import AdaptiveSchedulingConfig
 from repro.common.stats import Stats
+from repro.common.types import MemoryCommand
 from repro.telemetry.events import PolicyChange
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -32,8 +33,9 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 class SchedulerView:
     """Snapshot of queue state the policy predicates look at.
 
-    Slotted: the Final Scheduler builds one per cycle whenever the LPQ
-    holds a command.
+    The predicates below are the readable specification; the Final
+    Scheduler evaluates the same rules on its live queues through
+    :func:`lpq_allowed` (a unit test pins the two against each other).
     """
 
     caq_len: int
@@ -76,6 +78,37 @@ POLICIES: Dict[int, Callable[[SchedulerView], bool]] = {
     4: _policy4,
     5: _policy5,
 }
+
+
+def lpq_allowed(
+    policy: int,
+    caq: Sequence[MemoryCommand],
+    lpq: Sequence[MemoryCommand],
+    lpq_depth: int,
+    reorder_empty: bool,
+    reorder_has_issuable: bool,
+) -> bool:
+    """The Final Scheduler's per-cycle form of :meth:`AdaptiveScheduler.
+    allows_lpq`, with the five predicates inlined on the live queues.
+
+    ``caq`` and ``lpq`` hold commands head first.  Only policy 2 reads
+    ``reorder_has_issuable``, and only with an empty CAQ: callers may
+    pass False in every other case instead of scanning the reorder
+    queues against DRAM timing.
+    """
+    if not lpq:
+        return False
+    if not caq:
+        if policy == 1:
+            return reorder_empty
+        if policy == 2:
+            return not reorder_has_issuable
+        return True
+    if policy == 4:
+        return len(caq) <= 1 and len(lpq) >= lpq_depth
+    if policy == 5:
+        return lpq[0].arrival < caq[0].arrival
+    return False
 
 
 class AdaptiveScheduler:

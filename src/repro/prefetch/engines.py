@@ -28,6 +28,8 @@ from repro.common.types import Direction
 from repro.prefetch.slh import LikelihoodTables
 from repro.prefetch.stream_filter import StreamFilter
 
+_ASCENDING = Direction.ASCENDING
+
 
 class PrefetchEngine:
     """Interface shared by all generation engines."""
@@ -84,12 +86,14 @@ class ASDEngine(PrefetchEngine):
         if not obs.tracked:
             self.stats.bump("untracked_reads")
             return []
-        tables = self.tables[thread][obs.direction]
+        direction = obs.direction
+        tables = self.tables[thread][direction]
+        step = 1 if direction is _ASCENDING else -1
         out: List[int] = []
         for d in range(1, self.degree + 1):
             if not tables.should_prefetch(obs.position, d):
                 break
-            out.append(line + d * obs.direction.step)
+            out.append(line + d * step)
         if not out:
             self.stats.bump("suppressed")
         return out

@@ -31,6 +31,8 @@ class LowPriorityQueue:
         self._queue: Deque[MemoryCommand] = deque()
         self._lines: Set[int] = set()
         self.stats = Stats()
+        # hot path: push/drop_line add straight into the counter mapping
+        self._stat_values = self.stats.raw()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -67,7 +69,7 @@ class LowPriorityQueue:
             return False
         self._queue.append(cmd)
         self._lines.add(cmd.line)
-        self.stats.bump("pushed")
+        self._stat_values["pushed"] += 1
         return True
 
     def pop(self) -> MemoryCommand:
@@ -85,7 +87,7 @@ class LowPriorityQueue:
                 self._queue.remove(cmd)
                 break
         self._lines.discard(line)
-        self.stats.bump("squashed")
+        self._stat_values["squashed"] += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 PrefetchDiscard(t=self.now_mc, line=line, reason="squashed")

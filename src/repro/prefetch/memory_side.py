@@ -74,6 +74,9 @@ class MemorySidePrefetcher:
             and not self.engine._reads_clock
         )
         self.stats = Stats()
+        # hot path: per-read counters add straight into the underlying
+        # counter mapping (see Stats.raw)
+        self._stat_values = self.stats.raw()
 
     # ------------------------------------------------------------------
     # read path
@@ -83,7 +86,8 @@ class MemorySidePrefetcher:
         if not self.enabled:
             return
         self.now_mc = now_mc
-        self.stats.bump("reads_observed")
+        values = self._stat_values
+        values["reads_observed"] += 1
         candidates = self.engine.observe_read(cmd.line, cmd.thread, now_cpu)
         for line in candidates:
             self._try_generate(line, cmd.thread, now_mc)
@@ -93,7 +97,7 @@ class MemorySidePrefetcher:
             self.engine.epoch_flush()
             self.scheduler.now_mc = now_mc
             self.scheduler.epoch_update()
-            self.stats.bump("epochs")
+            values["epochs"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     EpochBoundary(
@@ -108,11 +112,12 @@ class MemorySidePrefetcher:
         """Dedup a candidate line and place it in the LPQ."""
         if line < 0:
             return
+        values = self._stat_values
         if self.buffer.contains(line):
-            self.stats.bump("dropped_in_buffer")
+            values["dropped_in_buffer"] += 1
             return
         if line in self.in_flight:
-            self.stats.bump("dropped_in_flight")
+            values["dropped_in_flight"] += 1
             return
         cmd = MemoryCommand(
             CommandKind.READ,
@@ -122,7 +127,7 @@ class MemorySidePrefetcher:
             arrival=now_mc,
         )
         if self.lpq.push(cmd):
-            self.stats.bump("generated")
+            values["generated"] += 1
 
     def read_lookup(self, line: int) -> bool:
         """Prefetch Buffer probe for a regular Read (consuming on hit).
@@ -132,9 +137,10 @@ class MemorySidePrefetcher:
         """
         if not self.enabled:
             return False
-        self.lpq.drop_line(line)
+        if line in self.lpq._lines:  # most reads have no queued prefetch
+            self.lpq.drop_line(line)
         if self.buffer.read_hit(line):
-            self.stats.bump("buffer_hits")
+            self._stat_values["buffer_hits"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchHit(t=self.now_mc, line=line, where="buffer")
@@ -174,7 +180,7 @@ class MemorySidePrefetcher:
         if cmd.line not in self.in_flight or cmd.line in self._cancelled:
             return False
         self._merged.setdefault(cmd.line, []).append(cmd)
-        self.stats.bump("merged_reads")
+        self._stat_values["merged_reads"] += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 PrefetchHit(t=self.now_mc, line=cmd.line, where="merge")
@@ -198,7 +204,7 @@ class MemorySidePrefetcher:
     # ------------------------------------------------------------------
     def notify_issue(self, cmd: MemoryCommand) -> None:
         self.in_flight.add(cmd.line)
-        self.stats.bump("issued")
+        self._stat_values["issued"] += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 PrefetchIssued(t=self.now_mc, line=cmd.line, thread=cmd.thread)
@@ -206,7 +212,7 @@ class MemorySidePrefetcher:
 
     def notify_complete(self, cmd: MemoryCommand) -> None:
         self.in_flight.discard(cmd.line)
-        self.stats.bump("completed")
+        self._stat_values["completed"] += 1
         if cmd.line in self._cancelled:
             self._cancelled.discard(cmd.line)
             self.stats.bump("completed_cancelled")
@@ -224,7 +230,7 @@ class MemorySidePrefetcher:
         if merged:
             # the waiting read consumes the just-arrived line immediately
             self.buffer.read_hit(cmd.line)
-            self.stats.bump("buffer_hits", len(merged))
+            self._stat_values["buffer_hits"] += len(merged)
             if self.on_merge_ready is not None:
                 for waiting in merged:
                     self.on_merge_ready(waiting)

@@ -50,15 +50,15 @@ class PrefetchBuffer:
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._clock = 0
         self.stats = Stats()
-
-    def _set_for(self, line: int) -> Dict[int, int]:
-        return self._sets[line % self.num_sets]
+        # hot path: the per-read probes add straight into the counter
+        # mapping (see Stats.raw) and index their set inline
+        self._stat_values = self.stats.raw()
 
     # ------------------------------------------------------------------
     def insert(self, line: int) -> None:
         """Install a prefetched line, evicting LRU on a full set."""
         self._clock += 1
-        entries = self._set_for(line)
+        entries = self._sets[line % self.num_sets]
         if line in entries:
             entries[line] = self._clock
             self.stats.bump("duplicate_inserts")
@@ -66,7 +66,7 @@ class PrefetchBuffer:
         if len(entries) >= self.config.assoc:
             victim = min(entries, key=entries.get)
             del entries[victim]
-            self.stats.bump("evicted_unused")
+            self._stat_values["evicted_unused"] += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     PrefetchDiscard(
@@ -74,24 +74,24 @@ class PrefetchBuffer:
                     )
                 )
         entries[line] = self._clock
-        self.stats.bump("inserts")
+        self._stat_values["inserts"] += 1
 
     def read_hit(self, line: int) -> bool:
         """Probe for a regular Read; on hit, consume the entry."""
-        entries = self._set_for(line)
+        entries = self._sets[line % self.num_sets]
         if line in entries:
             del entries[line]
-            self.stats.bump("read_hits")
+            self._stat_values["read_hits"] += 1
             return True
         return False
 
     def contains(self, line: int) -> bool:
         """Presence probe with no side effects (used for dedup)."""
-        return line in self._set_for(line)
+        return line in self._sets[line % self.num_sets]
 
     def invalidate(self, line: int) -> bool:
         """Coherence invalidation on a Write match."""
-        entries = self._set_for(line)
+        entries = self._sets[line % self.num_sets]
         if line in entries:
             del entries[line]
             self.stats.bump("write_invalidations")

@@ -58,6 +58,8 @@ class ProcessorSidePrefetcher:
         #: lines this prefetcher installed into the L1 (advance-on-hit)
         self._installed_l1: Set[int] = set()
         self.stats = Stats()
+        # hot path: observe() adds straight into the counter mapping
+        self._stat_values = self.stats.raw()
 
     # ------------------------------------------------------------------
     def observe(self, line: int, l1_hit: bool) -> List[PSRequest]:
@@ -77,13 +79,15 @@ class ProcessorSidePrefetcher:
             self._installed_l1.discard(line)
 
         cfg = self.config
-        # advance an existing stream
-        for key, stream in list(self._streams.items()):
+        values = self._stat_values
+        # advance an existing stream (move_to_end is safe mid-loop: the
+        # loop returns right after it)
+        for key, stream in self._streams.items():
             if line == stream.last + stream.step:
                 stream.last = line
                 stream.depth = min(stream.depth + 1, cfg.l2_lead)
                 self._streams.move_to_end(key)
-                self.stats.bump("advances")
+                values["advances"] += 1
                 return self._emit(stream)
 
         # confirm a candidate (two consecutive-line misses)
@@ -97,14 +101,14 @@ class ProcessorSidePrefetcher:
         if step:
             if len(self._streams) >= cfg.max_streams:
                 self._streams.popitem(last=False)
-                self.stats.bump("stream_replacements")
+                values["stream_replacements"] += 1
             stream = _Stream(line, step, cfg.ramp)
             self._streams[line] = stream
-            self.stats.bump("confirms")
+            values["confirms"] += 1
             return self._emit(stream)
 
         self._candidates.append(line)
-        self.stats.bump("allocations")
+        values["allocations"] += 1
         return []
 
     def _emit(self, stream: _Stream) -> List[PSRequest]:

@@ -49,13 +49,20 @@ class StreamObservation:
     line: int
 
 
+_ASCENDING = Direction.ASCENDING
+_DESCENDING = Direction.DESCENDING
+
+
 class _Slot:
-    __slots__ = ("last", "length", "direction", "expires_at")
+    # ``step`` mirrors ``direction`` as a plain int (+1/-1): the match
+    # loop in observe() reads it once per slot per read
+    __slots__ = ("last", "length", "direction", "step", "expires_at")
 
     def __init__(self, line: int, now: int, lifetime: int) -> None:
         self.last = line
         self.length = 1
-        self.direction = Direction.ASCENDING
+        self.direction = _ASCENDING
+        self.step = 1
         self.expires_at = now + lifetime
 
 
@@ -67,7 +74,8 @@ class StreamFilter:
     :meth:`observe` doing it implicitly.
     """
 
-    __slots__ = ("config", "on_evict", "slots", "stats", "_soonest_expiry")
+    __slots__ = ("config", "on_evict", "slots", "stats", "_stat_values",
+                 "_soonest_expiry")
 
     #: sentinel horizon when the filter holds no slots
     _NEVER = float("inf")
@@ -82,6 +90,8 @@ class StreamFilter:
         self.on_evict = on_evict
         self.slots: List[_Slot] = []
         self.stats = Stats()
+        # hot path: observe() adds straight into the counter mapping
+        self._stat_values = self.stats.raw()
         # Lower bound on the earliest live expiry: expire() is a no-op
         # (and skips its scan) while now is below it.  Advances only
         # push expiries later, so the bound can go stale-low — that
@@ -91,8 +101,9 @@ class StreamFilter:
     # ------------------------------------------------------------------
     def _evict(self, slot: _Slot) -> None:
         self.slots.remove(slot)
-        self.stats.bump("evictions")
-        self.stats.bump("evicted_length", slot.length)
+        values = self._stat_values
+        values["evictions"] += 1
+        values["evicted_length"] += slot.length
         if self.on_evict is not None:
             self.on_evict(slot.length, slot.direction)
 
@@ -124,45 +135,48 @@ class StreamFilter:
     # ------------------------------------------------------------------
     def observe(self, line: int, now_cpu: int) -> StreamObservation:
         """Process one Read at ``line``; returns what stream it extends."""
-        self.expire(now_cpu)
+        if now_cpu >= self._soonest_expiry:  # expire()'s early-out, hoisted
+            self.expire(now_cpu)
         cfg = self.config
+        values = self._stat_values
 
         for slot in self.slots:
-            if line == slot.last + slot.direction.step:
+            if line == slot.last + slot.step:
                 slot.last = line
                 slot.length += 1
                 slot.expires_at = min(
                     slot.expires_at + cfg.lifetime_increment,
                     now_cpu + cfg.lifetime_cap,
                 )
-                self.stats.bump("advances")
+                values["advances"] += 1
                 return StreamObservation(slot.length, slot.direction, True, line)
             if slot.length == 1 and line == slot.last - 1:
-                slot.direction = Direction.DESCENDING
+                slot.direction = _DESCENDING
+                slot.step = -1
                 slot.last = line
                 slot.length = 2
                 slot.expires_at = min(
                     slot.expires_at + cfg.lifetime_increment,
                     now_cpu + cfg.lifetime_cap,
                 )
-                self.stats.bump("advances")
-                self.stats.bump("direction_flips")
-                return StreamObservation(2, Direction.DESCENDING, True, line)
+                values["advances"] += 1
+                values["direction_flips"] += 1
+                return StreamObservation(2, _DESCENDING, True, line)
 
         if len(self.slots) < cfg.slots:
             self.slots.append(_Slot(line, now_cpu, cfg.lifetime_init))
             expiry = now_cpu + cfg.lifetime_init
             if expiry < self._soonest_expiry:
                 self._soonest_expiry = expiry
-            self.stats.bump("allocations")
-            return StreamObservation(1, Direction.ASCENDING, True, line)
+            values["allocations"] += 1
+            return StreamObservation(1, _ASCENDING, True, line)
 
         # Filter full: the read is recorded as a completed length-1 stream
         # but cannot be followed, so no prefetch may be generated for it.
-        self.stats.bump("untracked")
+        values["untracked"] += 1
         if self.on_evict is not None:
-            self.on_evict(1, Direction.ASCENDING)
-        return StreamObservation(1, Direction.ASCENDING, False, line)
+            self.on_evict(1, _ASCENDING)
+        return StreamObservation(1, _ASCENDING, False, line)
 
     # ------------------------------------------------------------------
     @property
@@ -179,7 +193,7 @@ class StreamFilter:
             {
                 "last": s.last,
                 "length": s.length,
-                "direction": s.direction.step,
+                "direction": s.step,
                 "expires_at": s.expires_at,
             }
             for s in self.slots

@@ -279,7 +279,12 @@ class System:
             # lazily applying refresh deadlines along the way, and
             # counting the head as MS-delayed on the first refusal
             self.controller.note_wait_refusal(refused, self.now)
-            self.dram.catch_up_refreshes(self.now + skip - 1)
+            end = self.now + skip - 1
+            # catch_up_refreshes' early-out, hoisted: most windows end
+            # before the next refresh deadline
+            refresh_at = self.dram._refresh_horizon
+            if refresh_at is not None and end >= refresh_at:
+                self.dram.catch_up_refreshes(end)
         self.core.consume_wait(skip)
         self.now += skip
         stats = self.loop_stats

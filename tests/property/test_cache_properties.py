@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, PolicyCache
+from repro.cache.replacement import LRUPolicy
 from repro.common.config import CacheConfig, PrefetchBufferConfig
 from repro.prefetch.prefetch_buffer import PrefetchBuffer
 
@@ -52,9 +53,46 @@ def test_cache_hit_iff_resident(operations):
 def test_set_discipline(operations):
     """A line only ever lives in its own set."""
     cache = run_cache(operations)
-    for s_index, lines_map in enumerate(cache._lines):
-        for line in lines_map.values():
+    for s_index, entries in enumerate(cache._sets):
+        for line in entries:
             assert cache.set_index(line) == s_index
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fill", "fill_dirty", "read", "write", "inval"]),
+            lines,
+        ),
+        max_size=300,
+    ),
+    st.sampled_from([(256, 1), (512, 2), (1024, 2), (2048, 4), (4096, 8)]),
+)
+def test_dict_lru_matches_way_indexed_lru(operations, geometry):
+    """The default dict-LRU sets and the way-indexed LRUPolicy path see
+    the same hits, evictions (line, dirty) and resident lines."""
+    size, assoc = geometry
+    config = CacheConfig(size, assoc, latency=1)
+    fast = Cache(config)
+    ref = Cache(config, policy=LRUPolicy(config.num_sets, assoc))
+    assert type(fast) is Cache and isinstance(ref, PolicyCache)
+
+    def outcome(cache, op, line):
+        if op.startswith("fill"):
+            ev = cache.fill(line, dirty=op == "fill_dirty")
+            return None if ev is None else (ev.line, ev.dirty)
+        if op == "inval":
+            return cache.invalidate(line)
+        return cache.lookup(line, write=op == "write")
+
+    for op, line in operations:
+        assert outcome(fast, op, line) == outcome(ref, op, line), (op, line)
+        assert sorted(fast.resident_lines()) == sorted(ref.resident_lines())
+    assert fast.occupancy == ref.occupancy
+    assert fast.stats.as_dict() == ref.stats.as_dict()
+    # drain both: the remaining lines leave in the same LRU order
+    for line in range(64, 64 + config.num_lines):
+        assert outcome(fast, "fill", line) == outcome(ref, "fill", line)
 
 
 @given(st.lists(st.tuples(st.sampled_from(["insert", "read", "write"]), lines), max_size=200))

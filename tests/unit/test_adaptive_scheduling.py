@@ -1,11 +1,15 @@
 """Unit tests for Adaptive Scheduling (the five policies + adaptation)."""
 
+import itertools
+from collections import deque
 
 from repro.common.config import AdaptiveSchedulingConfig
+from repro.common.types import CommandKind, MemoryCommand, Provenance
 from repro.prefetch.adaptive_scheduling import (
     POLICIES,
     AdaptiveScheduler,
     SchedulerView,
+    lpq_allowed,
 )
 
 
@@ -134,3 +138,53 @@ class TestAdaptiveScheduler:
         s.epoch_update()
         s.epoch_update()
         assert s.stats["epochs"] == 2
+
+
+class TestInlinedPredicate:
+    """``lpq_allowed`` (the Final Scheduler's form) against
+    ``allows_lpq(SchedulerView(...))`` (the specification)."""
+
+    CAQ_DEPTH = 3
+    LPQ_DEPTH = 3
+    ARRIVALS = (4, 5, 6)  # head arrivals: before, equal to, after 5
+
+    @staticmethod
+    def queue(length, head_arrival, provenance):
+        return deque(
+            MemoryCommand(
+                CommandKind.READ, 100 + i, provenance=provenance,
+                arrival=head_arrival + i,
+            )
+            for i in range(length)
+        )
+
+    def test_equals_allows_lpq_for_every_policy_and_queue_state(self):
+        checked = 0
+        for policy in range(1, 6):
+            scheduler = AdaptiveScheduler(
+                AdaptiveSchedulingConfig(fixed_policy=policy)
+            )
+            for (caq_len, caq_arrival, lpq_len, lpq_arrival, reorder_empty,
+                 has_issuable) in itertools.product(
+                range(self.CAQ_DEPTH + 1), self.ARRIVALS,
+                range(self.LPQ_DEPTH + 1), (5,),
+                (True, False), (True, False),
+            ):
+                caq = self.queue(caq_len, caq_arrival, Provenance.DEMAND)
+                lpq = self.queue(lpq_len, lpq_arrival, Provenance.MS_PREFETCH)
+                spec = scheduler.allows_lpq(SchedulerView(
+                    caq_len=caq_len,
+                    caq_head_arrival=caq[0].arrival if caq else None,
+                    reorder_empty=reorder_empty,
+                    reorder_has_issuable=has_issuable,
+                    lpq_len=lpq_len,
+                    lpq_full=lpq_len >= self.LPQ_DEPTH,
+                    lpq_head_arrival=lpq[0].arrival if lpq else None,
+                ))
+                fast = lpq_allowed(
+                    policy, caq, lpq, self.LPQ_DEPTH, reorder_empty, has_issuable
+                )
+                assert fast == spec, (policy, caq_len, caq_arrival, lpq_len,
+                                      reorder_empty, has_issuable)
+                checked += 1
+        assert checked == 5 * 4 * 3 * 4 * 2 * 2

@@ -37,6 +37,17 @@ class TestExtraction:
         model = build_registry(tree)
         assert model.keys == {f"pb_hits_{v}" for v in provenance_values()}
 
+    def test_nested_conditional_keys_are_literal(self):
+        tree = mount_text(
+            "class PB:\n"
+            "    def hit(self, prov, a, b):\n"
+            "        self.stats.bump(\"pb_x\" if a else \"pb_y\" if b else \"pb_z\")\n",
+            "src/repro/controller/pb.py",
+        )
+        model = build_registry(tree)
+        assert model.keys == {"pb_x", "pb_y", "pb_z"}
+        assert model.dynamic_writes == []
+
     def test_render_is_deterministic_and_parseable(self, fixture_tree):
         model = build_registry(fixture_tree)
         text = render_registry(model)

@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, PolicyCache
 from repro.cache.replacement import LRUPolicy, TreePLRUPolicy
 from repro.common.config import CacheConfig, CacheConfig, HierarchyConfig
 
 
 class TestPolicySelection:
     def test_default_is_lru(self):
+        # default LRU keeps recency in its per-set dicts: no policy object
         cache = Cache(CacheConfig(1024, 2, latency=1))
+        assert type(cache) is Cache and cache.policy is None
+
+    def test_lru_policy_object_selects_way_indexed_path(self):
+        cache = Cache(CacheConfig(1024, 2, latency=1), policy=LRUPolicy(4, 2))
+        assert isinstance(cache, PolicyCache)
         assert isinstance(cache.policy, LRUPolicy)
 
     def test_tree_plru_selectable(self):

@@ -138,6 +138,31 @@ class TestMemorySidePrefetcherConfig:
         with pytest.raises(ValueError):
             MemorySidePrefetcherConfig(degree=0).validate()
 
+    def test_asd_degree_must_stay_below_table_len(self):
+        # inequality (6) reads lht(k + degree): degree 15 is the largest
+        # a 16-entry table supports
+        MemorySidePrefetcherConfig(degree=15).validate()
+        with pytest.raises(ValueError, match=r"ms_prefetcher\.degree.*slh\.table_len"):
+            MemorySidePrefetcherConfig(degree=16).validate()
+        with pytest.raises(ValueError, match="degree=4, table_len=4"):
+            MemorySidePrefetcherConfig(degree=4, slh=SLHConfig(table_len=4)).validate()
+        # the other engines keep no Likelihood Tables
+        MemorySidePrefetcherConfig(engine="nextline", degree=16).validate()
+
+    def test_out_of_range_degree_fails_before_any_run(self):
+        from repro.fastsim.model import simulate_job_fast
+        from repro.system.presets import make_config
+        from repro.system.simulator import System
+        from repro.workloads.trace import Trace
+
+        config = make_config("MS")
+        config = config.derive(ms_prefetcher=replace(config.ms_prefetcher, degree=16))
+        trace = Trace([(0, line, False) for line in range(64)])
+        with pytest.raises(ValueError, match=r"ms_prefetcher\.degree"):
+            System(config, trace)
+        with pytest.raises(ValueError, match=r"ms_prefetcher\.degree"):
+            simulate_job_fast(config, "bwaves", 200, 1)
+
 
 class TestProcessorSideConfig:
     def test_paper_table_sizes(self):

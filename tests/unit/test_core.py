@@ -149,29 +149,3 @@ class TestSMT:
         b = [(80, 9000, False)]
         core, mc = build_core(None, threads_records=[a, b])
         assert core.budget_per_thread == CoreConfig().cpu_ratio // 2
-
-
-class TestFastForward:
-    def test_pure_gap_state_is_skippable(self):
-        core, mc = build_core([(10_000, 100, False)])
-        core.tick(0)  # fetch the record, start consuming gap
-        skip = core.skippable_ticks()
-        assert skip > 1
-
-    def test_not_skippable_when_blocked(self):
-        core, mc = build_core([(0, 100, False), (0, 200, False)], mlp=1)
-        for now in range(2):
-            mc.tick(now)
-            core.tick(now)
-        assert core.skippable_ticks() == 0
-
-    def test_consume_bulk_matches_manual_ticks(self):
-        records = [(64_000, 100, False)]
-        a, mc_a = build_core(list(records))
-        a.tick(0)
-        skip = a.skippable_ticks()
-        a.consume_bulk(skip)
-        b, mc_b = build_core(list(records))
-        for now in range(skip + 1):
-            b.tick(now)
-        assert a.retired_instructions == b.retired_instructions
