@@ -35,7 +35,7 @@ analysislint DET rules as the cycle-accurate packages.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.common.config import SystemConfig
 from repro.dram.power import DRAMPowerModel
@@ -71,54 +71,55 @@ class _StreamSlot:
 
 
 class _FastState:
-    """Everything the single trace pass accumulates."""
+    """What :func:`_close_epoch` reads at an epoch boundary.
+
+    The record loop keeps its counters in locals and stores them here
+    before each boundary; ``epochs``, the count of closed epochs, lives
+    only here.
+    """
 
     __slots__ = (
-        "instructions", "cpu_cycles", "mc_reads", "demand_reads",
-        "ps_reads", "pb_hits", "pb_inserts", "pb_read_hits",
-        "dram_reads", "dram_writes", "prefetch_reads", "activations",
-        "lat_sum_demand", "lat_cnt_demand", "bank_busy", "bus_busy",
-        "occ_integral", "epochs", "epoch_cpu", "epoch_bank",
-        "epoch_bus", "epoch_reads_seen", "q_wait", "row_hits",
-        "row_refs", "cache_misses", "cache_refs", "cpu_ratio",
+        "epochs", "epoch_cpu", "epoch_bank", "epoch_refs", "mc_reads",
+        "pb_hits", "pb_inserts", "row_hits", "row_refs", "cpu_ratio",
     )
 
     def __init__(self, cpu_ratio: float) -> None:
         for name in self.__slots__:
             setattr(self, name, 0)
-        self.q_wait = 0.0
         self.cpu_ratio = cpu_ratio
 
 
-def _epoch_advance(
+def _close_epoch(
     state: _FastState,
     table: BankTimingTable,
     probes: Optional[FastModelProbes],
     slh: Optional[LikelihoodTables],
-) -> None:
+) -> float:
     """Batched state advance at one SLH epoch boundary.
 
-    Converts the epoch's observed bank/bus busy time into utilisation,
-    derives the queue wait applied throughout the *next* epoch (M/D/1
-    waiting time against the busier of the two resources), and emits
-    one probe sample.
+    Converts the closing epoch's observed bank/bus busy time into
+    utilisation, returns the queue wait applied throughout the *next*
+    epoch (M/D/1 waiting time against the busier of the two
+    resources), and emits one probe sample.  ``state`` is left as it
+    is, so the trailing partial epoch can be sampled without being
+    counted; the caller advances ``state.epochs``.
     """
     epoch_mc = max(1.0, state.epoch_cpu / state.cpu_ratio)
     rho_bank = state.epoch_bank / (epoch_mc * table.banks)
-    rho_bus = state.epoch_bus / epoch_mc
+    rho_bus = state.epoch_refs * table.bus_cycles / epoch_mc
     rho = min(max(rho_bank, rho_bus), _RHO_CAP)
     accesses = max(1, state.epoch_bank // max(1, table.read_empty))
     avg_service = state.epoch_bank / accesses
     # M/M/1-shaped wait rather than M/D/1: miss arrivals are bursty
     # (dependent misses release in clumps when a stall resolves), which
     # the deterministic-service halving underestimates.
-    state.q_wait = avg_service * rho / (1.0 - rho)
+    q_wait = avg_service * rho / (1.0 - rho)
     if probes is not None:
         probes.sample(
             state.epochs,
             {
                 "rho": rho,
-                "queue_wait_mc": state.q_wait,
+                "queue_wait_mc": q_wait,
                 "mc_reads": state.mc_reads,
                 "pb_hits": state.pb_hits,
                 "prefetches": state.pb_inserts,
@@ -128,28 +129,43 @@ def _epoch_advance(
                 "slh_bars": list(slh.curr[1:]) if slh is not None else [],
             },
         )
-    state.epochs += 1
-    state.epoch_cpu = 0
-    state.epoch_bank = 0
-    state.epoch_bus = 0
-    state.epoch_reads_seen = 0
+    return q_wait
+
+
+def _ps_waste(pos: int, ramp: int, lead: int) -> int:
+    """MC reads a dead ramped PS stream stranded past its end.
+
+    The Power5 engine keeps ``ramp`` growing toward ``l2_lead``, so a
+    stream observed to position ``pos`` (>= 3) wasted about
+    ``min(ramp + pos - 2, lead)`` lines.
+    """
+    waste = ramp + pos - 2
+    return waste if waste < lead else lead
 
 
 def predict(
     config: SystemConfig,
-    traces: Sequence[Trace],
+    traces: Union[Trace, Sequence[Trace]],
     probes: Optional[FastModelProbes] = None,
 ) -> RunResult:
     """Predict one run's outcome from a single pass over the trace.
 
-    Mirrors :func:`repro.system.simulator.simulate`'s signature shape so
-    callers can swap fidelity tiers without reshaping arguments.
+    Takes :func:`repro.system.simulator.simulate`'s ``config`` and
+    ``traces`` (one :class:`Trace`, or a sequence of them, one per
+    thread) so callers can swap fidelity tiers without reshaping
+    arguments.  Several traces are interleaved record by record into
+    one stream.
     """
+    if isinstance(traces, Trace):
+        traces = [traces]
+    traces = list(traces)
+    if not traces:
+        raise ValueError("predict: traces is empty; pass at least one Trace")
     config.validate()
     if len(traces) == 1:
         records = traces[0].records
     else:
-        records = Trace.interleave(list(traces)).records
+        records = Trace.interleave(traces).records
     hier = config.hierarchy
     core = config.core
     ctrl = config.controller
@@ -163,6 +179,7 @@ def predict(
     # L2-hit-ish cost: the prefetched line is in (or on its way to) the
     # hierarchy when the demand arrives.
     ps_cover_cost = hier.l2.latency
+    ps_cover_stall = int(ps_cover_cost)
 
     # -- capacity filter ------------------------------------------------
     capacity = hier.l1.num_lines + hier.l2.num_lines + hier.l3.num_lines
@@ -179,26 +196,21 @@ def predict(
     # expected next line -> (position, cpu time of last advance)
     ps_streams: "OrderedDict[int, tuple]" = OrderedDict()
     ps_overshoot = 0  # MC reads wasted past the ends of ramped streams
-    # A dead ramped stream strands its in-flight lead: the Power5 engine
-    # keeps ``ramp`` growing toward ``l2_lead``, so a stream observed to
-    # position P wasted about min(ramp + (P - 2), l2_lead) lines.
     ps_lead = ps.l2_lead if ps.engine == "power5" else ps.lead
     ps_ramp = ps.ramp if ps.engine == "power5" else ps.lead
-
-    def ps_waste(pos: int) -> int:
-        return min(ps_ramp + max(pos - 2, 0), ps_lead)
     epoch_len = ms.slh.epoch_reads if ms.enabled else 1000
 
     st = _FastState(float(cpu_ratio))
     banks = table.banks
     row_lines = table.row_lines
-    bus_cycles = table.bus_cycles
     read_hit, read_miss, read_empty = table.read_hit, table.read_miss, table.read_empty
     write_hit, write_miss, write_empty = (
         table.write_hit, table.write_miss, table.write_empty
     )
-    open_rows: Dict[int, int] = {}
-    closed_page = table.page_policy == "closed"
+    # bank -> open row; under the closed-page policy no row stays open,
+    # so every access finds its bank precharged (an activation)
+    open_rows: List[Optional[int]] = [None] * banks
+    open_page = table.page_policy != "closed"
     # config fields the per-record loop reads, hoisted out of it
     overhead_mc = ctrl.overhead_mc_cycles
     pb_hit_mc = ctrl.overhead_mc_cycles + ctrl.pb_hit_latency_mc
@@ -206,62 +218,25 @@ def predict(
     ps_stream_cap = 4 * ps.max_streams
     ms_enabled = ms.enabled
     degree = ms.degree
-    engine = ms.engine
+    asd_engine = ms.engine == "asd"
+    nextline_engine = ms.engine == "nextline"
 
-    def dram_access(line: int, is_write: bool) -> int:
-        """Price one DRAM access; returns its service time in MC cycles."""
-        bank = line % banks
-        row = (line // banks) // row_lines
-        held = open_rows.get(bank)
-        if closed_page:
-            service = write_empty if is_write else read_empty
-            st.activations += 1
-        elif held == row:
-            service = write_hit if is_write else read_hit
-            st.row_hits += 1
-        else:
-            if held is None:
-                service = write_empty if is_write else read_empty
-            else:
-                service = write_miss if is_write else read_miss
-            st.activations += 1
-            open_rows[bank] = row
-        st.row_refs += 1
-        st.epoch_bank += service
-        st.epoch_bus += bus_cycles
-        if is_write:
-            st.dram_writes += 1
-        else:
-            st.dram_reads += 1
-        return service
-
-    def issue_prefetch(line: int, now_mc: float) -> None:
-        if line in pb:
-            return
-        st.pb_inserts += 1
-        st.prefetch_reads += 1
-        service = dram_access(line, False)
-        # The line is *resident* only after its DRAM round trip; a
-        # demand read landing earlier finds it in flight (useful but
-        # not covered — the exact MC merges it, it never hits the PB).
-        pb[line] = now_mc + overhead_mc + st.q_wait + service
-        if len(pb) > pb_capacity:
-            pb.popitem(last=False)
-
-    # Counters nothing reads until the end of the pass stay local; the
-    # clock and epoch counters are local too and are stored back to
-    # ``st`` before each _epoch_advance (which reads and resets them).
-    instructions = cache_refs = cache_misses = 0
-    ps_reads = demand_reads = pb_read_hits = 0
+    # Every per-record counter is a local.  The ones an epoch boundary
+    # reads are stored to ``st`` before each _close_epoch; the running
+    # epoch's CPU time and DRAM traffic are kept as the totals at its
+    # start.  ``q_wait`` only changes at a boundary, so the sums built
+    # on it are rebuilt there (same operand order, same floats).
+    q_wait = 0.0
+    lat_base = overhead_mc + q_wait  # a demand read's latency before DRAM service
+    ps_need = (lat_base + read_hit) * cpu_ratio  # CPU time a PS prefetch needs
+    cpu_cycles = stall_cycles = epoch_start_cpu = 0
+    cache_misses = mc_reads = ps_reads = epoch_reads_seen = 0
+    pb_hits = pb_read_hits = pb_inserts = 0
+    dram_reads = dram_writes = activations = row_hits = 0
+    epoch_bank = epoch_start_refs = 0
     occ_integral = lat_sum_demand = lat_cnt_demand = 0
-    cpu_cycles = epoch_cpu = mc_reads = epoch_reads_seen = 0
-    cpu_ratio_f = st.cpu_ratio
     for gap, line, is_write in records:
-        step = gap + 1
-        instructions += step
-        cpu_cycles += step
-        epoch_cpu += step
-        cache_refs += 1
+        cpu_cycles += gap + 1
 
         if line in lru:  # cache hit
             lru.move_to_end(line)
@@ -270,10 +245,23 @@ def predict(
             continue
         cache_misses += 1
         lru[line] = is_write
-        if len(lru) > capacity:
+        # every miss inserts a line, so the filter is over capacity
+        # exactly when there have been more misses than it holds
+        if cache_misses > capacity:
             victim_line, victim_dirty = lru.popitem(last=False)
-            if victim_dirty:
-                dram_access(victim_line, True)
+            if victim_dirty:  # write-back: one DRAM write
+                dram_writes += 1
+                bank = victim_line % banks
+                row = (victim_line // banks) // row_lines
+                held = open_rows[bank]
+                if held == row:
+                    epoch_bank += write_hit
+                    row_hits += 1
+                else:
+                    epoch_bank += write_empty if held is None else write_miss
+                    activations += 1
+                    if open_page:
+                        open_rows[bank] = row
         if is_write:
             continue  # write-validate allocation: no read, no stall
 
@@ -281,45 +269,40 @@ def predict(
         mc_reads += 1
         ps_covered = False
         ps_late_mc = 0.0  # residual wait when the PS prefetch is late
-        now_cpu = cpu_cycles
         if ps_enabled:
-            pos, last_cpu = ps_streams.pop(line, (0, now_cpu))
+            pos, last_cpu = ps_streams.pop(line, (0, cpu_cycles))
             pos += 1
-            ps_streams[line + 1] = (pos, now_cpu)
+            ps_streams[line + 1] = (pos, cpu_cycles)
             if len(ps_streams) > ps_stream_cap:
-                _, (dead_pos, _) = ps_streams.popitem(last=False)
+                dead_pos = ps_streams.popitem(last=False)[1][0]
                 if dead_pos >= _PS_RAMP_POSITION:
-                    ps_overshoot += ps_waste(dead_pos)
-            ps_covered = pos >= _PS_RAMP_POSITION
-            if ps_covered:
+                    ps_overshoot += _ps_waste(dead_pos, ps_ramp, ps_lead)
+            if pos >= _PS_RAMP_POSITION:
+                ps_covered = True
                 # Timeliness: the prefetch for this line was issued
                 # ~lead advances ago.  If the stream runs faster than
                 # one DRAM round trip per lead window, the demand read
                 # races its own prefetch: it still arrives at the MC
                 # (an extra read the exact system counts) and pays the
                 # residual latency instead of an L2 hit.
-                lead_window = ps_lead * max(1, now_cpu - last_cpu)
-                need = (overhead_mc + st.q_wait + read_hit) * cpu_ratio
-                if lead_window < need:
-                    ps_late_mc = (need - lead_window) / cpu_ratio
+                advance = cpu_cycles - last_cpu
+                lead_window = ps_lead * (advance if advance > 1 else 1)
+                if lead_window < ps_need:
+                    ps_late_mc = (ps_need - lead_window) / cpu_ratio
                     mc_reads += 1
-        if ps_covered:
-            ps_reads += 1
-        else:
-            demand_reads += 1
 
         # ---- memory-side prefetcher (stream filter + SLH + PB) ----
         pb_covered = False
         pb_inflight_mc = 0.0  # residual wait on an in-flight prefetch
         if ms_enabled:
             epoch_reads_seen += 1
-            now_mc = now_cpu / cpu_ratio
+            now_mc = cpu_cycles / cpu_ratio
             ready = pb.pop(line, None)
             if ready is not None:
                 pb_read_hits += 1  # the prefetch was useful either way
                 if ready <= now_mc:
                     pb_covered = True
-                    st.pb_hits += 1
+                    pb_hits += 1
                 else:
                     # Prefetch still in flight: the read merges with it
                     # and waits out the remainder (not a coverage hit).
@@ -346,122 +329,173 @@ def predict(
                     slh.record_stream(slots.pop(victim_key).length)
                 slots[line + 1] = _StreamSlot(mc_reads + life_init)
                 k = 1  # ASD prefetches even 2-line streams from here
-            want = (
-                slh.should_prefetch(k, degree)
-                if engine == "asd"
-                else (True if engine == "nextline" else k >= 2)
-            )
+            if asd_engine:
+                want = slh.should_prefetch(k, degree)
+            else:
+                want = nextline_engine or k >= 2
             if want:
-                for d in range(1, degree + 1):
-                    issue_prefetch(line + d, cpu_cycles / cpu_ratio_f)
+                for target in range(line + 1, line + degree + 1):
+                    if target in pb:
+                        continue
+                    pb_inserts += 1
+                    dram_reads += 1
+                    bank = target % banks
+                    row = (target // banks) // row_lines
+                    held = open_rows[bank]
+                    if held == row:
+                        service = read_hit
+                        row_hits += 1
+                    else:
+                        service = read_empty if held is None else read_miss
+                        activations += 1
+                        if open_page:
+                            open_rows[bank] = row
+                    epoch_bank += service
+                    # The line is *resident* only after its DRAM round
+                    # trip; a demand read landing earlier finds it in
+                    # flight (useful but not covered — the exact MC
+                    # merges it, it never hits the PB).
+                    pb[target] = now_mc + overhead_mc + q_wait + service
+                    if len(pb) > pb_capacity:
+                        pb.popitem(last=False)
             if epoch_reads_seen >= epoch_len:
                 for slot in slots.values():
                     slh.record_stream_next_only(slot.length)
                 slh.rollover()
-                st.epoch_cpu, st.mc_reads = epoch_cpu, mc_reads
-                _epoch_advance(st, table, probes, slh)
-                epoch_cpu = epoch_reads_seen = 0
+                refs = dram_reads + dram_writes
+                st.epoch_cpu, st.epoch_bank, st.epoch_refs = (
+                    cpu_cycles - epoch_start_cpu, epoch_bank,
+                    refs - epoch_start_refs,
+                )
+                st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
+                st.row_hits, st.row_refs = row_hits, refs
+                q_wait = _close_epoch(st, table, probes, slh)
+                st.epochs += 1
+                lat_base = overhead_mc + q_wait
+                ps_need = (lat_base + read_hit) * cpu_ratio
+                epoch_start_cpu, epoch_start_refs = cpu_cycles, refs
+                epoch_bank = epoch_reads_seen = 0
 
         # ---- latency of this read ----
         if pb_covered:
             lat_mc = pb_hit_mc
         elif pb_inflight_mc:
-            lat_mc = max(pb_hit_mc, pb_inflight_mc)
+            lat_mc = pb_inflight_mc if pb_inflight_mc > pb_hit_mc else pb_hit_mc
         else:
-            lat_mc = overhead_mc + st.q_wait + dram_access(line, False)
+            dram_reads += 1
+            bank = line % banks
+            row = (line // banks) // row_lines
+            held = open_rows[bank]
+            if held == row:
+                service = read_hit
+                row_hits += 1
+            else:
+                service = read_empty if held is None else read_miss
+                activations += 1
+                if open_page:
+                    open_rows[bank] = row
+            epoch_bank += service
+            lat_mc = lat_base + service
         occ_integral += lat_mc
         if ps_covered:
-            stall_cpu = (
-                max(ps_cover_cost, ps_late_mc * cpu_ratio)
-                if ps_late_mc
-                else ps_cover_cost
-            )
+            ps_reads += 1
+            if ps_late_mc:
+                late_cpu = ps_late_mc * cpu_ratio
+                stall = int(late_cpu if late_cpu > ps_cover_cost else ps_cover_cost)
+            else:
+                stall = ps_cover_stall
         else:
-            stall_cpu = lat_mc * cpu_ratio
             lat_sum_demand += lat_mc
             lat_cnt_demand += 1
-        stall = int(stall_cpu)
+            stall = int(lat_mc * cpu_ratio)
         cpu_cycles += stall
-        epoch_cpu += stall
+        stall_cycles += stall
+        # Known defect, kept: a late PS read adds 2 to mc_reads and can
+        # step over a multiple of epoch_len, skipping that boundary
+        # (docs/fidelity.md).
         if not ms_enabled and mc_reads % epoch_len == 0:
-            st.epoch_cpu, st.mc_reads = epoch_cpu, mc_reads
-            _epoch_advance(st, table, probes, None)
-            epoch_cpu = epoch_reads_seen = 0
-    st.cpu_cycles = cpu_cycles
-    st.epoch_cpu = epoch_cpu
-    st.mc_reads = mc_reads
-    st.epoch_reads_seen = epoch_reads_seen
-    st.instructions = instructions
-    st.cache_refs = cache_refs
-    st.cache_misses = cache_misses
-    st.ps_reads = ps_reads
-    st.demand_reads = demand_reads
-    st.pb_read_hits = pb_read_hits
-    st.occ_integral = occ_integral
-    st.lat_sum_demand = lat_sum_demand
-    st.lat_cnt_demand = lat_cnt_demand
+            refs = dram_reads + dram_writes
+            st.epoch_cpu, st.epoch_bank, st.epoch_refs = (
+                cpu_cycles - epoch_start_cpu, epoch_bank,
+                refs - epoch_start_refs,
+            )
+            st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
+            st.row_hits, st.row_refs = row_hits, refs
+            q_wait = _close_epoch(st, table, probes, None)
+            st.epochs += 1
+            lat_base = overhead_mc + q_wait
+            ps_need = (lat_base + read_hit) * cpu_ratio
+            epoch_start_cpu, epoch_start_refs = cpu_cycles, refs
+            epoch_bank = 0
+    row_refs = dram_reads + dram_writes  # before the PS overshoot below
 
-    if ps.enabled:
+    if ps_enabled:
         for dead_pos, _ in ps_streams.values():
             if dead_pos >= _PS_RAMP_POSITION:
-                ps_overshoot += ps_waste(dead_pos)
+                ps_overshoot += _ps_waste(dead_pos, ps_ramp, ps_lead)
         # Overshoot lines arrive at the MC as ordinary reads (diluting
         # coverage, exactly as the exact controller counts them) and
         # ride their streams' open rows: burst traffic without extra
         # activations; their queueing impact is folded into the
         # utilisation the epochs observed.
-        st.mc_reads += ps_overshoot
-        st.dram_reads += ps_overshoot
+        mc_reads += ps_overshoot
+        dram_reads += ps_overshoot
 
-    # flush the trailing partial epoch so probes cover the tail
-    if st.epoch_cpu and probes is not None:
-        _epoch_advance(st, table, probes, slh)
+    # Sample the trailing partial epoch so probes cover the tail.  It
+    # closes no epoch: a probed run reports what an unprobed one does.
+    if probes is not None and cpu_cycles != epoch_start_cpu:
+        st.epoch_cpu, st.epoch_bank, st.epoch_refs = (
+            cpu_cycles - epoch_start_cpu, epoch_bank,
+            row_refs - epoch_start_refs,
+        )
+        st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
+        st.row_hits, st.row_refs = row_hits, row_refs
+        _close_epoch(st, table, probes, slh)
 
-    mc_cycles = max(1, round(st.cpu_cycles / cpu_ratio))
-    regular = st.dram_reads + st.dram_writes - st.prefetch_reads
-    prefetch_bus = st.prefetch_reads * table.bus_cycles
-    total_bus = (st.dram_reads + st.dram_writes) * table.bus_cycles
+    mc_cycles = max(1, round(cpu_cycles / cpu_ratio))
+    regular = dram_reads + dram_writes - pb_inserts
+    prefetch_bus = pb_inserts * table.bus_cycles
+    total_bus = (dram_reads + dram_writes) * table.bus_cycles
     delayed = (
         round(regular * 0.5 * prefetch_bus / total_bus) if total_bus else 0
     )
 
     power_model = DRAMPowerModel(config.dram, config.dram_power)
-    power_model.activations = st.activations
-    power_model.read_bursts = st.dram_reads
-    power_model.write_bursts = st.dram_writes
+    power_model.activations = activations
+    power_model.read_bursts = dram_reads
+    power_model.write_bursts = dram_writes
     power = power_model.finalize(mc_cycles)
 
+    cache_refs = len(records)
     stats: Dict[str, float] = {
-        "mc.reads_arrived": st.mc_reads,
-        "mc.pb_hits_pre_caq": st.pb_hits,
+        "mc.reads_arrived": mc_reads,
+        "mc.pb_hits_pre_caq": pb_hits,
         "mc.pb_hits_caq": 0,
         "mc.issued_regular": regular,
         "mc.delayed_regular": delayed,
-        "mc.lat_sum_demand": st.lat_sum_demand,
-        "mc.lat_cnt_demand": st.lat_cnt_demand,
+        "mc.lat_sum_demand": lat_sum_demand,
+        "mc.lat_cnt_demand": lat_cnt_demand,
         "mc.ticks": mc_cycles,
-        "mc.occ_read_queue": st.occ_integral,
-        "pb.inserts": st.pb_inserts,
-        "pb.read_hits": st.pb_read_hits,
-        "dram.issued_reads": st.dram_reads,
-        "dram.issued_writes": st.dram_writes,
+        "mc.occ_read_queue": occ_integral,
+        "pb.inserts": pb_inserts,
+        "pb.read_hits": pb_read_hits,
+        "dram.issued_reads": dram_reads,
+        "dram.issued_writes": dram_writes,
         "fast.epochs": st.epochs,
         "fast.cache_miss_rate": (
-            st.cache_misses / st.cache_refs if st.cache_refs else 0.0
+            cache_misses / cache_refs if cache_refs else 0.0
         ),
-        "fast.row_hit_rate": (
-            st.row_hits / st.row_refs if st.row_refs else 0.0
-        ),
-        "fast.ps_covered_reads": st.ps_reads,
+        "fast.row_hit_rate": row_hits / row_refs if row_refs else 0.0,
+        "fast.ps_covered_reads": ps_reads,
         "fast.ps_overshoot_reads": ps_overshoot,
-        "fast.prefetch_reads": st.prefetch_reads,
-        "fast.final_queue_wait_mc": st.q_wait,
+        "fast.prefetch_reads": pb_inserts,
+        "fast.final_queue_wait_mc": q_wait,
     }
     return RunResult(
         config_name=config.name,
         benchmark=traces[0].name if len(traces) == 1 else "smt",
         cycles=mc_cycles,
-        instructions=st.instructions,
+        instructions=cpu_cycles - stall_cycles,
         cpu_ratio=cpu_ratio,
         stats=stats,
         power=power,

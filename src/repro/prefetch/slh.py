@@ -77,19 +77,29 @@ class LikelihoodTables:
         """
         if length <= 0:
             raise ValueError("stream length must be positive")
-        top = min(length, self.lm)
+        lm = self.lm
+        cap = self.counter_max
+        nxt = self.next
+        curr = self.curr
+        top = length if length < lm else lm
         for i in range(1, top + 1):
-            self.next[i] = min(self.next[i] + length, self.counter_max)
-            self.curr[i] = max(self.curr[i] - length, 0)
+            value = nxt[i] + length
+            nxt[i] = value if value < cap else cap
+            value = curr[i] - length
+            curr[i] = value if value > 0 else 0
 
     def record_stream_next_only(self, length: int) -> None:
         """Epoch-boundary flush: remaining Stream Filter entries update
         only LHTnext (LHTcurr is about to be replaced)."""
         if length <= 0:
             raise ValueError("stream length must be positive")
-        top = min(length, self.lm)
+        lm = self.lm
+        cap = self.counter_max
+        nxt = self.next
+        top = length if length < lm else lm
         for i in range(1, top + 1):
-            self.next[i] = min(self.next[i] + length, self.counter_max)
+            value = nxt[i] + length
+            nxt[i] = value if value < cap else cap
 
     def rollover(self) -> None:
         """Epoch boundary: LHTnext becomes LHTcurr; LHTnext clears."""
@@ -110,10 +120,12 @@ class LikelihoodTables:
         """
         if k < 1:
             raise ValueError("stream position k must be >= 1")
-        if degree < 1 or degree >= self.lm:
+        last = self.lm - degree
+        if degree < 1 or last < 1:
             raise ValueError("degree must be in 1..Lm-1")
-        k_eff = min(k, self.lm - degree)
-        return self.curr[k_eff] < (self.curr[k_eff + degree] << 1)
+        k_eff = k if k < last else last
+        curr = self.curr
+        return curr[k_eff] < (curr[k_eff + degree] << 1)
 
     # ------------------------------------------------------------------
     # reporting

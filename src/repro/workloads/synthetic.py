@@ -28,6 +28,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.trace import Trace
@@ -132,18 +133,6 @@ class _Allocator:
         return base
 
 
-def _sample_length(rng: random.Random, dist: Dict[int, float]) -> int:
-    lengths = list(dist.keys())
-    weights = list(dist.values())
-    return rng.choices(lengths, weights=weights, k=1)[0]
-
-
-def _sample_gap(rng: random.Random, mean: float) -> int:
-    if mean <= 0:
-        return 0
-    return int(-mean * math.log(max(rng.random(), 1e-12)))
-
-
 def _generate_segment(
     cfg: StreamWorkload,
     count: int,
@@ -152,28 +141,46 @@ def _generate_segment(
     active: List[_Stream],
     records: List[Tuple[int, int, bool]],
 ) -> None:
+    # The loop draws from the RNG in a fixed order (stream choice, then
+    # the gap); hoisting fields and bound methods out of it, and the
+    # length population and cumulative weights ``rng.choices`` would
+    # otherwise rebuild per call, keeps that order and so every trace.
+    rand = rng.random
+    randrange = rng.randrange
+    choices = rng.choices
+    log = math.log
+    hot_fraction = cfg.hot_fraction
+    hot_lines = cfg.hot_lines
+    write_fraction = cfg.write_fraction
+    descending_fraction = cfg.descending_fraction
+    interleave = cfg.interleave
+    burstiness = cfg.burstiness
+    gap_mean = cfg.gap_mean
+    lengths = list(cfg.length_dist)
+    cum_weights = list(accumulate(cfg.length_dist.values()))
+    append = records.append
     last_stream: Optional[_Stream] = None
     for _ in range(count):
-        if rng.random() < cfg.hot_fraction:
-            line = HOT_BASE + rng.randrange(cfg.hot_lines)
-            is_write = rng.random() < cfg.write_fraction
+        if rand() < hot_fraction:
+            line = HOT_BASE + randrange(hot_lines)
+            is_write = rand() < write_fraction
         else:
-            while len(active) < cfg.interleave:
-                length = _sample_length(rng, cfg.length_dist)
-                descending = rng.random() < cfg.descending_fraction
+            while len(active) < interleave:
+                length = choices(lengths, cum_weights=cum_weights)[0]
+                descending = rand() < descending_fraction
                 # streams are load streams or store streams wholesale:
                 # real codes sweep input and output arrays separately, so
                 # a store never punches a hole in a read stream at the MC
-                writes = rng.random() < cfg.write_fraction
+                writes = rand() < write_fraction
                 base = alloc.region(length)
                 if descending:
                     active.append(_Stream(base + length - 1, -1, length, writes))
                 else:
                     active.append(_Stream(base, 1, length, writes))
-            if last_stream in active and rng.random() < cfg.burstiness:
+            if last_stream in active and rand() < burstiness:
                 stream = last_stream
             else:
-                stream = active[rng.randrange(len(active))]
+                stream = active[randrange(len(active))]
             last_stream = stream
             line = stream.next
             stream.next += stream.step
@@ -181,7 +188,12 @@ def _generate_segment(
             is_write = stream.is_write
             if stream.remaining == 0:
                 active.remove(stream)
-        records.append((_sample_gap(rng, cfg.gap_mean), line, is_write))
+        if gap_mean <= 0:
+            gap = 0  # no draw
+        else:
+            draw = rand()
+            gap = int(-gap_mean * log(draw if draw > 1e-12 else 1e-12))
+        append((gap, line, is_write))
 
 
 def generate_trace(

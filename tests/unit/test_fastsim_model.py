@@ -1,5 +1,7 @@
 """Unit tests for the fast analytic model (docs/fidelity.md)."""
 
+import pytest
+
 from repro import generate_trace, get_profile, make_config
 from repro.fastsim import FastModelProbes, predict, simulate_job_fast
 from repro.fastsim.banktables import bank_table, clear_tables
@@ -64,6 +66,16 @@ class TestPrediction:
         viajob = simulate_job_fast(make_config("PMS"), "milc", ACCESSES, 1)
         assert viajob.cycles == direct.cycles
 
+    def test_accepts_a_bare_trace_like_simulate(self):
+        trace = trace_for("milc")
+        assert predict(make_config("PMS"), trace) == predict(
+            make_config("PMS"), [trace]
+        )
+
+    def test_empty_traces_rejected_by_name(self):
+        with pytest.raises(ValueError, match="traces"):
+            predict(make_config("PMS"), [])
+
 
 class TestProbes:
     def test_epoch_series_recorded(self):
@@ -74,6 +86,16 @@ class TestProbes:
         for _epoch, rho in probes.rows("rho"):
             assert 0.0 <= rho < 1.0
         assert len(probes.rows("mc_reads")) == probes.samples
+
+    @pytest.mark.parametrize("name", ["NP", "PS", "MS", "PMS"])
+    def test_probes_do_not_change_the_result(self, name):
+        # the trailing partial epoch is sampled, not closed: a probed
+        # run reports the same epochs and final queue wait
+        trace = trace_for("milc")
+        probes = FastModelProbes()
+        probed = predict(make_config(name), [trace], probes=probes)
+        assert probed == predict(make_config(name), [trace])
+        assert probes.samples == probed.stats["fast.epochs"] + 1
 
     def test_as_dict_is_json_shaped(self):
         probes = FastModelProbes()
