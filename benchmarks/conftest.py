@@ -6,14 +6,13 @@ qualitative shapes; ~20 min for the full suite on a laptop).  Export
 ``REPRO_TRACE_ACCESSES`` to override — e.g. 20000 reproduces the
 numbers recorded in EXPERIMENTS.md.
 
-Simulation runs are cached at two layers (see
-repro.experiments.runner): an in-process dict, so benchmarks that
-share runs — e.g. Figure 5 and Figure 8 — only pay for them once per
-session, and the on-disk result store under ``.repro-results/``, so a
-*re-run* of any suite pays for nothing at all.  The store is warmed
-into the in-process cache once per session below; ``REPRO_STORE=0``
-opts out.  Export ``REPRO_JOBS=N`` to shard the grid-shaped suites
-across N worker processes.
+Simulation runs are resolved through the content-addressed result
+store (see repro.experiments.store) under ``.repro-results/``, so
+benchmarks that share runs — e.g. Figure 5 and Figure 8 — only pay for
+them once, and a *re-run* of any suite pays for nothing at all.
+``REPRO_STORE=0`` keeps results in process memory instead, shared
+within one session only.  Export ``REPRO_JOBS=N`` to shard the
+grid-shaped suites across N worker processes.
 """
 
 import os
@@ -22,33 +21,23 @@ os.environ.setdefault("REPRO_TRACE_ACCESSES", "12000")
 
 
 def pytest_sessionstart(session):
-    """Warm the in-process run cache from the on-disk result store."""
-    from repro.experiments import runner, store
+    """Reap temp files that writers killed mid-put left in the store."""
+    from repro.experiments import store
 
-    if not store.store_enabled():
-        return
-    loaded = runner.preload_store()
-    if loaded:
-        print(
-            f"repro result store: preloaded {loaded} runs "
-            f"from {store.get_store().root}"
-        )
+    if store.store_enabled():
+        store.get_store().sweep_orphans()
 
 
 def pytest_sessionfinish(session, exitstatus):
     """Report where this session's runs came from.
 
     On a re-run of any suite the summary must read ``0 simulated`` —
-    every run served from the preloaded store (the acceptance check
-    for the result store).
+    every run served from the store (the acceptance check for the
+    result store).
     """
     from repro.experiments import runner, store
 
-    info = runner.cache_info()
-    line = (
-        f"repro result store: {info['simulated']} simulated, "
-        f"{info['runs']} runs in cache"
-    )
+    line = f"repro result store: {runner.cache_info()['simulated']} simulated"
     if store.store_enabled():
         stats = store.get_store().stats
         line += f", store hits/puts {stats.hits}/{stats.puts}"

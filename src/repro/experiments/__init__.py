@@ -3,10 +3,10 @@
 Every module exposes a pure function that computes the experiment's
 data (used by the benchmark suite and tests) plus a ``main()`` that
 prints the paper-style rows.  The shared :mod:`repro.experiments.runner`
-caches simulation runs in-process and persists them through the
-on-disk :mod:`repro.experiments.store`, so experiments that need the
-same (benchmark, config) pair — e.g. Figure 5 and Figure 8 — pay for
-it once *ever* per machine, not once per process; and
+resolves every simulation run through the content-addressed
+:mod:`repro.experiments.store`, so experiments that need the same
+(benchmark, config) pair — e.g. Figure 5 and Figure 8 — pay for it
+once *ever* per machine, not once per process; and
 :mod:`repro.experiments.sweep` shards whole grids across worker
 processes (``run_suite(jobs=N)``).  See docs/experiments.md.
 
@@ -33,12 +33,7 @@ Experiment ids (see DESIGN.md Section 4):
 ========================  =====================================
 """
 
-from repro.experiments.runner import (
-    preload_store,
-    run,
-    run_configs,
-    run_suite,
-)
+from repro.experiments.runner import run, run_configs, run_suite
 from repro.experiments.store import ResultStore, get_store
 from repro.experiments.sweep import Job, SweepOutcome, SweepStats, run_jobs
 
@@ -48,7 +43,6 @@ __all__ = [
     "SweepOutcome",
     "SweepStats",
     "get_store",
-    "preload_store",
     "run",
     "run_configs",
     "run_jobs",

@@ -1,11 +1,12 @@
-"""Shared experiment runner: per-process caching over a durable store.
+"""Shared experiment runner: one job, resolved through the result store.
 
 ``run()`` simulates one (benchmark, config) pair deterministically.
-Results are served from two layers before anything is simulated:
-
-1. the **in-process cache** (a dict, dies with the interpreter), then
-2. the **on-disk result store** (:mod:`repro.experiments.store`, JSON
-   under ``.repro-results/``, shared across sessions and processes).
+Results are cached in one place, the content-addressed
+:mod:`repro.experiments.store` under the job key
+(:func:`store.job_spec`, which fingerprints the built config): JSON
+under ``.repro-results/``, shared across sessions and processes, or —
+with the store off — the process-memory store that
+:func:`clear_cache` empties.  Every read decodes a fresh result object.
 
 ``run_suite(jobs=N)`` fans a whole benchmark x config grid out across
 worker processes via :mod:`repro.experiments.sweep`; both workers and
@@ -14,8 +15,12 @@ results are guaranteed to compare equal, field for field, to serial
 ones (the simulator is deterministic and the store codec is lossless).
 
 Telemetry-carrying runs (``tracer``/``probes``) always execute serially
-in-process and are never cached or stored — their side effects are the
-point of running them.
+in-process and are never stored — their side effects are the point of
+running them.
+
+Generated traces are memoised per (benchmark, accesses, seed), holding
+at most :data:`TRACE_CACHE_RECORDS` records (least recently used
+first out), so long-lived processes stay within a memory bound.
 
 Environment knobs:
 
@@ -30,6 +35,7 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.common.config import SystemConfig
@@ -77,62 +83,47 @@ def resolve_accesses(accesses: Optional[int]) -> int:
     return accesses
 
 
-_trace_cache: Dict[Tuple[str, int, int], Trace] = {}
-_run_cache: Dict[Tuple, RunResult] = {}
+#: Most trace records :func:`get_trace` keeps (about 108 B each, so
+#: ~10 MiB): five 20000-access traces.  Grid-order callers (every
+#: config of one benchmark in a row) regenerate nothing, and an SMT
+#: job's per-thread traces fit together.
+TRACE_CACHE_RECORDS = 100_000
+
+_trace_cache: "OrderedDict[Tuple[str, int, int], Trace]" = OrderedDict()
+_trace_records = 0  # records held by _trace_cache
 _sim_count = 0  # simulate() calls actually executed by this process
 
 
 def get_trace(benchmark: str, accesses: Optional[int] = None, seed: Optional[int] = None) -> Trace:
-    """Deterministic trace for a named benchmark (cached).
+    """Deterministic trace for a named benchmark (cached, LRU-bounded).
 
     ``trace:<digest>:<path>`` names replay (a prefix of) a converted
     external trace file instead of synthesising one; ``wl:<json>``
     names synthesise from the inline-encoded workload.  Both resolve
     identically in every process — see :mod:`repro.workloads.dynamic`.
     """
+    global _trace_records
     accesses = resolve_accesses(accesses)
     seed = default_seed() if seed is None else seed
     key = (benchmark, accesses, seed)
-    if key not in _trace_cache:
-        if benchmark.startswith("trace:"):
-            from repro.workloads.dynamic import load_trace_benchmark
+    trace = _trace_cache.get(key)
+    if trace is not None:
+        _trace_cache.move_to_end(key)
+        return trace
+    if benchmark.startswith("trace:"):
+        from repro.workloads.dynamic import load_trace_benchmark
 
-            _trace_cache[key] = load_trace_benchmark(benchmark, accesses)
-        else:
-            profile = get_profile(benchmark)
-            _trace_cache[key] = generate_trace(profile.workload, accesses, seed=seed)
-    return _trace_cache[key]
-
-
-def cache_key(
-    benchmark: str,
-    config_name: str,
-    accesses: int,
-    seed: int,
-    threads: int = 1,
-    scheduler: str = "ahb",
-    mutate_key: Optional[str] = None,
-    traced: bool = False,
-    fidelity: str = "exact",
-) -> Tuple:
-    """The in-process cache key for one run (resolved arguments).
-
-    ``fidelity`` separates fast-model predictions from exact results:
-    the two tiers of one job never alias in the cache (mirroring the
-    ``fidelity`` field :func:`store.job_spec` adds to fast store keys).
-    """
-    return (benchmark, config_name, accesses, seed, threads, scheduler,
-            mutate_key, traced, fidelity)
-
-
-def cached_result(key: Tuple) -> Optional[RunResult]:
-    """In-process cache lookup (used by the sweep engine)."""
-    return _run_cache.get(key)
-
-
-def seed_cache(key: Tuple, result: RunResult) -> None:
-    """Insert a result computed elsewhere (worker/store) into the cache."""
-    _run_cache[key] = result
+        trace = load_trace_benchmark(benchmark, accesses)
+    else:
+        profile = get_profile(benchmark)
+        trace = generate_trace(profile.workload, accesses, seed=seed)
+    _trace_cache[key] = trace
+    _trace_records += len(trace)
+    # Evict least recently used first; the trace just made always stays.
+    while _trace_records > TRACE_CACHE_RECORDS and len(_trace_cache) > 1:
+        _, evicted = _trace_cache.popitem(last=False)
+        _trace_records -= len(evicted)
+    return trace
 
 
 def simulate_job(
@@ -144,7 +135,7 @@ def simulate_job(
     tracer: Optional[Tracer] = None,
     probes: Optional[EpochProbes] = None,
 ) -> RunResult:
-    """Simulate one fully-resolved job (no caching, no store).
+    """Simulate one fully-resolved job (no store).
 
     This is the single execution path shared by ``run()`` and the sweep
     workers, which is what makes the parallel == serial determinism
@@ -161,20 +152,13 @@ def simulate_job(
     return simulate(config, traces, tracer=tracer, probes=probes)
 
 
-def _store_for(use_store: Optional[bool]) -> Optional[store.ResultStore]:
-    """The active result store, honouring the per-call override."""
-    enabled = store.store_enabled() if use_store is None else use_store
-    return store.get_store() if enabled else None
-
-
 def _count_run(source: str) -> None:
     """Mirror one :func:`run` resolution into the metrics registry."""
     registry = default_registry()
     if registry.enabled:
         registry.counter(
             "repro_runs_total",
-            "runner.run() calls resolved, by source "
-            "(cache, store, simulated).",
+            "runner.run() calls resolved, by source (store, simulated).",
             ("source",),
         ).inc(source=source)
 
@@ -192,52 +176,42 @@ def run(
     probes: Optional[EpochProbes] = None,
     use_store: Optional[bool] = None,
 ) -> RunResult:
-    """Simulate one benchmark under one named configuration (cached).
+    """Simulate one benchmark under one named configuration (stored).
 
     ``mutate`` applies a config transformation (e.g. a sensitivity-sweep
     override); pass a distinct ``mutate_key`` to make such runs
-    cacheable, otherwise they bypass both cache layers.
+    storable, otherwise they bypass the store.  The store key
+    fingerprints the mutated config, so changing what a ``mutate_key``
+    does can never serve the old result.
 
-    ``tracer`` / ``probes`` pass through to :func:`simulate`.  Telemetry
-    enablement is part of the cache key, so a cached untraced result is
-    never returned for a traced request; traced runs themselves are
-    neither cached nor stored (their side effects — emitted events,
-    probe samples — are the point of running them).
+    ``tracer`` / ``probes`` pass through to :func:`simulate`.  Traced
+    runs bypass the store: their side effects — emitted events, probe
+    samples — are the point of running them.
 
-    ``use_store`` overrides the ``REPRO_STORE`` default for this call.
+    ``use_store`` overrides the ``REPRO_STORE`` default for this call;
+    off, results go to the process-memory store instead of the disk.
     """
     accesses = resolve_accesses(accesses)
     seed = default_seed() if seed is None else seed
     traced = (tracer is not None and tracer.enabled) or probes is not None
-    key = cache_key(benchmark, config_name, accesses, seed, threads,
-                    scheduler, mutate_key, traced)
-    cacheable = (mutate is None or mutate_key is not None) and not traced
-    if cacheable and key in _run_cache:
-        _count_run("cache")
-        return _run_cache[key]
-
     config = make_config(config_name, threads=threads, scheduler=scheduler)
     if mutate is not None:
         config = mutate(config)
-
-    spec = None
-    active_store = _store_for(use_store) if cacheable else None
-    if active_store is not None:
+    results = spec = None
+    if not traced and (mutate is None or mutate_key is not None):
+        results = store.active_store(use_store)
         spec = store.job_spec(benchmark, config_name, accesses, seed,
                               threads, scheduler, mutate_key, config)
-        stored = active_store.get(spec)
+        stored = results.get(spec)
         if stored is not None:
-            _run_cache[key] = stored
             _count_run("store")
             return stored
 
     result = simulate_job(config, benchmark, accesses, seed, threads,
                           tracer=tracer, probes=probes)
     _count_run("simulated")
-    if cacheable:
-        _run_cache[key] = result
-        if active_store is not None:
-            active_store.put(spec, result)
+    if results is not None:
+        results.put(spec, result)
     return result
 
 
@@ -253,7 +227,7 @@ def run_configs(
 #: run() kwargs the parallel sweep path models explicitly.  Anything
 #: else — telemetry, mutate callables, mutate_key, or a typo — forces
 #: the serial path, where run() either handles it or raises TypeError,
-#: so both paths see identical semantics and cache identities.
+#: so both paths see identical semantics and job keys.
 _PARALLEL_KWARGS = frozenset(
     {"accesses", "seed", "threads", "scheduler", "use_store"}
 )
@@ -331,62 +305,23 @@ def run_suite(
     return {b: run_configs(b, config_names, **kwargs) for b in benchmarks}
 
 
-def preload_store(use_store: Optional[bool] = None) -> int:
-    """Warm the in-process cache from the on-disk store.
-
-    Loads every stored, fingerprint-verified, unmutated result into the
-    run cache so a whole session (e.g. the benchmark suite) starts hot.
-    Entries whose config fingerprint no longer matches the current
-    preset definitions are skipped — never served stale.  Also reaps
-    aged-out ``.tmp-*`` orphans left by writers killed mid-put.
-    Returns the number of runs loaded.
-    """
-    active_store = _store_for(use_store)
-    if active_store is None:
-        return 0
-    active_store.sweep_orphans()
-    fingerprints: Dict[Tuple[str, int, str], Optional[str]] = {}
-    loaded = 0
-    for spec, result in active_store.entries():
-        if spec.get("mutate_key") is not None:
-            # Needs the mutate callable to verify; run() covers these
-            # via its own read-through.
-            continue
-        ident = (spec["config"], spec["threads"], spec["scheduler"])
-        if ident not in fingerprints:
-            try:
-                config = make_config(spec["config"], threads=spec["threads"],
-                                     scheduler=spec["scheduler"])
-                fingerprints[ident] = store.config_fingerprint(config)
-            except (KeyError, ValueError):
-                fingerprints[ident] = None  # preset no longer exists
-        if fingerprints[ident] != spec.get("config_fingerprint"):
-            continue
-        key = cache_key(spec["benchmark"], spec["config"], spec["accesses"],
-                        spec["seed"], spec["threads"], spec["scheduler"],
-                        fidelity=str(spec.get("fidelity", "exact")))
-        if key not in _run_cache:
-            _run_cache[key] = result
-            loaded += 1
-    return loaded
-
-
 def clear_cache() -> None:
-    """Drop all cached traces and runs (tests use this for isolation).
+    """Drop cached traces, the memory store and the simulation count.
 
-    Only in-process state is dropped; the on-disk store is untouched
-    (use ``store.get_store().clear()`` for that).
+    Tests use this for isolation.  The on-disk store is untouched (use
+    ``store.get_store().clear()`` for that).
     """
-    global _sim_count
+    global _sim_count, _trace_records
     _trace_cache.clear()
-    _run_cache.clear()
+    _trace_records = 0
+    store.active_store(use_store=False).clear()
     _sim_count = 0
 
 
 def cache_info() -> Mapping[str, int]:
-    """Cache sizes plus the number of simulations actually executed."""
+    """Traces and trace records held, plus simulations executed."""
     return {
         "traces": len(_trace_cache),
-        "runs": len(_run_cache),
+        "trace_records": _trace_records,
         "simulated": _sim_count,
     }

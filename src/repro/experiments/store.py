@@ -1,13 +1,18 @@
-"""Content-addressed on-disk store for simulation results.
+"""Content-addressed result store: the only cache of simulation results.
 
-The in-process cache in :mod:`repro.experiments.runner` dies with the
-interpreter, so every session used to re-simulate the full figure grid.
-This module makes results durable: each completed run is written as one
-JSON file under ``.repro-results/`` (override with ``REPRO_STORE_DIR``),
-keyed by a SHA-256 hash of the *full job specification* — benchmark,
-configuration name, trace length, seed, thread count, scheduler,
-mutate key, and a fingerprint of the fully-built
-:class:`~repro.common.config.SystemConfig`.
+Each completed run is written as one JSON file under ``.repro-results/``
+(override with ``REPRO_STORE_DIR``), keyed by a SHA-256 hash of the
+*full job specification* — benchmark, configuration name, trace length,
+seed, thread count, scheduler, mutate key, and a fingerprint of the
+fully-built :class:`~repro.common.config.SystemConfig`.  That job key
+is the one job identity: ``runner.run``, the sweep engine, the fidelity
+orchestrator and the fabric all read and write results through it.
+
+With the store off (``REPRO_STORE=0`` or ``use_store=False``),
+:func:`active_store` hands out a :class:`MemoryStore` instead: the same
+``get``/``put`` under the same keys, holding encoded results in process
+memory (so every read decodes a fresh object, as from disk) until
+``runner.clear_cache()`` empties it.
 
 Because the config fingerprint covers every knob of the final config
 (including sweep mutations and preset definitions), editing a preset or
@@ -31,7 +36,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.common.config import SystemConfig
 from repro.dram.power import PowerReport
@@ -296,10 +301,10 @@ class ResultStore:
         :meth:`put` stages every entry as a same-directory ``.tmp-*``
         temp file before ``os.replace``-ing it into place; a writer
         killed between the two leaves the temp file behind forever
-        (``entries``/``clear`` skip dot-files).  Startup paths —
-        ``runner.preload_store`` and the fabric coordinator — call this
-        to reap them.  The age guard keeps temp files of concurrent
-        in-flight writers safe; returns the number removed.
+        (``entries``/``clear`` skip dot-files).  Startup paths — the
+        fabric coordinator and the benchmark suite's session start —
+        call this to reap them.  The age guard keeps temp files of
+        concurrent in-flight writers safe; returns the number removed.
         """
         removed = 0
         try:
@@ -336,7 +341,44 @@ class ResultStore:
         return removed
 
 
+class MemoryStore:
+    """Process-memory stand-in for :class:`ResultStore` (store off).
+
+    Keyed by :func:`job_key` like the disk store and holding encoded
+    results, so a hit decodes a fresh :class:`RunResult` exactly as a
+    disk read would; nothing touches the file system.
+    """
+
+    def __init__(self) -> None:
+        self.stats = StoreStats()
+        self._payloads: Dict[str, Dict[str, object]] = {}
+
+    def get(self, spec: Mapping[str, object]) -> Optional[RunResult]:
+        payload = self._payloads.get(job_key(spec))
+        if payload is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return decode_result(payload)
+
+    def put(self, spec: Mapping[str, object], result: RunResult) -> str:
+        key = job_key(spec)
+        self._payloads[key] = encode_result(result)
+        self.stats.puts += 1
+        return key
+
+    def __len__(self) -> int:
+        return len(self._payloads)
+
+    def clear(self) -> int:
+        """Drop every entry; returns the number removed."""
+        removed = len(self._payloads)
+        self._payloads.clear()
+        return removed
+
+
 _stores: Dict[str, ResultStore] = {}
+_memory_store = MemoryStore()
 
 
 def get_store() -> ResultStore:
@@ -350,3 +392,14 @@ def get_store() -> ResultStore:
     if root not in _stores:
         _stores[root] = ResultStore(root)
     return _stores[root]
+
+
+def active_store(use_store: Optional[bool] = None) -> Union[ResultStore, MemoryStore]:
+    """The store results are read from and written to.
+
+    ``use_store`` overrides the ``REPRO_STORE`` default: on, the
+    process-wide disk store for the current root (:func:`get_store`);
+    off, the process's one :class:`MemoryStore`.
+    """
+    enabled = store_enabled() if use_store is None else use_store
+    return get_store() if enabled else _memory_store

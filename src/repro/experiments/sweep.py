@@ -4,9 +4,9 @@ The paper's evaluation is a grid — 30 benchmark stand-ins x {NP, PS,
 MS, PMS, ablations, sensitivity points} — and every cell is an
 independent deterministic simulation.  This module fans such grids out
 over a :class:`~concurrent.futures.ProcessPoolExecutor`, with all
-results flowing through the same two cache layers the serial path uses
-(:mod:`repro.experiments.runner`'s in-process dict, then the on-disk
-:mod:`repro.experiments.store`).
+results flowing through the one result cache the serial path uses: the
+content-addressed :mod:`repro.experiments.store` (on disk, or the
+process-memory store when the store is off), under each job's key.
 
 Robustness:
 
@@ -43,7 +43,7 @@ log through the ``repro.experiments.sweep`` logger.
 
 Span tracing (:mod:`repro.obs.spans`): when a live collector is
 installed, every call opens a ``sweep.run_jobs`` span and records one
-``sweep.job`` span per *executed* job (cache/store hits resolve in
+``sweep.job`` span per *executed* job (store hits resolve in
 microseconds and would flood the tree), with ``sweep.queue_wait`` /
 ``sweep.exec`` children synthesized from the worker's timing stamps —
 workers are separate processes, so they report wall-clock stamps and
@@ -60,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from time import time as _wall_time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import SystemConfig
 from repro.experiments import runner, store
@@ -79,12 +79,9 @@ _log = logging.getLogger("repro.experiments.sweep")
 class Job:
     """One cell of a sweep grid, in unresolved (default-able) form.
 
-    ``mutate_key`` exists only so job specs share a key shape with
-    :func:`runner.cache_key` / :func:`store.job_spec`; it must stay
-    ``None`` here.  Mutate callables cannot cross process boundaries,
-    so mutated runs go through ``runner.run(mutate=..., mutate_key=...)``
-    serially — :meth:`resolve` rejects anything else rather than cache
-    an unmutated result under a mutate-keyed identity.
+    Jobs name preset configs only: mutate callables cannot cross
+    process boundaries, so mutated runs go through
+    ``runner.run(mutate=..., mutate_key=...)`` serially.
     """
 
     benchmark: str
@@ -93,20 +90,12 @@ class Job:
     seed: Optional[int] = None
     threads: int = 1
     scheduler: str = "ahb"
-    mutate_key: Optional[str] = None
     #: execution tier: "exact" (cycle-accurate simulator) or "fast"
     #: (the :mod:`repro.fastsim` analytic model) — docs/fidelity.md
     fidelity: str = "exact"
 
     def resolve(self) -> "Job":
         """Fill env-backed defaults and validate the trace length."""
-        if self.mutate_key is not None:
-            raise ValueError(
-                "sweep jobs cannot carry mutate_key: mutate callables do "
-                "not cross process boundaries, so the sweep engine would "
-                "cache an unmutated result under a mutated identity. Use "
-                "runner.run(mutate=..., mutate_key=...) serially instead."
-            )
         if self.fidelity not in JOB_FIDELITIES:
             raise ValueError(
                 f"unknown job fidelity {self.fidelity!r}: expected one of "
@@ -147,47 +136,22 @@ def expand_grid(
     ]
 
 
-def prepare(job: Job) -> Tuple["Job", Tuple, Dict[str, object], SystemConfig]:
-    """Resolve one job and derive its three identities.
+def prepare(job: Job) -> Tuple["Job", Dict[str, object], SystemConfig]:
+    """Resolve one job and derive its identity.
 
-    Returns ``(resolved job, in-process cache key, store spec, built
-    config)``.  The store spec embeds a fingerprint of the built config,
-    which is what makes job keys portable: any process (local worker,
-    remote fabric agent, coordinator) that prepares the same job from
-    the same code arrives at the same SHA-256 key.
+    Returns ``(resolved job, store spec, built config)``.  The store
+    spec embeds a fingerprint of the built config, which is what makes
+    job keys portable: any process (local worker, remote fabric agent,
+    coordinator) that prepares the same job from the same code arrives
+    at the same SHA-256 key.
     """
     job = job.resolve()
-    key = runner.cache_key(job.benchmark, job.config_name, job.accesses,
-                           job.seed, job.threads, job.scheduler,
-                           job.mutate_key, fidelity=job.fidelity)
     config = make_config(job.config_name, threads=job.threads,
                          scheduler=job.scheduler)
     spec = store.job_spec(job.benchmark, job.config_name, job.accesses,
-                          job.seed, job.threads, job.scheduler,
-                          job.mutate_key, config, fidelity=job.fidelity)
-    return job, key, spec, config
-
-
-def lookup(
-    key: Tuple,
-    spec: Mapping[str, object],
-    active_store: Optional[store.ResultStore],
-) -> Tuple[Optional[RunResult], Optional[str]]:
-    """Two-layer read-through shared by the local and fabric paths.
-
-    Checks the in-process cache, then the on-disk store (seeding the
-    cache on a store hit).  Returns ``(result, source)`` where source is
-    ``"cache"``, ``"store"``, or ``None`` when the job must execute.
-    """
-    cached = runner.cached_result(key)
-    if cached is not None:
-        return cached, "cache"
-    if active_store is not None:
-        stored = active_store.get(spec)
-        if stored is not None:
-            runner.seed_cache(key, stored)
-            return stored, "store"
-    return None, None
+                          job.seed, job.threads, job.scheduler, None,
+                          config, fidelity=job.fidelity)
+    return job, spec, config
 
 
 @dataclass
@@ -201,8 +165,7 @@ class SweepStats:
     """
 
     total: int = 0
-    from_cache: int = 0  # in-process cache hits
-    from_store: int = 0  # on-disk store hits
+    from_store: int = 0  # served by the result store
     executed_parallel: int = 0
     executed_serial: int = 0
     retries: int = 0  # resubmissions after a pool break
@@ -224,8 +187,7 @@ class SweepStats:
     def summary(self) -> str:
         """The one-line provenance summary ``repro sweep`` prints."""
         line = (
-            f"{self.total} jobs: {self.from_cache} cached, "
-            f"{self.from_store} from store, "
+            f"{self.total} jobs: {self.from_store} from store, "
             f"{self.executed_parallel} simulated in workers, "
             f"{self.executed_serial} simulated serially"
             + (f", {self.retries} retried" if self.retries else "")
@@ -275,7 +237,10 @@ class SweepOutcome:
 
 
 #: Internal: one job ready to execute.
-_Pending = Tuple[int, Job, Tuple, Dict[str, object], SystemConfig]
+_Pending = Tuple[int, Job, Dict[str, object], SystemConfig]
+
+#: Either store :func:`store.active_store` hands out.
+_Store = Union[store.ResultStore, store.MemoryStore]
 
 
 class _SweepObs:
@@ -383,7 +348,7 @@ class _SweepObs:
 
     def postmortem(self, reason: str, item: _Pending, **extra: object) -> None:
         """Dump the flight recorder for one failed job (never raises)."""
-        spec = item[3]
+        spec = item[2]
         try:
             path = self.recorder.postmortem(
                 reason, store.job_key(spec), spec=spec, extra=extra or None
@@ -435,11 +400,11 @@ def compute_job(
 def _execute_job(payload: Dict[str, object], config: SystemConfig) -> Dict[str, object]:
     """Worker entry point: simulate one resolved job.
 
-    The parent ships the fully-built :class:`SystemConfig` (presets
-    only — :meth:`Job.resolve` rejects mutated jobs), so workers never
-    need callables; the result travels back through the store codec,
-    annotated with a small ``_obs`` timing block (queue wait + exec
-    seconds) the parent strips before decoding.
+    The parent ships the fully-built :class:`SystemConfig` (jobs name
+    presets only), so workers never need callables; the result travels
+    back through the store codec, annotated with a small ``_obs``
+    timing block (queue wait + exec seconds) the parent strips before
+    decoding.
     """
     started = _wall_time()
     t0 = perf_counter()
@@ -487,8 +452,9 @@ def run_jobs(
     ``jobs`` is the worker-process count (1 = serial).  ``timeout``
     bounds each parallel job in seconds; ``retries`` bounds per-job
     resubmissions after worker crashes.  ``use_store`` overrides the
-    ``REPRO_STORE`` default.  ``worker`` replaces the worker function
-    (tests inject crashing/hanging stubs; it must be picklable).
+    ``REPRO_STORE`` default (off, results go to the process-memory
+    store).  ``worker`` replaces the worker function (tests inject
+    crashing/hanging stubs; it must be picklable).
 
     Observability: ``progress`` is a live
     :class:`~repro.obs.progress.SweepProgress` updated as jobs resolve;
@@ -505,11 +471,7 @@ def run_jobs(
     """
     stats = SweepStats(total=len(specs))
     results: List[Optional[RunResult]] = [None] * len(specs)
-    active_store = (
-        store.get_store()
-        if (store.store_enabled() if use_store is None else use_store)
-        else None
-    )
+    active_store = store.active_store(use_store)
     metrics = obs_metrics.default_registry() if metrics is None else metrics
     if recorder is None:
         recorder = flightrec.FlightRecorder(metrics=metrics)
@@ -522,29 +484,23 @@ def run_jobs(
                     sweep_span.context())
     if progress is not None:
         progress.begin(total=len(specs), workers=max(1, jobs))
-    store_before = (
-        active_store.stats.as_dict() if active_store is not None else None
-    )
+    store_before = active_store.stats.as_dict()
     recorder.attach("repro")
     try:
         pending: List[_Pending] = []
         for index, job in enumerate(specs):
-            job, key, spec, config = prepare(job)
+            job, spec, config = prepare(job)
             if job.fidelity == "fast":
                 stats.fast_jobs += 1
             else:
                 stats.exact_jobs += 1
-            found, source = lookup(key, spec, active_store)
+            found = active_store.get(spec)
             if found is not None:
                 results[index] = found
-                if source == "cache":
-                    stats.from_cache += 1
-                    obs.job_done("cached")
-                else:
-                    stats.from_store += 1
-                    obs.job_done("store")
+                stats.from_store += 1
+                obs.job_done("store")
                 continue
-            pending.append((index, job, key, spec, config))
+            pending.append((index, job, spec, config))
 
         if pending:
             if jobs <= 1:
@@ -563,45 +519,37 @@ def run_jobs(
         recorder.detach()
         if sweep_span.enabled:
             sweep_span.set_attr(
-                cached=stats.from_cache, store=stats.from_store,
+                store=stats.from_store,
                 executed=stats.executed_parallel + stats.executed_serial,
             )
         sweep_span.finish()
-        if store_before is not None:
-            delta = {
-                key: value - store_before.get(key, 0)
-                for key, value in active_store.stats.as_dict().items()
-            }
-            stats.store_hits = delta.get("hits", 0)
-            stats.store_misses = delta.get("misses", 0)
-            stats.store_errors = delta.get("errors", 0)
-            stats.store_puts = delta.get("puts", 0)
+        delta = {
+            key: value - store_before.get(key, 0)
+            for key, value in active_store.stats.as_dict().items()
+        }
+        stats.store_hits = delta.get("hits", 0)
+        stats.store_misses = delta.get("misses", 0)
+        stats.store_errors = delta.get("errors", 0)
+        stats.store_puts = delta.get("puts", 0)
         if progress is not None:
             progress.finish()
     return SweepOutcome(results=results, stats=stats)
 
 
-def _finish(
-    item: _Pending,
-    result: RunResult,
-    active_store: Optional[store.ResultStore],
-) -> RunResult:
-    """Seed the in-process cache and the store with a fresh result."""
-    _, _, key, spec, _ = item
-    runner.seed_cache(key, result)
-    if active_store is not None:
-        active_store.put(spec, result)
+def _finish(item: _Pending, result: RunResult, active_store: _Store) -> RunResult:
+    """Persist a fresh result to the active store."""
+    active_store.put(item[2], result)
     return result
 
 
 def _run_one_serial(
     item: _Pending,
-    active_store: Optional[store.ResultStore],
+    active_store: _Store,
     stats: SweepStats,
     obs: _SweepObs,
 ) -> RunResult:
     """Execute one job in this process (the fallback of last resort)."""
-    _, job, _, _, config = item
+    _, job, _, config = item
     start_wall = _wall_time()
     t0 = perf_counter()
     result = compute_job(config, job.benchmark, job.accesses, job.seed,
@@ -618,7 +566,7 @@ def _run_parallel(
     jobs: int,
     timeout: Optional[float],
     retries: int,
-    active_store: Optional[store.ResultStore],
+    active_store: _Store,
     stats: SweepStats,
     worker: Callable,
     obs: _SweepObs,
@@ -636,12 +584,12 @@ def _run_parallel(
             )
             for item in todo:
                 obs.event("serial_fallback", reason="pool_unavailable",
-                          job_key=store.job_key(item[3]))
+                          job_key=store.job_key(item[2]))
                 stats.serial_fallbacks += 1
                 done[item[0]] = _run_one_serial(item, active_store, stats, obs)
             return done
         futures = [
-            (executor.submit(worker, _job_payload(item[1]), item[4]), item)
+            (executor.submit(worker, _job_payload(item[1]), item[3]), item)
             for item in todo
         ]
         requeue: List[_Pending] = []
@@ -666,7 +614,7 @@ def _run_parallel(
                 # down below without waiting) and run here instead.
                 stats.timeouts += 1
                 timed_out = True
-                job_key = store.job_key(item[3])
+                job_key = store.job_key(item[2])
                 _log.warning(
                     "job %s (%s/%s) exceeded the %ss per-job timeout; "
                     "rerunning serially in the parent",
@@ -688,7 +636,7 @@ def _run_parallel(
                     )
                     obs.event("pool_break", outstanding=len(futures) - len(done))
                 attempts[index] += 1
-                job_key = store.job_key(item[3])
+                job_key = store.job_key(item[2])
                 if attempts[index] <= retries:
                     stats.retries += 1
                     _log.info(

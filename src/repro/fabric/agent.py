@@ -1,13 +1,12 @@
 """The fabric worker agent: lease, simulate, report, repeat.
 
 :class:`WorkerAgent` wraps the exact execution path a local sweep uses
-— :func:`repro.experiments.sweep.prepare` for identity,
-:func:`repro.experiments.sweep.lookup` for the local cache/store
-read-through, :func:`repro.experiments.sweep.compute_job` to actually
-simulate (dispatching exact jobs to the cycle-accurate simulator and
-fast jobs to :mod:`repro.fastsim`) — so a result computed by a fabric
-worker is field-for-field the result a serial ``run_suite`` would
-produce, stored under the same SHA-256 key.
+— :func:`repro.experiments.sweep.prepare` for identity, a read of the
+local result store, :func:`repro.experiments.sweep.compute_job` to
+actually simulate (dispatching exact jobs to the cycle-accurate
+simulator and fast jobs to :mod:`repro.fastsim`) — so a result computed
+by a fabric worker is field-for-field the result a serial ``run_suite``
+would produce, stored under the same SHA-256 key.
 
 Robustness:
 
@@ -38,7 +37,7 @@ from time import perf_counter
 from time import time as _wall_time
 from typing import Dict, List, Mapping, Optional
 
-from repro.experiments import runner, store, sweep
+from repro.experiments import store, sweep
 from repro.fabric.client import CoordinatorUnavailable, FabricClient
 from repro.fabric.protocol import ProtocolError
 from repro.obs import spans as obs_spans
@@ -71,8 +70,8 @@ class WorkerAgent:
         self.backoff_max_seconds = backoff_max_seconds
         #: Exit after this long with an empty queue (None = run forever).
         self.drain_idle_seconds = drain_idle_seconds
-        self.store = result_store if result_store is not None else (
-            store.get_store() if store.store_enabled() else None
+        self.store = (
+            result_store if result_store is not None else store.active_store()
         )
         self._stop = threading.Event()
         self.totals: Dict[str, int] = {
@@ -174,14 +173,14 @@ class WorkerAgent:
         """
         start_wall = _wall_time()
         try:
-            job, cache_key, spec, config = sweep.prepare(job)
+            job, spec, config = sweep.prepare(job)
             local_key = store.job_key(spec)
             if local_key != key:
                 raise ProtocolError(
                     f"job key mismatch: leased {key}, derived {local_key} "
                     "(worker and coordinator run different code?)"
                 )
-            found, source = sweep.lookup(cache_key, spec, self.store)
+            found = self.store.get(spec)
             if found is not None:
                 self.totals["store"] += 1
                 return {
@@ -197,9 +196,7 @@ class WorkerAgent:
                 job.fidelity,
             )
             seconds = perf_counter() - t0
-            runner.seed_cache(cache_key, result)
-            if self.store is not None:
-                self.store.put(spec, result)
+            self.store.put(spec, result)
             self.totals["executed"] += 1
             if ctx is not None and batch_spans is not None:
                 batch_spans.append(obs_spans.make_span(

@@ -22,8 +22,9 @@ import urllib.error
 import urllib.request
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import store
+from repro.experiments import store, sweep
 from repro.fabric import protocol
+from repro.fastsim.version import JOB_FIDELITIES
 from repro.obs import spans as obs_spans
 from repro.system.results import RunResult
 
@@ -92,66 +93,51 @@ class FabricClient:
     ) -> Dict[str, object]:
         """Submit a grid; returns the ``sweep_accepted`` document.
 
-        ``fidelity`` follows docs/fidelity.md: "exact" submits the
-        plain grid; "fast" (and "auto", which degrades to it here —
-        decision-boundary escalation needs a local orchestrator loop)
-        lowers the sweep client-side into fast-tier jobs for every cell
-        *plus* the FidelityGate's deterministic exact validation sample,
-        so the completed sweep contains everything
+        The grid expands and resolves here, on the submitting host, so
+        env-backed defaults (``REPRO_TRACE_ACCESSES``, ``REPRO_SEED``)
+        are this host's.  ``fidelity`` is a per-job tier, "exact" or
+        "fast" (docs/fidelity.md): "fast" submits a fast-tier job for
+        every cell *plus* the FidelityGate's deterministic exact
+        validation sample, so the completed sweep contains everything
         :meth:`fetch_calibrated_suite` needs to attach error bars.
+        Anything else raises :class:`ValueError`.
 
         When the process has a live span collector, the submission
         opens a ``fabric.submit`` span and sends its context with the
         request, so the coordinator's sweep trace parents under the
         submitting client.
         """
+        if fidelity not in JOB_FIDELITIES:
+            raise ValueError(
+                f"fidelity must be one of {JOB_FIDELITIES}, got {fidelity!r}"
+            )
         span = obs_spans.default_collector().span(
             "fabric.submit", coordinator=self.url,
         )
         try:
-            reply = self._submit(
-                benchmarks, configs, accesses, seed, threads, scheduler,
-                priority, fidelity, span.context(),
-            )
+            jobs = [
+                job.resolve()
+                for job in sweep.expand_grid(
+                    benchmarks, configs, accesses=accesses, seed=seed,
+                    threads=threads, scheduler=scheduler, fidelity=fidelity,
+                )
+            ]
+            if fidelity == "fast":
+                from repro.fastsim.gate import FidelityGate
+
+                keys = [store.job_key(sweep.prepare(job)[1]) for job in jobs]
+                jobs += [
+                    dataclasses.replace(jobs[i], fidelity="exact")
+                    for i in FidelityGate().select(keys)
+                ]
+            reply = self._call("/v1/sweeps", protocol.sweep_request(
+                jobs, priority=priority, trace=span.context(),
+            ))
+            protocol.check_envelope(reply, "sweep_accepted")
         except Exception:
             span.finish("error")
             raise
         span.finish()
-        return reply
-
-    def _submit(
-        self, benchmarks, configs, accesses, seed, threads, scheduler,
-        priority, fidelity, trace,
-    ) -> Dict[str, object]:
-        if fidelity == "exact":
-            request = protocol.sweep_request(
-                benchmarks, configs, accesses=accesses, seed=seed,
-                threads=threads, scheduler=scheduler, priority=priority,
-                trace=trace,
-            )
-        else:
-            from repro.experiments import sweep as sweep_mod
-            from repro.fastsim.gate import FidelityGate
-
-            fast_jobs = [
-                job.resolve()
-                for job in sweep_mod.expand_grid(
-                    benchmarks, configs, accesses=accesses, seed=seed,
-                    threads=threads, scheduler=scheduler, fidelity="fast",
-                )
-            ]
-            keys = [
-                store.job_key(sweep_mod.prepare(job)[2]) for job in fast_jobs
-            ]
-            validation = [
-                dataclasses.replace(fast_jobs[i], fidelity="exact")
-                for i in FidelityGate().select(keys)
-            ]
-            request = protocol.sweep_request_jobs(
-                fast_jobs + validation, priority=priority, trace=trace
-            )
-        reply = self._call("/v1/sweeps", request)
-        protocol.check_envelope(reply, "sweep_accepted")
         return dict(reply)
 
     def sweep_status(

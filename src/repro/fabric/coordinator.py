@@ -1,11 +1,11 @@
 """The fabric coordinator: HTTP sweep intake, leasing, fleet obs.
 
-:class:`Coordinator` is the scheduling core: it expands submissions
-with the sweep engine's :func:`~repro.experiments.sweep.expand_grid`,
-dedupes every cell against the content-addressed result store through
-the shared :func:`~repro.experiments.sweep.prepare` /
-:func:`~repro.experiments.sweep.lookup` read-through (exactly the code
-path a local ``run_jobs`` uses), queues the rest in
+:class:`Coordinator` is the scheduling core: it dedupes every submitted
+job (clients expand grids with the sweep engine's
+:func:`~repro.experiments.sweep.expand_grid`) against the
+content-addressed result store through the shared
+:func:`~repro.experiments.sweep.prepare` job key and a store read
+(exactly the code path a local ``run_jobs`` uses), queues the rest in
 :class:`~repro.fabric.state.CoordinatorState`, and persists every
 returned result to the store *before* acknowledging it — which is what
 makes coordinator restarts cheap: resubmitting an in-flight sweep to a
@@ -42,7 +42,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments import runner, store, sweep
+from repro.experiments import store, sweep
 from repro.fabric import protocol
 from repro.fabric.state import DONE, CoordinatorState
 from repro.obs import spans as obs_spans
@@ -120,16 +120,16 @@ class Coordinator:
 
     # -- API ------------------------------------------------------------
     def submit(self, document: object) -> Dict[str, object]:
-        """Accept one ``sweep_request``; expand, dedupe, queue."""
+        """Accept one ``sweep_request``; dedupe, queue."""
         t0 = time.time()
         jobs, priority = protocol.parse_sweep_request(document)
         submitter_ctx = protocol.trace_context(document)
         with self.lock:
             entries = []
             for job in jobs:
-                job, key, spec, _config = sweep.prepare(job)
-                found, _source = sweep.lookup(key, spec, self.store)
-                entries.append((store.job_key(spec), job, spec, found is not None))
+                job, spec, _config = sweep.prepare(job)
+                found = self.store.get(spec) is not None
+                entries.append((store.job_key(spec), job, spec, found))
             record = self.state.submit(entries, priority=priority)
             progress = SweepProgress(
                 total=len(record.keys), workers=len(self.state.workers) or 1
@@ -266,15 +266,6 @@ class Coordinator:
                 # Persist first: state is rebuilt from the store after a
                 # coordinator restart, so the store must never lag it.
                 self.store.put(entry.spec, result)
-                runner.seed_cache(
-                    runner.cache_key(
-                        entry.job.benchmark, entry.job.config_name,
-                        entry.job.accesses, entry.job.seed, entry.job.threads,
-                        entry.job.scheduler, entry.job.mutate_key,
-                        fidelity=entry.job.fidelity,
-                    ),
-                    result,
-                )
                 verdict = self.state.complete(key, worker)
                 if verdict == "first":
                     accepted += 1

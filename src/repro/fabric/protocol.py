@@ -20,8 +20,8 @@ equal to a local run.
 
 Messages (all ``POST`` bodies/responses; see docs/fabric.md):
 
-* ``sweep_request`` / ``sweep_accepted`` — submit a grid (or explicit
-  job list); answer with sweep id + dedupe counts.
+* ``sweep_request`` / ``sweep_accepted`` — submit a list of resolved
+  jobs; answer with sweep id + dedupe counts.
 * ``lease_request`` / ``lease_grant``    — claim up to ``capacity``
   queued jobs under one expiring lease.
 * ``complete_report`` / ``complete_ack`` — return executed results
@@ -47,7 +47,12 @@ from repro.obs import spans as obs_spans
 #: context, and completion reports ship the worker's finished spans.
 #: Dropping these on one side would silently produce severed traces, so
 #: the change is incompatible.
-PROTOCOL_VERSION = 3
+#: 4: ``sweep_request`` carries only resolved ``jobs``; the grid form
+#: (``benchmarks`` x ``configs`` with env-backed defaults filled in on
+#: the coordinator) is gone, so defaults resolve on the submitting host.
+#: A v3 grid submission would fail here for lack of ``jobs``, so the
+#: version stamp refuses it up front instead.
+PROTOCOL_VERSION = 4
 
 #: Job fields as they appear on the wire (store-spec naming).
 _JOB_WIRE_FIELDS = ("benchmark", "config", "accesses", "seed", "threads",
@@ -159,44 +164,17 @@ def decode_job(payload: object) -> sweep.Job:
 
 # -- sweep submission ---------------------------------------------------
 def sweep_request(
-    benchmarks: Sequence[str],
-    configs: Sequence[str],
-    accesses: Optional[int] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    scheduler: str = "ahb",
-    priority: int = 0,
-    fidelity: str = "exact",
-    trace: Optional[Mapping[str, str]] = None,
-) -> Dict[str, object]:
-    """A grid submission: benchmarks x configs, local-sweep semantics.
-
-    ``fidelity`` is the per-job tier applied to every grid cell; sweeps
-    that mix tiers (the fast tier's validation sample) submit an
-    explicit job list via :func:`sweep_request_jobs` instead.
-    ``trace`` is the submitter's span context; the coordinator parents
-    the whole sweep's trace under it when present.
-    """
-    return envelope(
-        "sweep_request",
-        benchmarks=list(benchmarks),
-        configs=list(configs),
-        accesses=accesses,
-        seed=seed,
-        threads=threads,
-        scheduler=scheduler,
-        priority=priority,
-        fidelity=fidelity,
-        trace=dict(trace) if trace is not None else None,
-    )
-
-
-def sweep_request_jobs(
     jobs: Sequence[sweep.Job],
     priority: int = 0,
     trace: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, object]:
-    """An explicit-jobs submission (mixed-tier sweeps use this form)."""
+    """A sweep submission: resolved jobs, in any mix of tiers.
+
+    Jobs must be resolved (:func:`encode_job`), so env-backed defaults
+    come from the submitting host.  ``trace`` is the submitter's span
+    context; the coordinator parents the whole sweep's trace under it
+    when present.
+    """
     return envelope(
         "sweep_request",
         jobs=[encode_job(job) for job in jobs],
@@ -208,65 +186,22 @@ def sweep_request_jobs(
 def parse_sweep_request(
     document: object,
 ) -> Tuple[List[sweep.Job], int]:
-    """Expand a submission into (unresolved) jobs plus its priority.
-
-    Accepts either the grid form (``benchmarks`` x ``configs``) or an
-    explicit ``jobs`` list of wire-form job objects.  Grid expansion is
-    the sweep engine's own :func:`~repro.experiments.sweep.expand_grid`,
-    so a fabric sweep covers exactly the cells a local ``run_suite``
-    would.
-    """
+    """Decode a submission into its resolved jobs plus its priority."""
     document = check_envelope(document, "sweep_request")
     priority = document.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise ProtocolError(f"priority must be an int, got {priority!r}")
-    if document.get("jobs") is not None:
-        jobs_field = document["jobs"]
-        if not isinstance(jobs_field, Sequence) or isinstance(jobs_field, str):
-            raise ProtocolError("sweep_request.jobs must be a list")
-        jobs = [decode_job(item) for item in jobs_field]
-    else:
-        benchmarks = document.get("benchmarks")
-        configs = document.get("configs")
-        for name, value in (("benchmarks", benchmarks), ("configs", configs)):
-            if (
-                not isinstance(value, Sequence)
-                or isinstance(value, str)
-                or not value
-                or not all(isinstance(item, str) for item in value)
-            ):
-                raise ProtocolError(
-                    f"sweep_request.{name} must be a non-empty list of "
-                    f"strings, got {value!r}"
-                )
-        for name in ("accesses", "seed"):
-            value = document.get(name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-            ):
-                raise ProtocolError(
-                    f"sweep_request.{name} must be an int or null, got "
-                    f"{value!r}"
-                )
-        fidelity = document.get("fidelity", "exact")
-        if fidelity not in JOB_FIDELITIES:
-            raise ProtocolError(
-                f"sweep_request.fidelity must be one of {JOB_FIDELITIES}, "
-                f"got {fidelity!r} (the \"auto\" policy is lowered to "
-                "explicit jobs before submission)"
-            )
-        jobs = sweep.expand_grid(
-            benchmarks,
-            configs,
-            accesses=document.get("accesses"),
-            seed=document.get("seed"),
-            threads=document.get("threads", 1),
-            scheduler=document.get("scheduler", "ahb"),
-            fidelity=fidelity,
+    jobs_field = document.get("jobs")
+    if (
+        not isinstance(jobs_field, Sequence)
+        or isinstance(jobs_field, str)
+        or not jobs_field
+    ):
+        raise ProtocolError(
+            "sweep_request.jobs must be a non-empty list of resolved jobs "
+            f"(protocol 4 has no benchmarks x configs form), got {jobs_field!r}"
         )
-    if not jobs:
-        raise ProtocolError("sweep_request expands to zero jobs")
-    return jobs, priority
+    return [decode_job(item) for item in jobs_field], priority
 
 
 # -- leasing ------------------------------------------------------------

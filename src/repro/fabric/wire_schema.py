@@ -13,7 +13,7 @@ envelope fields its producers attach (beyond ``protocol``/``kind``).
 
 from __future__ import annotations
 
-WIRE_PROTOCOL_VERSION = 3
+WIRE_PROTOCOL_VERSION = 4
 
 JOB_WIRE_FIELDS = (
     "benchmark",
@@ -63,15 +63,8 @@ MESSAGE_KINDS = {
         "total",
     ),
     "sweep_request": (
-        "accesses",
-        "benchmarks",
-        "configs",
-        "fidelity",
         "jobs",
         "priority",
-        "scheduler",
-        "seed",
-        "threads",
         "trace",
     ),
 }

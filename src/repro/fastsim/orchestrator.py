@@ -22,7 +22,7 @@ per-job tiers:
     baseline config lies inside the calibrated error band re-runs
     exact too (see :func:`repro.fastsim.gate.near_decision_boundary`).
 
-All tiers flow through the same cache + store + observability path;
+All tiers flow through the same store + observability path;
 fast results are persisted *with* their error bars, so a later session
 loading them from the store still sees the calibration.
 """
@@ -33,7 +33,7 @@ import dataclasses
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import runner, store
+from repro.experiments import store
 from repro.experiments.sweep import Job, SweepStats, prepare, run_jobs
 from repro.fastsim.gate import CalibrationRecord, FidelityGate, near_decision_boundary
 from repro.fastsim.version import SWEEP_FIDELITIES
@@ -59,7 +59,7 @@ class FidelityOutcome:
 
 def _job_keys(specs: Sequence[Job]) -> List[str]:
     """The store job key of every spec (the gate's sampling domain)."""
-    return [store.job_key(prepare(job)[2]) for job in specs]
+    return [store.job_key(prepare(job)[1]) for job in specs]
 
 
 def _attach_and_persist(
@@ -68,22 +68,18 @@ def _attach_and_persist(
     record: CalibrationRecord,
     use_store: Optional[bool],
 ) -> None:
-    """Stamp calibrated error bars onto fast results, cache and store.
+    """Stamp calibrated error bars onto fast results and store them.
 
     The sweep persisted the fast results *before* calibration existed;
-    re-putting the stamped results keeps the on-disk entries (and the
-    in-process cache) carrying their error bars for later sessions.
+    re-putting the stamped results keeps the stored entries carrying
+    their error bars for later reads and sessions.
     """
-    enabled = store.store_enabled() if use_store is None else use_store
-    active_store = store.get_store() if enabled else None
+    active_store = store.active_store(use_store)
     for job, result in zip(specs, results):
         if result.fidelity is None:
             continue
         FidelityGate.attach(result, record)
-        _, key, spec, _ = prepare(job)
-        runner.seed_cache(key, result)
-        if active_store is not None:
-            active_store.put(spec, result)
+        active_store.put(prepare(job)[1], result)
 
 
 def run_fidelity_sweep(

@@ -9,7 +9,7 @@ The ETA comes from the per-job wall-time measurements the sweep engine
 feeds in (the same observations that land in the
 ``repro_sweep_job_seconds`` histogram): ``remaining * mean_job_seconds
 / workers``, falling back to the overall completion rate before any
-executed job has finished.  Cache/store hits complete in microseconds
+executed job has finished.  Store hits complete in microseconds
 and are excluded from the mean, so the estimate tracks the jobs that
 actually cost something.
 
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Mapping, Optional, TextIO
 
 #: Serving-outcome names, in display order (mirrors SweepStats; the
 #: "fabric" outcome counts jobs executed by remote fabric workers).
-OUTCOMES = ("cached", "store", "parallel", "serial", "fabric")
+OUTCOMES = ("store", "parallel", "serial", "fabric")
 
 
 class SweepProgress:
@@ -109,7 +109,7 @@ class SweepProgress:
 
         ``eta_seconds`` is None until it can be estimated; ``hit_rate``
         is the fraction of resolved jobs served without simulating
-        (in-process cache + store).
+        (from the result store).
         """
         with self._lock:
             end = self._finished
@@ -133,7 +133,7 @@ class SweepProgress:
             eta = remaining * mean_job / workers
         elif done and elapsed > 0:
             eta = remaining / (done / elapsed)
-        served = outcomes.get("cached", 0) + outcomes.get("store", 0)
+        served = outcomes.get("store", 0)
         return {
             "total": total,
             "done": done,
@@ -211,7 +211,7 @@ def merge_snapshots(
         merged["eta_seconds"] = 0.0
     elif etas:
         merged["eta_seconds"] = max(etas)
-    served = outcomes.get("cached", 0) + outcomes.get("store", 0)
+    served = outcomes.get("store", 0)
     if merged["done"]:
         merged["hit_rate"] = served / merged["done"]
     return merged

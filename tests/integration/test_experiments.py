@@ -6,7 +6,7 @@ right shape; the full-size qualitative assertions live in benchmarks/.
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import runner, store
 from repro.experiments.ablation import fig11_ablation
 from repro.experiments.efficiency import fig13_efficiency
 from repro.experiments.extensions import asd_only, degree_sweep
@@ -39,18 +39,22 @@ class TestRunner:
     def test_run_caches(self):
         a = runner.run("tonto", "NP", accesses=SMALL)
         b = runner.run("tonto", "NP", accesses=SMALL)
-        assert a is b
-        assert runner.cache_info()["runs"] == 1
+        assert a == b  # the store serves an equal, fresh object
+        assert runner.cache_info()["simulated"] == 1
+        assert len(store.get_store()) == 1
 
     def test_mutated_runs_not_cached_without_key(self):
         runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c)
-        assert runner.cache_info()["runs"] == 0
+        runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c)
+        assert runner.cache_info()["simulated"] == 2
+        assert len(store.get_store()) == 0
 
     def test_mutated_runs_cached_with_key(self):
-        runner.run(
-            "tonto", "NP", accesses=SMALL, mutate=lambda c: c, mutate_key="x"
-        )
-        assert runner.cache_info()["runs"] == 1
+        for _ in range(2):
+            runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c,
+                       mutate_key="x")
+        assert runner.cache_info()["simulated"] == 1
+        assert len(store.get_store()) == 1
 
     def test_smt_uses_distinct_seeds(self):
         runner.run("tonto", "NP", accesses=SMALL, threads=2)

@@ -57,13 +57,13 @@ def make_coordinator(root, **overrides):
 
 def grid_request(benchmarks=("milc",), configs=("NP", "PS")):
     return protocol.sweep_request(
-        list(benchmarks), list(configs), accesses=ACCESSES, seed=SEED
+        sweep.expand_grid(benchmarks, configs, accesses=ACCESSES, seed=SEED)
     )
 
 
 def executed_item(key, job):
     """Simulate one leased job the way a worker would, as a wire item."""
-    job, _cache_key, _spec, config = sweep.prepare(job)
+    job, _spec, config = sweep.prepare(job)
     result = runner.simulate_job(
         config, job.benchmark, job.accesses, job.seed, job.threads
     )
@@ -141,8 +141,7 @@ class TestCoordinatorRestart:
         ))
         done_keys = {key for key, _j, _c in jobs}
 
-        # A fresh process has no in-process cache: recovery must come
-        # from the on-disk store alone.
+        # A fresh process: recovery must come from the on-disk store.
         runner.clear_cache()
         second = make_coordinator(shared)
         resubmitted = second.submit(request)

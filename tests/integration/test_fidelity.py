@@ -59,7 +59,7 @@ class TestFigure5GridBound:
         for index in out.validated_indices:
             job = jobs[index]
             exact = runner.simulate_job(
-                sweep.prepare(job)[3], job.benchmark, job.accesses,
+                sweep.prepare(job)[2], job.benchmark, job.accesses,
                 job.seed, job.threads,
             )
             for metric in GATED_METRICS:

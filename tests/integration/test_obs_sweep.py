@@ -47,11 +47,11 @@ class TestMetricsFlow:
         out = sweep.run_jobs(spec, metrics=registry)
         again = sweep.run_jobs(spec, metrics=registry)
         assert out.stats.executed_serial == 1
-        assert again.stats.from_cache == 1
+        assert again.stats.from_store == 1
         jobs = registry.counter("repro_sweep_jobs_total",
                                 labelnames=("outcome",))
         assert jobs.value(outcome="serial") == 1.0
-        assert jobs.value(outcome="cached") == 1.0
+        assert jobs.value(outcome="store") == 1.0
         seconds = registry.histogram("repro_sweep_job_seconds",
                                      labelnames=("mode",))
         assert seconds.mean(mode="serial") > 0.0
@@ -103,7 +103,7 @@ class TestMetricsFlow:
         assert snap["total"] == 1
         assert snap["done"] == 1
         assert snap["finished"] is True
-        assert snap["outcomes"]["cached"] == 1
+        assert snap["outcomes"]["store"] == 1
         assert snap["outcomes"]["serial"] == 0
 
     def test_run_suite_serial_path_drives_progress(self):

@@ -6,6 +6,8 @@ same spec, and a second session re-simulates nothing because every run
 is served from the on-disk store.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import runner, store
@@ -40,12 +42,25 @@ class TestParallelEqualsSerial:
                 assert p.stats == s.stats
 
     def test_parallel_results_fill_the_run_cache(self):
+        # the result store is the run cache: workers' results land in it
         runner.run_suite(BENCHMARKS, CONFIGS, accesses=ACCESSES, jobs=2)
-        assert runner.cache_info()["runs"] == len(BENCHMARKS) * len(CONFIGS)
+        assert len(store.get_store()) == len(BENCHMARKS) * len(CONFIGS)
         # a follow-up serial call is served without simulating
         before = runner.cache_info()["simulated"]
         runner.run(BENCHMARKS[0], CONFIGS[0], accesses=ACCESSES)
         assert runner.cache_info()["simulated"] == before
+
+
+class TestStoreOffTraffic:
+    def test_suite_then_run_simulates_once(self, monkeypatch):
+        # REPRO_STORE=0 still reuses a result within the process: the
+        # report's grid calls depend on it (384 simulated, not 532)
+        monkeypatch.setenv("REPRO_STORE", "0")
+        suite = runner.run_suite(("tonto",), ("NP",), accesses=ACCESSES)
+        again = runner.run("tonto", "NP", accesses=ACCESSES)
+        assert runner.cache_info()["simulated"] == 1
+        assert again == suite["tonto"]["NP"]
+        assert not os.path.exists(store.store_root())  # nothing on disk
 
 
 class TestStoreAcrossSessions:
@@ -74,23 +89,23 @@ class TestStoreAcrossSessions:
         assert second.read_latency_histogram() == first.read_latency_histogram()
         assert second.power.energy_uj == first.power.energy_uj
 
-    def test_preload_store_warms_the_cache(self):
-        runner.run_suite(BENCHMARKS, CONFIGS, accesses=ACCESSES)
-        runner.clear_cache()
-        loaded = runner.preload_store()
-        assert loaded == len(BENCHMARKS) * len(CONFIGS)
-        assert runner.cache_info()["runs"] == loaded
-        runner.run(BENCHMARKS[0], CONFIGS[1], accesses=ACCESSES)
+    def test_fresh_process_reads_the_store(self):
+        suite = runner.run_suite(BENCHMARKS, CONFIGS, accesses=ACCESSES)
+        runner.clear_cache()  # a fresh interpreter: only the store remains
+        again = runner.run(BENCHMARKS[0], CONFIGS[1], accesses=ACCESSES)
         assert runner.cache_info()["simulated"] == 0
+        assert again == suite[BENCHMARKS[0]][CONFIGS[1]]
 
-    def test_preload_skips_stale_fingerprints(self, monkeypatch):
+    def test_stale_fingerprint_never_served(self, monkeypatch):
         runner.run("tonto", "NP", accesses=ACCESSES)
         runner.clear_cache()
         # a preset/config change after the entry was written
         monkeypatch.setattr(
             store, "config_fingerprint", lambda config: "deadbeef"
         )
-        assert runner.preload_store() == 0
+        runner.run("tonto", "NP", accesses=ACCESSES)
+        assert runner.cache_info()["simulated"] == 1
+        assert len(store.get_store()) == 2
 
     def test_mutated_runs_round_trip_via_read_through(self):
         def degrade(config):
@@ -114,13 +129,18 @@ class TestStoreAcrossSessions:
             config.ms_prefetcher.slh.epoch_reads = 250
             return config
 
-        runner.run("tonto", "MS", accesses=ACCESSES,
-                   mutate=v1, mutate_key="epoch")
+        first = runner.run("milc", "MS", accesses=ACCESSES,
+                           mutate=v1, mutate_key="epoch")
+        # same process, no clear_cache(): the job key fingerprints the
+        # mutated config, so v2 must not be served v1's result
+        second = runner.run("milc", "MS", accesses=ACCESSES,
+                            mutate=v2, mutate_key="epoch")
+        assert runner.cache_info()["simulated"] == 2
+        assert second != first
         runner.clear_cache()
-        before = runner.cache_info()["simulated"]
-        runner.run("tonto", "MS", accesses=ACCESSES,
-                   mutate=v2, mutate_key="epoch")
-        assert runner.cache_info()["simulated"] == before + 1
+        assert runner.run("milc", "MS", accesses=ACCESSES,
+                          mutate=v2, mutate_key="epoch") == second
+        assert runner.cache_info()["simulated"] == 0
 
 
 class TestTelemetryStaysSerial:
@@ -141,6 +161,6 @@ class TestTelemetryStaysSerial:
         )
         assert results["tonto"]["MS"].telemetry is not None
         assert probes.samples_taken > 0  # ran in THIS process, serially
-        # traced runs are neither cached nor stored
-        assert runner.cache_info()["runs"] == 0
+        # traced runs are never stored, on disk or in memory
         assert len(store.get_store()) == 0
+        assert len(store.active_store(use_store=False)) == 0

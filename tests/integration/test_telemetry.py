@@ -129,16 +129,18 @@ class TestRunnerCache:
         runner.clear_cache()
         try:
             plain = runner.run("tonto", "PMS", accesses=1500)
-            assert runner.run("tonto", "PMS", accesses=1500) is plain
+            assert runner.cache_info()["simulated"] == 1
             tracer = Tracer()
             traced = runner.run("tonto", "PMS", accesses=1500, tracer=tracer)
-            assert traced is not plain
+            assert runner.cache_info()["simulated"] == 2
             assert traced.telemetry_active
+            assert not plain.telemetry_active
             assert tracer.total_events > 0
-            # traced results themselves are not cached
-            assert runner.run(
-                "tonto", "PMS", accesses=1500, tracer=Tracer()
-            ) is not traced
+            # traced results themselves are not stored
+            again = Tracer()
+            runner.run("tonto", "PMS", accesses=1500, tracer=again)
+            assert runner.cache_info()["simulated"] == 3
+            assert again.total_events == tracer.total_events
         finally:
             runner.clear_cache()
 
@@ -149,7 +151,8 @@ class TestRunnerCache:
             again = runner.run(
                 "tonto", "PMS", accesses=1500, tracer=Tracer(enabled=False)
             )
-            assert again is plain
+            assert again == plain
+            assert runner.cache_info()["simulated"] == 1
         finally:
             runner.clear_cache()
 

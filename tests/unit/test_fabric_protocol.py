@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import sweep
 from repro.fabric import protocol
+from repro.fabric.client import FabricClient
 from repro.fabric.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.obs import spans as obs_spans
 
@@ -13,6 +14,19 @@ def resolved_job(**overrides):
                   seed=1, threads=1, scheduler="ahb")
     fields.update(overrides)
     return sweep.Job(**fields)
+
+
+def captured_submissions(monkeypatch):
+    """Route FabricClient's HTTP calls into a list (no coordinator)."""
+    sent = []
+
+    def call(self, path, document=None):
+        sent.append(document)
+        return protocol.envelope("sweep_accepted", sweep="sweep-1",
+                                 total=0, deduped=0, queued=0)
+
+    monkeypatch.setattr(FabricClient, "_call", call)
+    return sent
 
 
 class TestEnvelope:
@@ -72,15 +86,33 @@ class TestJobCodec:
 
 
 class TestSweepRequest:
-    def test_grid_form_expands_like_the_sweep_engine(self):
-        request = protocol.sweep_request(
-            ["milc", "tonto"], ["NP", "PS"], accesses=500, seed=3
+    def test_grid_form_expands_like_the_sweep_engine(self, monkeypatch):
+        # the client expands a grid with the sweep engine's own rule and
+        # resolves env-backed defaults on the submitting host
+        sent = captured_submissions(monkeypatch)
+        monkeypatch.setenv("REPRO_TRACE_ACCESSES", "500")
+        FabricClient("http://coordinator").submit(
+            ["milc", "tonto"], ["NP", "PS"], seed=3
         )
-        jobs, priority = protocol.parse_sweep_request(request)
+        jobs, priority = protocol.parse_sweep_request(sent[0])
         assert priority == 0
         assert jobs == sweep.expand_grid(
             ["milc", "tonto"], ["NP", "PS"], accesses=500, seed=3
         )
+
+    def test_grid_fields_without_jobs_are_refused(self):
+        request = protocol.envelope(
+            "sweep_request", benchmarks=["milc"], configs=["NP"],
+            accesses=500, seed=3, priority=0,
+        )
+        with pytest.raises(ProtocolError, match="jobs"):
+            protocol.parse_sweep_request(request)
+
+    def test_version_3_request_is_refused(self):
+        request = protocol.sweep_request([resolved_job()])
+        request["protocol"] = 3
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            protocol.parse_sweep_request(request)
 
     def test_explicit_jobs_form(self):
         request = protocol.envelope(
@@ -94,12 +126,10 @@ class TestSweepRequest:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ProtocolError, match="non-empty"):
-            protocol.parse_sweep_request(
-                protocol.sweep_request([], ["NP"], accesses=1, seed=1)
-            )
+            protocol.parse_sweep_request(protocol.sweep_request([]))
 
     def test_bad_priority_rejected(self):
-        request = protocol.sweep_request(["milc"], ["NP"])
+        request = protocol.sweep_request([resolved_job()])
         request["priority"] = "urgent"
         with pytest.raises(ProtocolError, match="priority"):
             protocol.parse_sweep_request(request)
@@ -215,17 +245,15 @@ class TestTraceOnTheWire:
 
     def test_sweep_request_carries_submitter_context(self):
         ctx = {"trace": "a" * 32, "span": "b" * 16}
-        request = protocol.sweep_request(
-            ["milc"], ["NP"], accesses=100, seed=1, trace=ctx
-        )
+        request = protocol.sweep_request([resolved_job()], trace=ctx)
         assert protocol.trace_context(request) == ctx
 
     def test_absent_trace_parses_as_none(self):
-        request = protocol.sweep_request(["milc"], ["NP"])
+        request = protocol.sweep_request([resolved_job()])
         assert protocol.trace_context(request) is None
 
     def test_malformed_trace_rejected(self):
-        request = protocol.sweep_request(["milc"], ["NP"])
+        request = protocol.sweep_request([resolved_job()])
         request["trace"] = {"span": "orphan"}
         with pytest.raises(ProtocolError, match="trace"):
             protocol.trace_context(request)
@@ -245,10 +273,11 @@ class TestHeartbeat:
 class TestFidelityOnTheWire:
     """Protocol v2: jobs carry their fidelity tier (docs/fidelity.md)."""
 
-    def test_protocol_version_is_3(self):
+    def test_protocol_version_is_4(self):
         # v2 added fidelity tiers; v3 added trace context + worker span
-        # shipping — both breaking bumps for older peers
-        assert PROTOCOL_VERSION == 3
+        # shipping; v4 dropped the grid form of sweep_request — all
+        # breaking bumps for older peers
+        assert PROTOCOL_VERSION == 4
 
     def test_fast_job_round_trip(self):
         job = resolved_job(fidelity="fast")
@@ -274,15 +303,40 @@ class TestFidelityOnTheWire:
             protocol.decode_job(payload)
 
     def test_grid_request_carries_fidelity(self):
-        request = protocol.sweep_request(
+        request = protocol.sweep_request(sweep.expand_grid(
             ["milc"], ["NP", "PS"], accesses=2000, seed=1, fidelity="fast"
-        )
+        ))
         jobs, _priority = protocol.parse_sweep_request(request)
         assert [job.fidelity for job in jobs] == ["fast", "fast"]
 
     def test_explicit_jobs_form_preserves_mixed_tiers(self):
         jobs = [resolved_job(fidelity="fast"),
                 resolved_job(config_name="PS")]
-        request = protocol.sweep_request_jobs(jobs)
+        request = protocol.sweep_request(jobs)
         decoded, _priority = protocol.parse_sweep_request(request)
         assert [job.fidelity for job in decoded] == ["fast", "exact"]
+
+
+class TestClientSubmitFidelity:
+    @pytest.mark.parametrize("fidelity", ["exactt", "auto"])
+    def test_unknown_fidelity_is_refused_before_sending(self, monkeypatch,
+                                                        fidelity):
+        sent = captured_submissions(monkeypatch)
+        with pytest.raises(ValueError, match="fidelity.*exact.*fast"):
+            FabricClient("http://coordinator").submit(
+                ["milc"], ["NP", "PMS"], accesses=500, seed=1,
+                fidelity=fidelity,
+            )
+        assert sent == []
+
+    def test_fast_adds_the_exact_validation_twins(self, monkeypatch):
+        from repro.fastsim.gate import FidelityGate
+
+        sent = captured_submissions(monkeypatch)
+        FabricClient("http://coordinator").submit(
+            ["milc"], ["NP", "PMS"], accesses=500, seed=1, fidelity="fast",
+        )
+        jobs, _priority = protocol.parse_sweep_request(sent[0])
+        tiers = [job.fidelity for job in jobs]
+        assert tiers[:2] == ["fast", "fast"]
+        assert tiers[2:] == ["exact"] * FidelityGate().sample_size(2)

@@ -13,7 +13,7 @@ def populated_registry() -> MetricsRegistry:
     jobs = reg.counter("repro_sweep_jobs_total", "Jobs by outcome.",
                        ("outcome",))
     jobs.inc(3, outcome="serial")
-    jobs.inc(outcome="cached")
+    jobs.inc(outcome="store")
     reg.gauge("repro_queue_depth", "Queue depth.").set(7)
     hist = reg.histogram("repro_job_seconds", "Job seconds.",
                          buckets=(0.1, 1.0, 10.0))
@@ -34,7 +34,7 @@ class TestExposition:
     def test_sample_lines(self):
         text = exporters.render_exposition(populated_registry())
         assert 'repro_sweep_jobs_total{outcome="serial"} 3' in text
-        assert 'repro_sweep_jobs_total{outcome="cached"} 1' in text
+        assert 'repro_sweep_jobs_total{outcome="store"} 1' in text
         assert "repro_queue_depth 7" in text
 
     def test_histogram_lines_are_cumulative(self):

@@ -23,13 +23,13 @@ class TestSnapshot:
 
     def test_job_done_accounting(self):
         progress = SweepProgress(total=4)
-        progress.job_done("cached")
+        progress.job_done("store")
         progress.job_done("store")
         progress.job_done("serial", seconds=2.0)
         snap = progress.snapshot()
         assert snap["done"] == 3
         assert snap["percent"] == 75.0
-        assert snap["outcomes"]["cached"] == 1
+        assert snap["outcomes"]["store"] == 2
         assert snap["outcomes"]["serial"] == 1
         assert snap["hit_rate"] == 2 / 3
         assert snap["mean_job_seconds"] == 2.0
@@ -42,7 +42,7 @@ class TestSnapshot:
 
     def test_eta_zero_when_done_or_finished(self):
         progress = SweepProgress(total=1)
-        progress.job_done("cached")
+        progress.job_done("store")
         assert progress.snapshot()["eta_seconds"] == 0.0
         progress.finish()
         snap = progress.snapshot()
@@ -72,7 +72,7 @@ class TestSnapshot:
         progress = SweepProgress(total=2)
         calls = []
         progress.subscribe(lambda p: calls.append(p.done))
-        progress.job_done("cached")
+        progress.job_done("store")
         progress.finish()
         assert calls == [1, 1]
 
@@ -91,7 +91,7 @@ class TestMergeSnapshots:
         first.job_done("fabric", seconds=2.0)
         first.job_done("store")
         second = SweepProgress(total=6, workers=1)
-        second.job_done("cached")
+        second.job_done("store")
         merged = merge_snapshots([first.snapshot(), second.snapshot()])
         assert merged["total"] == 10
         assert merged["done"] == 3
@@ -99,13 +99,13 @@ class TestMergeSnapshots:
         assert merged["workers"] == 3
         assert merged["percent"] == 30.0
         counted = {k: v for k, v in merged["outcomes"].items() if v}
-        assert counted == {"cached": 1, "store": 1, "fabric": 1}
+        assert counted == {"store": 2, "fabric": 1}
         assert merged["hit_rate"] == 2 / 3
         assert merged["sources"] == 2
 
     def test_finished_only_when_every_source_is(self):
         done = SweepProgress(total=1)
-        done.job_done("cached")
+        done.job_done("store")
         done.finish()
         pending = SweepProgress(total=2)
         merged = merge_snapshots([done.snapshot(), pending.snapshot()])
@@ -138,18 +138,18 @@ class TestMergeSnapshots:
 class TestRenderLine:
     def test_mid_sweep_line(self):
         progress = SweepProgress(total=4, workers=1)
-        progress.job_done("cached")
+        progress.job_done("store")
         progress.job_done("serial", seconds=1.5)
         line = render_line(progress.snapshot())
         assert line.startswith("sweep 2/4 (50%)")
-        assert "1 cached" in line
+        assert "1 store" in line
         assert "1 serial" in line
         assert "eta" in line
         assert "hit 50%" in line
 
     def test_finished_line_shows_duration(self):
         progress = SweepProgress(total=1)
-        progress.job_done("cached")
+        progress.job_done("store")
         progress.finish()
         line = render_line(progress.snapshot())
         assert "done in" in line
@@ -180,7 +180,7 @@ class TestProgressPrinter:
         printer = ProgressPrinter(progress, stream=stream, min_interval=3600.0)
         progress.subscribe(printer.on_change)
         for _ in range(50):
-            progress.job_done("cached")
+            progress.job_done("store")
         # first update paints immediately, the other 49 are throttled
         assert stream.getvalue().count("\n") == 1
         printer.close()  # forced final paint

@@ -71,12 +71,47 @@ class TestTraceCache:
     def test_cache_info_counts(self):
         runner.get_trace("tonto", 500)
         runner.get_trace("milc", 500)
-        assert runner.cache_info() == {"traces": 2, "runs": 0, "simulated": 0}
+        assert runner.cache_info() == {
+            "traces": 2, "trace_records": 1000, "simulated": 0,
+        }
 
     def test_simulated_counter(self):
         runner.run("tonto", "NP", accesses=500, use_store=False)
-        runner.run("tonto", "NP", accesses=500, use_store=False)  # cache hit
+        runner.run("tonto", "NP", accesses=500, use_store=False)  # memory hit
         assert runner.cache_info()["simulated"] == 1
+
+    def test_records_held_stay_under_the_cap_over_a_long_run(self):
+        # a fuzz run or fabric agent sees a new trace per candidate
+        for seed in range(50):
+            runner.get_trace("milc", 5000, seed=seed)
+            assert runner.cache_info()["trace_records"] <= (
+                runner.TRACE_CACHE_RECORDS
+            )
+        assert runner.cache_info()["traces"] < 50
+
+    def test_least_recently_used_trace_goes_first(self, monkeypatch):
+        monkeypatch.setattr(runner, "TRACE_CACHE_RECORDS", 1000)
+        a = runner.get_trace("tonto", 500, seed=1)
+        runner.get_trace("tonto", 500, seed=2)
+        assert runner.get_trace("tonto", 500, seed=1) is a  # refreshed
+        runner.get_trace("tonto", 500, seed=3)              # evicts seed 2
+        assert runner.get_trace("tonto", 500, seed=1) is a
+        assert runner.cache_info()["traces"] == 2
+
+    def test_a_trace_over_the_cap_is_still_kept(self, monkeypatch):
+        monkeypatch.setattr(runner, "TRACE_CACHE_RECORDS", 100)
+        a = runner.get_trace("tonto", 500, seed=1)
+        assert runner.get_trace("tonto", 500, seed=1) is a
+        runner.get_trace("tonto", 500, seed=2)
+        assert runner.cache_info() == {
+            "traces": 1, "trace_records": 500, "simulated": 0,
+        }
+
+    def test_two_thread_grid_regenerates_nothing(self):
+        for _ in ("NP", "PS", "MS", "PMS"):
+            runner.get_trace("milc", 20_000, seed=1)
+            runner.get_trace("milc", 20_000, seed=2)
+        assert runner.cache_info()["traces"] == 2
 
 
 class TestStoreReadThrough:
@@ -120,15 +155,22 @@ class TestRunConfigs:
                              acesses=900)
 
     def test_run_suite_mutate_key_stays_serial(self):
-        # mutate_key is part of the cache identity; the parallel path
-        # cannot model it, so the suite must fall back to serial.
+        # mutate_key is part of the job key; the parallel path cannot
+        # model it, so the suite must fall back to serial run() calls.
+        from repro.experiments import store
+        from repro.system.presets import make_config
+
         runner.run_suite(("tonto",), ("NP",), accesses=800, jobs=2,
                          mutate_key="x")
-        key = runner.cache_key("tonto", "NP", 800, runner.default_seed(),
-                               mutate_key="x")
-        assert runner.cached_result(key) is not None
+        spec = store.job_spec("tonto", "NP", 800, runner.default_seed(), 1,
+                              "ahb", "x", make_config("NP"))
+        assert store.get_store().get(spec) is not None
 
     def test_scheduler_in_cache_key(self):
-        a = runner.run("tonto", "NP", accesses=800, scheduler="ahb")
-        b = runner.run("tonto", "NP", accesses=800, scheduler="in_order")
-        assert a is not b
+        # the store's job key (the one cache key) includes the scheduler
+        from repro.experiments import store
+
+        runner.run("tonto", "NP", accesses=800, scheduler="ahb")
+        runner.run("tonto", "NP", accesses=800, scheduler="in_order")
+        assert runner.cache_info()["simulated"] == 2
+        assert len(store.get_store()) == 2

@@ -140,6 +140,36 @@ class TestResultStore:
         assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
 
+class TestMemoryStore:
+    def test_put_get_returns_fresh_equal_objects(self):
+        st = store.MemoryStore()
+        spec = sample_spec()
+        assert st.get(spec) is None
+        st.put(spec, sample_result())
+        first, second = st.get(spec), st.get(spec)
+        assert first == second == sample_result()
+        assert first is not second
+        assert st.stats.as_dict() == {
+            "hits": 2, "misses": 1, "puts": 1, "errors": 0,
+        }
+
+    def test_keyed_by_the_job_key(self):
+        st = store.MemoryStore()
+        st.put(sample_spec(), sample_result())
+        assert st.get(sample_spec(seed=2)) is None
+        assert st.get(dict(sample_spec())) is not None
+
+    def test_clear_and_len(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        st = store.MemoryStore()
+        st.put(sample_spec(), sample_result())
+        st.put(sample_spec(seed=2), sample_result())
+        assert len(st) == 2
+        assert st.clear() == 2
+        assert len(st) == 0
+        assert os.listdir(tmp_path) == []  # nothing ever hit the disk
+
+
 class TestSweepOrphans:
     @staticmethod
     def plant_orphan(tmp_path, name, age_seconds):
@@ -180,14 +210,13 @@ class TestSweepOrphans:
         self.plant_orphan(tmp_path, ".tmp-x.json", 30)
         assert st.sweep_orphans(min_age_seconds=10) == 1
 
-    def test_preload_store_sweeps(self, tmp_path, monkeypatch):
-        from repro.experiments import runner
+    def test_coordinator_startup_sweeps(self, tmp_path):
+        from repro.fabric.coordinator import Coordinator
 
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         self.plant_orphan(
             tmp_path, ".tmp-dead.json", store.ORPHAN_MIN_AGE_SECONDS + 60
         )
-        runner.preload_store()
+        Coordinator(result_store=store.ResultStore(str(tmp_path)))
         assert not (tmp_path / ".tmp-dead.json").exists()
 
 
@@ -211,6 +240,14 @@ class TestEnvironment:
         assert store.get_store() is first
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "b"))
         assert store.get_store() is not first
+
+    def test_active_store_follows_the_switch(self, monkeypatch):
+        assert store.active_store() is store.get_store()
+        assert isinstance(store.active_store(use_store=False),
+                          store.MemoryStore)
+        monkeypatch.setenv("REPRO_STORE", "0")
+        assert store.active_store() is store.active_store(use_store=False)
+        assert store.active_store(use_store=True) is store.get_store()
 
     def test_version_bump_invalidates_keys(self, monkeypatch):
         base = store.job_key(sample_spec())

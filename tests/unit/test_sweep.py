@@ -48,17 +48,18 @@ class TestJob:
             sweep.Job("tpcc", "NP", accesses=0).resolve()
 
     def test_resolve_rejects_mutate_key(self):
-        # Workers cannot apply mutate callables; accepting the key would
-        # cache an unmutated result under a mutated identity.
-        with pytest.raises(ValueError, match="mutate_key"):
-            sweep.Job("tpcc", "NP", mutate_key="pb_entries=32").resolve()
+        # Workers cannot apply mutate callables, so a sweep job has no
+        # way to name a mutated identity at all.
+        with pytest.raises(TypeError, match="mutate_key"):
+            sweep.Job("tpcc", "NP", mutate_key="pb_entries=32")
 
     def test_run_jobs_rejects_mutate_key(self):
-        with pytest.raises(ValueError, match="mutate_key"):
-            sweep.run_jobs(
-                [sweep.Job("tonto", "NP", accesses=ACCESSES,
-                           mutate_key="pb_entries=32")]
-            )
+        # the job key run_jobs stores under never carries a mutate key,
+        # so no sweep result can land under a mutated identity
+        _job, spec, _config = sweep.prepare(
+            sweep.Job("tonto", "NP", accesses=ACCESSES)
+        )
+        assert spec["mutate_key"] is None
 
 
 class TestServing:
@@ -69,11 +70,15 @@ class TestServing:
         assert len(store.get_store()) == 1
 
     def test_second_call_is_served_from_cache(self):
+        # the result store is the only cache; every read is a fresh
+        # object equal to the first, field for field
         spec = [sweep.Job("tonto", "NP", accesses=ACCESSES)]
         first = sweep.run_jobs(spec)
         second = sweep.run_jobs(spec)
-        assert second.stats.from_cache == 1
-        assert second.results[0] is first.results[0]
+        assert second.stats.from_store == 1
+        assert second.results[0] == first.results[0]
+        assert second.results[0] is not first.results[0]
+        assert runner.cache_info()["simulated"] == 1
 
     def test_cold_process_is_served_from_store(self):
         spec = [sweep.Job("tonto", "NP", accesses=ACCESSES)]
@@ -85,10 +90,13 @@ class TestServing:
         assert runner.cache_info()["simulated"] == 0
 
     def test_no_store_option(self):
-        sweep.run_jobs(
-            [sweep.Job("tonto", "NP", accesses=ACCESSES)], use_store=False
-        )
+        spec = [sweep.Job("tonto", "NP", accesses=ACCESSES)]
+        sweep.run_jobs(spec, use_store=False)
         assert len(store.get_store()) == 0
+        # the process-memory store serves the repeat instead
+        again = sweep.run_jobs(spec, use_store=False)
+        assert again.stats.from_store == 1
+        assert runner.cache_info()["simulated"] == 1
 
     def test_results_align_with_specs(self):
         specs = [
@@ -104,10 +112,10 @@ class TestServing:
 
 class TestSweepStatsSummary:
     def test_base_line_only(self):
-        stats = sweep.SweepStats(total=4, from_cache=1, from_store=1,
+        stats = sweep.SweepStats(total=3, from_store=1,
                                  executed_parallel=1, executed_serial=1)
         assert stats.summary() == (
-            "4 jobs: 1 cached, 1 from store, 1 simulated in workers, "
+            "3 jobs: 1 from store, 1 simulated in workers, "
             "1 simulated serially"
         )
 
@@ -132,10 +140,10 @@ class TestSweepStatsSummary:
         assert "1 corrupt" in stats.summary()
 
     def test_no_store_activity_no_store_section(self):
-        assert "store:" not in sweep.SweepStats(total=2, from_cache=2).summary()
+        assert "store:" not in sweep.SweepStats(total=2, from_store=2).summary()
 
     def test_describe_is_an_alias(self):
-        stats = sweep.SweepStats(total=1, from_cache=1)
+        stats = sweep.SweepStats(total=1, from_store=1)
         assert stats.describe() == stats.summary()
 
     def test_run_jobs_populates_store_delta(self):
@@ -220,14 +228,13 @@ class TestFidelityPlumbing:
         fast = sweep.prepare(
             sweep.Job("tonto", "NP", accesses=ACCESSES, fidelity="fast")
         )
-        assert exact[1] != fast[1]                        # cache key
-        assert store.job_key(exact[2]) != store.job_key(fast[2])
-        assert "fidelity" not in exact[2]                 # legacy shape
-        assert fast[2]["fidelity"] == "fast"
-        assert "fast_model" in fast[2]
+        assert store.job_key(exact[1]) != store.job_key(fast[1])
+        assert "fidelity" not in exact[1]                 # legacy shape
+        assert fast[1]["fidelity"] == "fast"
+        assert "fast_model" in fast[1]
 
     def test_compute_job_dispatches_on_tier(self):
-        job, _key, _spec, config = sweep.prepare(
+        job, _spec, config = sweep.prepare(
             sweep.Job("tonto", "NP", accesses=ACCESSES)
         )
         exact = sweep.compute_job(config, job.benchmark, job.accesses,
