@@ -17,7 +17,7 @@ The in-code defaults below are *identical* to the committed pyproject
 values, so the linter behaves the same when run against a tree that has
 no pyproject at all (narrowed-path runs, mounted fixture trees).
 
-``tomllib`` only exists on Python 3.11+ while the repo supports 3.9;
+``tomllib`` only exists on Python 3.11+ while the repo supports 3.10;
 :func:`_parse_toml_subset` is a fallback parser for the small TOML
 subset this block actually uses (tables, strings, ints, booleans,
 single-line string arrays).
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 try:  # Python 3.11+
     import tomllib as _tomllib  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI
+except ImportError:  # pragma: no cover - exercised on 3.10 CI
     _tomllib = None
 
 __all__ = ["DEFAULT_CONFIG", "LintConfig", "load_config"]

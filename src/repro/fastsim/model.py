@@ -1,24 +1,27 @@
 """The fast analytic model: milliseconds per grid cell, not seconds.
 
 Where the cycle-accurate simulator advances every component every MC
-cycle (or event), this model makes one pass over the trace and *computes*
-the run outcome from first-order structure:
+cycle (or event), this model *computes* the run outcome from
+first-order structure, in two passes:
 
 * a single unified LRU **capacity filter** (L1+L2+L3 lines) decides
   which accesses reach the memory controller — compulsory and capacity
-  misses, dirty-eviction write traffic;
-* a slot-limited **stream tracker** feeds real
-  :class:`~repro.prefetch.slh.LikelihoodTables` (the paper's LHT pair),
-  so ASD prefetch decisions use the genuine inequality (5)/(6) over the
-  genuine stream-length histogram, epoch by epoch;
-* a precomputed :mod:`~repro.fastsim.banktables` table prices each DRAM
-  access by row state (hit / miss / empty) under the exact device's
-  line-interleaved address map;
-* a **queueing approximation** advances congestion state once per SLH
-  epoch ("batched state advance"): bank and bus utilisation observed in
-  epoch *k* sets the M/D/1-style queue wait applied in epoch *k+1*;
-* DRAM energy reuses the exact :class:`~repro.dram.power.DRAMPowerModel`
-  arithmetic with the predicted activity counts.
+  misses, dirty-eviction write traffic.  It depends on nothing but the
+  trace and the capacity, so it runs once per trace and every config
+  of a grid reuses it (:func:`miss_stream`);
+* one pass per config over those misses prices them:
+  - a slot-limited **stream tracker** feeds real
+    :class:`~repro.prefetch.slh.LikelihoodTables` (the paper's LHT
+    pair), so ASD prefetch decisions use the genuine inequality (5)/(6)
+    over the genuine stream-length histogram, epoch by epoch;
+  - a precomputed :mod:`~repro.fastsim.banktables` table prices each
+    DRAM access by row state (hit / miss / empty) under the exact
+    device's line-interleaved address map;
+  - a **queueing approximation** advances congestion state once per SLH
+    epoch ("batched state advance"): bank and bus utilisation observed
+    in epoch *k* sets the M/D/1-style queue wait applied in epoch *k+1*;
+  - DRAM energy reuses the exact :class:`~repro.dram.power.DRAMPowerModel`
+    arithmetic with the predicted activity counts.
 
 The output is a normal :class:`~repro.system.results.RunResult` whose
 ``stats`` carry every key the figure pipeline reads (coverage, accuracy,
@@ -34,6 +37,7 @@ analysislint DET rules as the cycle-accurate packages.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -73,9 +77,9 @@ class _StreamSlot:
 class _FastState:
     """What :func:`_close_epoch` reads at an epoch boundary.
 
-    The record loop keeps its counters in locals and stores them here
-    before each boundary; ``epochs``, the count of closed epochs, lives
-    only here.
+    The per-config pass keeps its counters in locals and stores them
+    here before each boundary; ``epochs``, the count of closed epochs,
+    lives only here.
     """
 
     __slots__ = (
@@ -132,6 +136,79 @@ def _close_epoch(
     return q_wait
 
 
+class MissStream:
+    """One trace after the capacity filter: all a config's pass reads.
+
+    One event per read miss and per dirty write-back, in trace order (a
+    miss's write-back before its read).  ``advances[i]`` is the CPU time
+    the trace's records add from the previous event through event ``i``
+    (each record is its gap plus one instruction), ``lines[i]`` the line
+    read or written back, and ``writebacks[i]`` 1 for a write-back.
+    ``tail`` is the CPU time after the last event and ``misses`` the
+    filter's miss count; a write miss with no dirty victim is no event
+    (write-validate allocation: no read, no stall).
+    """
+
+    __slots__ = ("capacity", "advances", "lines", "writebacks", "misses", "tail")
+
+    def __init__(self, records: Sequence[tuple], capacity: int) -> None:
+        lru: "OrderedDict[int, bool]" = OrderedDict()  # line -> dirty
+        advances = array("q")
+        lines: List[int] = []
+        writebacks = bytearray()
+        add_advance, add_line, add_writeback = (
+            advances.append, lines.append, writebacks.append
+        )
+        pending = misses = 0
+        for gap, line, is_write in records:
+            pending += gap + 1
+            if line in lru:  # cache hit
+                lru.move_to_end(line)
+                if is_write:
+                    lru[line] = True
+                continue
+            misses += 1
+            lru[line] = is_write
+            # every miss inserts a line, so the filter is over capacity
+            # exactly when there have been more misses than it holds
+            if misses > capacity:
+                victim_line, victim_dirty = lru.popitem(last=False)
+                if victim_dirty:  # write-back: one DRAM write
+                    add_advance(pending)
+                    add_line(victim_line)
+                    add_writeback(1)
+                    pending = 0
+            if not is_write:
+                add_advance(pending)
+                add_line(line)
+                add_writeback(0)
+                pending = 0
+        self.capacity = capacity
+        # the memo lives as long as its trace: keep advances in 4 bytes
+        # when they fit (Figure-5 traces stay far below 2**32)
+        if max(advances, default=0) < 1 << 32:
+            advances = array("I", advances)
+        self.advances = advances
+        self.lines = lines
+        self.writebacks = bytes(writebacks)
+        self.misses = misses
+        self.tail = pending
+
+
+def miss_stream(trace: Trace, capacity: int) -> MissStream:
+    """``trace`` through a ``capacity``-line filter, memoized on the trace.
+
+    The filter sees no config field but the capacity, so NP, PS, MS and
+    PMS over one trace share a single pass.  The memo holds the last
+    capacity asked for; it stays valid because trace records are never
+    mutated after construction.
+    """
+    memo = trace.miss_stream
+    if memo is None or memo.capacity != capacity:
+        memo = trace.miss_stream = MissStream(trace.records, capacity)
+    return memo
+
+
 def _ps_waste(pos: int, ramp: int, lead: int) -> int:
     """MC reads a dead ramped PS stream stranded past its end.
 
@@ -148,13 +225,14 @@ def predict(
     traces: Union[Trace, Sequence[Trace]],
     probes: Optional[FastModelProbes] = None,
 ) -> RunResult:
-    """Predict one run's outcome from a single pass over the trace.
+    """Predict one run's outcome from one pass over the trace's misses.
 
     Takes :func:`repro.system.simulator.simulate`'s ``config`` and
     ``traces`` (one :class:`Trace`, or a sequence of them, one per
     thread) so callers can swap fidelity tiers without reshaping
     arguments.  Several traces are interleaved record by record into
-    one stream.
+    one stream.  The capacity filter comes from :func:`miss_stream`, so
+    only the first config to see a trace pays for it.
     """
     if isinstance(traces, Trace):
         traces = [traces]
@@ -162,10 +240,7 @@ def predict(
     if not traces:
         raise ValueError("predict: traces is empty; pass at least one Trace")
     config.validate()
-    if len(traces) == 1:
-        records = traces[0].records
-    else:
-        records = Trace.interleave(traces).records
+    trace = traces[0] if len(traces) == 1 else Trace.interleave(traces)
     hier = config.hierarchy
     core = config.core
     ctrl = config.controller
@@ -181,9 +256,9 @@ def predict(
     ps_cover_cost = hier.l2.latency
     ps_cover_stall = int(ps_cover_cost)
 
-    # -- capacity filter ------------------------------------------------
-    capacity = hier.l1.num_lines + hier.l2.num_lines + hier.l3.num_lines
-    lru: "OrderedDict[int, bool]" = OrderedDict()  # line -> dirty
+    misses = miss_stream(
+        trace, hier.l1.num_lines + hier.l2.num_lines + hier.l3.num_lines
+    )
 
     # -- stream state ---------------------------------------------------
     slh = LikelihoodTables(ms.slh) if ms.enabled else None
@@ -211,7 +286,7 @@ def predict(
     # so every access finds its bank precharged (an activation)
     open_rows: List[Optional[int]] = [None] * banks
     open_page = table.page_policy != "closed"
-    # config fields the per-record loop reads, hoisted out of it
+    # config fields the per-event loop reads, hoisted out of it
     overhead_mc = ctrl.overhead_mc_cycles
     pb_hit_mc = ctrl.overhead_mc_cycles + ctrl.pb_hit_latency_mc
     ps_enabled = ps.enabled
@@ -220,8 +295,13 @@ def predict(
     degree = ms.degree
     asd_engine = ms.engine == "asd"
     nextline_engine = ms.engine == "nextline"
+    # inequality (5)/(6) is tested inline against ``curr``, re-aliased
+    # at each rollover (which replaces the list); config.validate()
+    # keeps ``slh_last`` = Lm - degree >= 1 for the asd engine
+    curr = slh.curr if ms_enabled else []
+    slh_last = slh.lm - degree if ms_enabled else 0
 
-    # Every per-record counter is a local.  The ones an epoch boundary
+    # Every per-event counter is a local.  The ones an epoch boundary
     # reads are stored to ``st`` before each _close_epoch; the running
     # epoch's CPU time and DRAM traffic are kept as the totals at its
     # start.  ``q_wait`` only changes at a boundary, so the sums built
@@ -230,40 +310,29 @@ def predict(
     lat_base = overhead_mc + q_wait  # a demand read's latency before DRAM service
     ps_need = (lat_base + read_hit) * cpu_ratio  # CPU time a PS prefetch needs
     cpu_cycles = stall_cycles = epoch_start_cpu = 0
-    cache_misses = mc_reads = ps_reads = epoch_reads_seen = 0
+    mc_reads = ps_reads = epoch_reads_seen = 0
     pb_hits = pb_read_hits = pb_inserts = 0
     dram_reads = dram_writes = activations = row_hits = 0
     epoch_bank = epoch_start_refs = 0
     occ_integral = lat_sum_demand = lat_cnt_demand = 0
-    for gap, line, is_write in records:
-        cpu_cycles += gap + 1
-
-        if line in lru:  # cache hit
-            lru.move_to_end(line)
-            if is_write:
-                lru[line] = True
+    for advance, line, writeback in zip(
+        misses.advances, misses.lines, misses.writebacks
+    ):
+        cpu_cycles += advance
+        if writeback:  # a dirty victim: one DRAM write
+            dram_writes += 1
+            bank = line % banks
+            row = (line // banks) // row_lines
+            held = open_rows[bank]
+            if held == row:
+                epoch_bank += write_hit
+                row_hits += 1
+            else:
+                epoch_bank += write_empty if held is None else write_miss
+                activations += 1
+                if open_page:
+                    open_rows[bank] = row
             continue
-        cache_misses += 1
-        lru[line] = is_write
-        # every miss inserts a line, so the filter is over capacity
-        # exactly when there have been more misses than it holds
-        if cache_misses > capacity:
-            victim_line, victim_dirty = lru.popitem(last=False)
-            if victim_dirty:  # write-back: one DRAM write
-                dram_writes += 1
-                bank = victim_line % banks
-                row = (victim_line // banks) // row_lines
-                held = open_rows[bank]
-                if held == row:
-                    epoch_bank += write_hit
-                    row_hits += 1
-                else:
-                    epoch_bank += write_empty if held is None else write_miss
-                    activations += 1
-                    if open_page:
-                        open_rows[bank] = row
-        if is_write:
-            continue  # write-validate allocation: no read, no stall
 
         # ---- this read reaches the memory controller ----
         mc_reads += 1
@@ -330,7 +399,9 @@ def predict(
                 slots[line + 1] = _StreamSlot(mc_reads + life_init)
                 k = 1  # ASD prefetches even 2-line streams from here
             if asd_engine:
-                want = slh.should_prefetch(k, degree)
+                if k > slh_last:
+                    k = slh_last  # streams past the table use its tail
+                want = curr[k] < (curr[k + degree] << 1)
             else:
                 want = nextline_engine or k >= 2
             if want:
@@ -362,6 +433,7 @@ def predict(
                 for slot in slots.values():
                     slh.record_stream_next_only(slot.length)
                 slh.rollover()
+                curr = slh.curr
                 refs = dram_reads + dram_writes
                 st.epoch_cpu, st.epoch_bank, st.epoch_refs = (
                     cpu_cycles - epoch_start_cpu, epoch_bank,
@@ -427,6 +499,7 @@ def predict(
             ps_need = (lat_base + read_hit) * cpu_ratio
             epoch_start_cpu, epoch_start_refs = cpu_cycles, refs
             epoch_bank = 0
+    cpu_cycles += misses.tail
     row_refs = dram_reads + dram_writes  # before the PS overshoot below
 
     if ps_enabled:
@@ -466,7 +539,8 @@ def predict(
     power_model.write_bursts = dram_writes
     power = power_model.finalize(mc_cycles)
 
-    cache_refs = len(records)
+    cache_refs = len(trace)
+    cache_misses = misses.misses
     stats: Dict[str, float] = {
         "mc.reads_arrived": mc_reads,
         "mc.pb_hits_pre_caq": pb_hits,

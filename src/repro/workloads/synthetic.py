@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,8 +38,12 @@ from repro.workloads.trace import Trace
 HOT_BASE = 1 << 30
 #: Start of the cold streaming region.
 COLD_BASE = 1 << 34
-#: Random spacing added between consecutively allocated stream regions.
+#: Random spacing added between consecutively allocated stream regions
+#: is drawn from ``[_SLACK_MIN, REGION_SLACK)``.
 REGION_SLACK = 48
+_SLACK_MIN = 8
+_SLACK_SPAN = REGION_SLACK - _SLACK_MIN
+_SLACK_BITS = _SLACK_SPAN.bit_length()
 
 
 @dataclass
@@ -73,28 +78,23 @@ class StreamWorkload:
     phase_round: int = 6000
 
     def validate(self) -> None:
-        if not self.length_dist:
-            raise ValueError("length_dist must not be empty")
-        if any(length < 1 for length in self.length_dist):
-            raise ValueError("stream lengths must be >= 1")
-        if any(weight < 0 for weight in self.length_dist.values()):
-            raise ValueError("length weights must be non-negative")
-        if sum(self.length_dist.values()) <= 0:
-            raise ValueError("length weights must sum to a positive value")
-        if not 0 <= self.hot_fraction <= 1:
-            raise ValueError("hot_fraction must be in [0, 1]")
+        # the base has no value to inherit: a missing length_dist is empty
+        _check_mix(self.length_dist or {}, self.gap_mean, self.hot_fraction, "")
+        if not isinstance(self.hot_lines, int) or self.hot_lines < 1:
+            raise ValueError("hot_lines must be an integer >= 1")
         if not 0 <= self.write_fraction <= 1:
             raise ValueError("write_fraction must be in [0, 1]")
         if not 0 <= self.descending_fraction <= 1:
             raise ValueError("descending_fraction must be in [0, 1]")
         if not 0 <= self.burstiness <= 1:
             raise ValueError("burstiness must be in [0, 1]")
-        if self.interleave < 1:
-            raise ValueError("interleave must be >= 1")
-        if self.gap_mean < 0:
-            raise ValueError("gap_mean must be non-negative")
-        if any(phase.weight < 0 for phase in self.phases):
-            raise ValueError("phase weights must be non-negative")
+        if not isinstance(self.interleave, int) or self.interleave < 1:
+            raise ValueError("interleave must be an integer >= 1")
+        for index, phase in enumerate(self.phases):
+            if phase.weight < 0:
+                raise ValueError(f"phases[{index}].weight must be non-negative")
+            _check_mix(phase.length_dist, phase.gap_mean, phase.hot_fraction,
+                       f"phases[{index}].")
 
     def with_overrides(self, phase: WorkloadPhase) -> "StreamWorkload":
         """This workload with a phase's overrides applied."""
@@ -106,6 +106,39 @@ class StreamWorkload:
         if phase.hot_fraction is not None:
             changes["hot_fraction"] = phase.hot_fraction
         return replace(self, phases=(), **changes)
+
+
+def _check_mix(
+    length_dist: Optional[Dict[int, float]],
+    gap_mean: Optional[float],
+    hot_fraction: Optional[float],
+    where: str,
+) -> None:
+    """The rules a workload's stream mix obeys, base or phase override.
+
+    ``None`` (a phase not overriding the field) passes.  The generator
+    draws a length by bisecting the cumulative weights, so weights that
+    are infinite, NaN or all zero would pick a length silently instead
+    of failing.  Each error names the field; ``where`` prefixes it with
+    the phase index.
+    """
+    if length_dist is not None:
+        if not length_dist:
+            raise ValueError(f"{where}length_dist must not be empty")
+        if any(length < 1 for length in length_dist):
+            raise ValueError(f"{where}length_dist: stream lengths must be >= 1")
+        if not all(0 <= weight < math.inf for weight in length_dist.values()):
+            raise ValueError(
+                f"{where}length_dist: weights must be finite and non-negative"
+            )
+        if sum(length_dist.values()) <= 0:
+            raise ValueError(
+                f"{where}length_dist: weights must sum to a positive value"
+            )
+    if gap_mean is not None and not gap_mean >= 0:
+        raise ValueError(f"{where}gap_mean must be non-negative")
+    if hot_fraction is not None and not 0 <= hot_fraction <= 1:
+        raise ValueError(f"{where}hot_fraction must be in [0, 1]")
 
 
 class _Stream:
@@ -124,12 +157,17 @@ class _Allocator:
     """Bump allocator handing out non-overlapping cold stream regions."""
 
     def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
+        self._getrandbits = rng.getrandbits
         self._cursor = COLD_BASE
 
     def region(self, length: int) -> int:
         base = self._cursor
-        self._cursor += length + self._rng.randrange(8, REGION_SLACK)
+        # rng.randrange(_SLACK_MIN, REGION_SLACK), drawn as CPython does
+        # (see _generate_segment)
+        slack = self._getrandbits(_SLACK_BITS)
+        while slack >= _SLACK_SPAN:
+            slack = self._getrandbits(_SLACK_BITS)
+        self._cursor += length + _SLACK_MIN + slack
         return base
 
 
@@ -142,57 +180,76 @@ def _generate_segment(
     records: List[Tuple[int, int, bool]],
 ) -> None:
     # The loop draws from the RNG in a fixed order (stream choice, then
-    # the gap); hoisting fields and bound methods out of it, and the
-    # length population and cumulative weights ``rng.choices`` would
-    # otherwise rebuild per call, keeps that order and so every trace.
+    # the gap), straight from ``rng.random`` and ``rng.getrandbits``
+    # with CPython's own arithmetic: ``randrange(n)`` is
+    # ``_randbelow_with_getrandbits`` (``n.bit_length()`` bits, redrawn
+    # while ``>= n``) and ``choices(cum_weights=...)`` is
+    # ``bisect(cum_weights, random() * total, 0, n - 1)``.  So every
+    # trace is bit-for-bit what those calls would produce.
     rand = rng.random
-    randrange = rng.randrange
-    choices = rng.choices
+    getrandbits = rng.getrandbits
     log = math.log
     hot_fraction = cfg.hot_fraction
     hot_lines = cfg.hot_lines
+    hot_bits = hot_lines.bit_length()
     write_fraction = cfg.write_fraction
     descending_fraction = cfg.descending_fraction
     interleave = cfg.interleave
+    # ``active`` only grows in the refill loop, so a pick always sees
+    # exactly ``interleave`` live streams
+    pick_bits = interleave.bit_length()
     burstiness = cfg.burstiness
-    gap_mean = cfg.gap_mean
+    neg_gap_mean = -cfg.gap_mean
+    draw_gaps = cfg.gap_mean > 0
     lengths = list(cfg.length_dist)
     cum_weights = list(accumulate(cfg.length_dist.values()))
+    total = cum_weights[-1] + 0.0
+    last_length = len(lengths) - 1
+    region = alloc.region
     append = records.append
+    # the stream the last cold access advanced, while it is still live
     last_stream: Optional[_Stream] = None
     for _ in range(count):
         if rand() < hot_fraction:
-            line = HOT_BASE + randrange(hot_lines)
+            pick = getrandbits(hot_bits)
+            while pick >= hot_lines:
+                pick = getrandbits(hot_bits)
+            line = HOT_BASE + pick
             is_write = rand() < write_fraction
         else:
             while len(active) < interleave:
-                length = choices(lengths, cum_weights=cum_weights)[0]
+                length = lengths[bisect(cum_weights, rand() * total, 0, last_length)]
                 descending = rand() < descending_fraction
                 # streams are load streams or store streams wholesale:
                 # real codes sweep input and output arrays separately, so
                 # a store never punches a hole in a read stream at the MC
                 writes = rand() < write_fraction
-                base = alloc.region(length)
+                base = region(length)
                 if descending:
                     active.append(_Stream(base + length - 1, -1, length, writes))
                 else:
                     active.append(_Stream(base, 1, length, writes))
-            if last_stream in active and rand() < burstiness:
+            if last_stream is not None and rand() < burstiness:
                 stream = last_stream
             else:
-                stream = active[randrange(len(active))]
-            last_stream = stream
+                pick = getrandbits(pick_bits)
+                while pick >= interleave:
+                    pick = getrandbits(pick_bits)
+                stream = active[pick]
             line = stream.next
             stream.next += stream.step
             stream.remaining -= 1
             is_write = stream.is_write
-            if stream.remaining == 0:
+            if stream.remaining:
+                last_stream = stream
+            else:
                 active.remove(stream)
-        if gap_mean <= 0:
-            gap = 0  # no draw
-        else:
+                last_stream = None
+        if draw_gaps:
             draw = rand()
-            gap = int(-gap_mean * log(draw if draw > 1e-12 else 1e-12))
+            gap = int(neg_gap_mean * log(draw if draw > 1e-12 else 1e-12))
+        else:
+            gap = 0  # no draw
         append((gap, line, is_write))
 
 

@@ -41,8 +41,13 @@ class Trace:
     """An ordered sequence of memory accesses for one hardware thread."""
 
     def __init__(self, records: Iterable[RawRecord], name: str = "trace") -> None:
+        #: never mutated after construction, so views derived from the
+        #: records (``miss_stream``) stay valid for the trace's lifetime
         self.records: List[RawRecord] = list(records)
         self.name = name
+        #: memo of :func:`repro.fastsim.model.miss_stream`, the fast
+        #: model's capacity-filter pass, shared by every config
+        self.miss_stream = None
 
     def __len__(self) -> int:
         return len(self.records)

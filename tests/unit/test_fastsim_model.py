@@ -1,11 +1,15 @@
 """Unit tests for the fast analytic model (docs/fidelity.md)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import generate_trace, get_profile, make_config
 from repro.fastsim import FastModelProbes, predict, simulate_job_fast
 from repro.fastsim.banktables import bank_table, clear_tables
+from repro.fastsim.model import miss_stream
 from repro.fastsim.version import FAST_MODEL_VERSION
+from repro.workloads.trace import Trace
 
 ACCESSES = 1500
 
@@ -75,6 +79,51 @@ class TestPrediction:
     def test_empty_traces_rejected_by_name(self):
         with pytest.raises(ValueError, match="traces"):
             predict(make_config("PMS"), [])
+
+
+class TestCapacityFilter:
+    """The capacity filter runs once per trace, shared by every config."""
+
+    def test_events_of_a_small_trace(self):
+        # capacity 2: line 1 is written (dirty), 2 read, 1 hit, 3 read
+        # evicts clean 2, 4 read evicts dirty 1 (its write-back first)
+        trace = Trace([(0, 1, True), (1, 2, False), (2, 1, False),
+                       (0, 3, False), (0, 4, False), (5, 3, False)])
+        misses = miss_stream(trace, 2)
+        assert list(misses.lines) == [2, 3, 1, 4]
+        assert list(misses.writebacks) == [0, 0, 1, 0]
+        assert list(misses.advances) == [3, 4, 1, 0]
+        assert (misses.misses, misses.tail) == (4, 6)
+
+    def test_configs_share_one_filter_pass(self):
+        trace = trace_for("milc")
+        predict(make_config("NP"), trace)
+        memo = trace.miss_stream
+        assert memo is not None
+        for name in ("PS", "MS", "PMS"):
+            predict(make_config(name), trace)
+            assert trace.miss_stream is memo
+
+    @pytest.mark.parametrize("name", ["NP", "PS", "MS", "PMS", "PMS_DEGREE3"])
+    def test_shared_filter_gives_a_fresh_trace_result(self, name):
+        shared = trace_for("GemsFDTD")
+        for other in ("PMS_NEXTLINE", "MS", "NP"):
+            predict(make_config(other), shared)
+        fresh = Trace(list(shared.records), name=shared.name)
+        assert predict(make_config(name), shared) == predict(
+            make_config(name), fresh)
+
+    def test_new_capacity_refilters(self):
+        trace = trace_for("milc")
+        predict(make_config("PMS"), trace)
+        before = trace.miss_stream.capacity
+        config = make_config("PMS")
+        hier = config.hierarchy
+        smaller = config.derive(hierarchy=replace(
+            hier, l3=replace(hier.l3, size_bytes=hier.l3.size_bytes // 4)))
+        fresh = Trace(list(trace.records), name=trace.name)
+        assert predict(smaller, trace) == predict(smaller, fresh)
+        assert trace.miss_stream.capacity < before
 
 
 class TestProbes:

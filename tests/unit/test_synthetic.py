@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads.dynamic import decode_workload, encode_workload
 from repro.workloads.synthetic import (
     COLD_BASE,
     HOT_BASE,
@@ -48,6 +49,68 @@ class TestValidation:
     def test_zero_accesses_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(simple_workload(), 0)
+
+
+def _phased(**phase):
+    return simple_workload(phases=(
+        WorkloadPhase(weight=1.0), WorkloadPhase(weight=1.0, **phase),
+    ), phase_round=20)
+
+
+#: input the generator's draws would hang on or silently default on,
+#: with the field (and phase index) the error must name
+BAD_INPUT = {
+    "hot_lines=0": (simple_workload(hot_lines=0), r"^hot_lines"),
+    "hot_lines=-3": (simple_workload(hot_lines=-3), r"^hot_lines"),
+    "phase_zero_length": (_phased(length_dist={0: 1.0}),
+                          r"^phases\[1\]\.length_dist"),
+    "phase_empty_dist": (_phased(length_dist={}), r"^phases\[1\]\.length_dist"),
+    "phase_negative_weight": (_phased(length_dist={2: -1.0, 3: 2.0}),
+                              r"^phases\[1\]\.length_dist"),
+    "phase_zero_weights": (_phased(length_dist={2: 0.0, 3: 0.0}),
+                           r"^phases\[1\]\.length_dist"),
+    "phase_infinite_weight": (_phased(length_dist={2: float("inf")}),
+                              r"^phases\[1\]\.length_dist"),
+    "phase_gap_mean": (_phased(gap_mean=-1.0), r"^phases\[1\]\.gap_mean"),
+    "phase_hot_fraction": (_phased(hot_fraction=2.0),
+                           r"^phases\[1\]\.hot_fraction"),
+    "infinite_weight": (simple_workload(length_dist={4: float("inf")}),
+                        r"^length_dist"),
+}
+
+
+class TestInputNamedInErrors:
+    @pytest.mark.parametrize("label", sorted(BAD_INPUT))
+    def test_generate_trace_names_the_field(self, label):
+        workload, field = BAD_INPUT[label]
+        with pytest.raises(ValueError, match=field):
+            generate_trace(workload, 200, seed=1)
+
+    @pytest.mark.parametrize("label", sorted(BAD_INPUT))
+    def test_decode_workload_names_the_field(self, label):
+        workload, field = BAD_INPUT[label]
+        with pytest.raises(ValueError, match=field):
+            decode_workload(encode_workload(workload))
+
+    @pytest.mark.parametrize("field", ["hot_lines", "interleave"])
+    def test_counts_must_be_integers(self, field):
+        # the generator sizes its bit draws from these counts
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            generate_trace(simple_workload(**{field: 4.0}), 100, seed=1)
+
+    def test_phase_index_is_the_failing_phase(self):
+        wl = simple_workload(phases=(
+            WorkloadPhase(weight=1.0, hot_fraction=0.5),
+            WorkloadPhase(weight=1.0),
+            WorkloadPhase(weight=1.0, hot_fraction=-0.5),
+        ))
+        with pytest.raises(ValueError, match=r"^phases\[2\]\.hot_fraction"):
+            wl.validate()
+
+    def test_valid_phase_overrides_pass(self):
+        wl = _phased(length_dist={1: 0.0, 3: 1.0}, gap_mean=0.0, hot_fraction=1.0)
+        assert decode_workload(encode_workload(wl)) == wl
+        assert len(generate_trace(wl, 100, seed=1)) == 100
 
 
 class TestDeterminism:
