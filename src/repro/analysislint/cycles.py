@@ -1,10 +1,14 @@
-"""CYC001 — every cycle-variable write must integrate skipped time.
+"""CYC001 — every cycle-variable write must stay covered by the integrals.
 
-PR 3's three fast-forward bugs were all one invariant: *every simulated
-MC cycle — executed or jumped — must land in the ``ticks``/``occ_*``
-per-cycle integrals exactly once*.  The bugs got in because advancing a
-clock variable and accounting for the advance are separate statements
-that refactors can split.
+The event loop's first fast-forward bugs were all one invariant: *every
+simulated MC cycle — executed or jumped — must land in the
+``ticks``/``occ_*`` per-cycle integrals exactly once*.  The reference
+loop bumps the integrals every tick; the event loop keeps them as queue
+accumulators and settles them from the clock
+(``MemoryController.settle_integrals``), so a cycle is covered when
+the clock that settles them advances over it.  The bugs got in because
+advancing a clock variable and accounting for the advance are separate
+statements that refactors can split.
 
 The rule: inside the simulated machine, any function that stores to a
 cycle variable (a name or attribute spelled ``now``, ``cycle``, or
@@ -14,8 +18,8 @@ mentions a skip/jump amount) must, in the same function, either
 * write the ``ticks`` counter or an ``occ_*`` counter (through
   ``Stats.bump`` or the raw mapping), or
 * call an accounting method (``tick``, ``tick_reference``,
-  ``bulk_tick``, ``consume_wait``) — directly, on a
-  sub-object, or through a local bound-method alias, or
+  ``bulk_tick``, ``consume_wait``, ``settle_integrals``) — directly,
+  on a sub-object, or through a local bound-method alias, or
 * carry a ``# lint: no-integral`` waiver on the storing line or on its
   ``def`` line — the explicit claim that the function moves a clock
   without owning its accounting (pure queries that shadow ``now``
@@ -46,6 +50,7 @@ ACCOUNTING_METHODS = {
     "tick_reference",
     "bulk_tick",
     "consume_wait",
+    "settle_integrals",
 }
 
 #: Stats keys that count as touching the per-cycle integrals.

@@ -7,10 +7,16 @@ prove *structural* equality on every class that defines both paths, so
 a refactor that adds a counter or a tracer event to one body and not
 the other is caught at lint time, before any golden test runs:
 
-* ``PAR001`` — both bodies must write the same statically-extractable
+* ``PAR001`` — both paths must write the same statically-extractable
   set of stats keys;
-* ``PAR002`` — both bodies must emit the same set of tracer event
+* ``PAR002`` — both paths must emit the same set of tracer event
   kinds.
+
+The event path of a class that defines ``settle_integrals`` is ``tick``
+plus that method: ``tick`` leaves the ``ticks``/``occ_*`` integrals to
+the queue mutations and ``settle_integrals`` writes them from the
+clock, while ``tick_reference`` bumps them every cycle.  So a settle
+method that forgets one integral the reference path keeps is caught.
 
 Both checks look one call level deep within the class: a key bumped by
 ``self._reorder_to_caq`` counts for whichever body calls it, so shared
@@ -33,6 +39,10 @@ PAIR = ("tick", "tick_reference")
 
 #: The fast-forward pair PAR003 keys on.
 BULK_PAIR = ("tick", "bulk_tick")
+
+#: The method that settles the integrals ``tick`` no longer writes;
+#: PAR001/PAR002 count it on ``tick``'s side of :data:`PAIR`.
+SETTLE = "settle_integrals"
 
 
 def _class_pairs(
@@ -93,16 +103,21 @@ class _PairAnalysis:
         self.keys: Dict[str, Set[str]] = {}
         self.events: Dict[str, Set[str]] = {}
         for name in pair:
-            func = methods[name]
-            qual = sf.qualname(func)
-            keys = set(key_writes.get(qual, ()))
-            events = _direct_event_kinds(func)
-            for callee_name in _called_self_methods(func):
-                callee = methods.get(callee_name)
-                if callee is None:
-                    continue
-                keys.update(key_writes.get(sf.qualname(callee), ()))
-                events.update(_direct_event_kinds(callee))
+            bodies = [name]
+            if pair == PAIR and name == PAIR[0] and SETTLE in methods:
+                bodies.append(SETTLE)
+            keys: Set[str] = set()
+            events: Set[str] = set()
+            for body in bodies:
+                func = methods[body]
+                keys.update(key_writes.get(sf.qualname(func), ()))
+                events.update(_direct_event_kinds(func))
+                for callee_name in _called_self_methods(func):
+                    callee = methods.get(callee_name)
+                    if callee is None:
+                        continue
+                    keys.update(key_writes.get(sf.qualname(callee), ()))
+                    events.update(_direct_event_kinds(callee))
             self.keys[name] = keys
             self.events[name] = events
 
@@ -131,7 +146,8 @@ def _describe_divergence(
 
 
 class StatsParityRule(Rule):
-    """PAR001: ``tick`` and ``tick_reference`` write the same stat keys."""
+    """PAR001: ``tick`` (plus ``settle_integrals``, where defined) and
+    ``tick_reference`` write the same stat keys."""
 
     id = "PAR001"
     title = "tick and tick_reference must write the same stats keys"
@@ -194,7 +210,9 @@ def _integral_keys(keys: Set[str]) -> Set[str]:
     only on the ``tick`` side; what must match is the integral
     bookkeeping every covered cycle contributes: the tick count and the
     ``occ_*`` queue-occupancy integrals the utilization figures are
-    computed from.
+    computed from.  Where a ``settle_integrals`` method owns them, both
+    sets are empty: an integral added per executed tick but not per
+    skipped cycle (or the reverse) would double count or drop cycles.
     """
     return {k for k in keys if k == "ticks" or k.startswith("occ_")}
 

@@ -14,8 +14,7 @@ a touch is a pop and re-insert, the victim is the first key.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cache.replacement import (
     LRUPolicy,
@@ -26,16 +25,19 @@ from repro.common.config import CacheConfig
 from repro.common.stats import Stats
 
 
-@dataclass(slots=True)
-class Eviction:
+class Eviction(NamedTuple):
     """A line pushed out of the cache by a fill.
 
-    Not frozen: one is built per eviction, and a frozen dataclass's
-    ``__init__`` costs twice as much.
+    A tuple: one is built per eviction, through ``tuple.__new__`` on
+    the fill path (no Python-level ``__init__``), and its fields read
+    through C-level getters.
     """
 
     line: int
     dirty: bool
+
+
+_new_tuple = tuple.__new__
 
 
 class Cache:
@@ -106,9 +108,10 @@ class Cache:
         evicted = None
         if len(entries) >= self.assoc:
             victim = next(iter(entries))
-            evicted = Eviction(victim, entries.pop(victim))
+            victim_dirty = entries.pop(victim)
+            evicted = _new_tuple(Eviction, (victim, victim_dirty))
             values["evictions"] += 1
-            if evicted.dirty:
+            if victim_dirty:
                 values["dirty_evictions"] += 1
         entries[line] = dirty
         values["fills"] += 1

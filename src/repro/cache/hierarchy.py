@@ -14,8 +14,7 @@ evictions — see DESIGN.md Section 5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cache.cache import Cache
 from repro.common.config import HierarchyConfig
@@ -31,19 +30,21 @@ class Level(enum.Enum):
     MEMORY = 4
 
 
-@dataclass(slots=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one demand access.
 
     ``latency_cpu`` is meaningful for cache hits; for ``Level.MEMORY`` the
     latency is determined later by the memory controller.  ``writebacks``
-    lists dirty L3 victims that must become DRAM writes.
+    lists dirty L3 victims that must become DRAM writes.  A tuple: one
+    is built per access, through ``tuple.__new__``.
     """
 
     level: Level
     latency_cpu: int
-    writebacks: List[int] = field(default_factory=list)
+    writebacks: List[int]
 
+
+_new_tuple = tuple.__new__
 
 _L1 = Level.L1
 _L2 = Level.L2
@@ -90,26 +91,34 @@ class CacheHierarchy:
         values = self._stat_values
         if self.l1.lookup(line, write):
             values["l1_hits"] += 1
-            return AccessResult(_L1, self.config.l1.latency, writebacks)
+            return _new_tuple(
+                AccessResult, (_L1, self.config.l1.latency, writebacks)
+            )
 
         if self.l2.lookup(line):
             values["l2_hits"] += 1
             self._fill_l1(line, write, writebacks)
-            return AccessResult(_L2, self.config.l2.latency, writebacks)
+            return _new_tuple(
+                AccessResult, (_L2, self.config.l2.latency, writebacks)
+            )
 
         if self.l3.lookup(line):
             values["l3_hits"] += 1
             self._fill_l2(line, False, writebacks)
             self._fill_l1(line, write, writebacks)
-            return AccessResult(_L3, self.config.l3.latency, writebacks)
+            return _new_tuple(
+                AccessResult, (_L3, self.config.l3.latency, writebacks)
+            )
 
         values["memory_accesses"] += 1
         if write:
             # write-validate: install dirty without a memory read
             self._fill_l1(line, True, writebacks)
             values["write_validates"] += 1
-            return AccessResult(_MEMORY, self.config.l2.latency, writebacks)
-        return AccessResult(_MEMORY, 0, writebacks)
+            return _new_tuple(
+                AccessResult, (_MEMORY, self.config.l2.latency, writebacks)
+            )
+        return _new_tuple(AccessResult, (_MEMORY, 0, writebacks))
 
     def fill_from_memory(self, line: int, to_l1: bool = True) -> List[int]:
         """Install a line that arrived from DRAM; returns dirty L3 victims.

@@ -9,9 +9,15 @@ Two accounting conventions used by the simulator's hot loops:
 
 * **Per-cycle integrals** (``ticks``, ``occ_*``): every simulated MC
   cycle is accounted, *including* cycles the event-driven main loop
-  fast-forwards over (those are folded in as one bulk addition), so
-  ``occ_x / ticks`` is a true time average over the whole run, not an
-  average conditioned on executed cycles.
+  fast-forwards over, so ``occ_x / ticks`` is a true time average over
+  the whole run, not an average conditioned on executed cycles.  The
+  reference loop bumps them every cycle.  The event loop keeps one
+  accumulator per queue, updated where a command enters (minus its
+  clock) or leaves (plus its clock), and writes the integrals from the
+  clock only where they are read (``MemoryController.settle_integrals``,
+  before a result is collected and at each probe sample): between
+  settles the stored values are stale.  They start at ``0.0`` and
+  settle as floats, like the per-cycle bumps.
 * **Hot-path batching**: blocks that bump several counters per cycle
   may hold on to :meth:`Stats.raw` and add into the mapping directly;
   missing keys read as 0.0 there too, so ``values["k"] += 1`` behaves

@@ -93,15 +93,28 @@ class MemoryController:
         self._now = 0
         self.ms.on_merge_ready = self._merge_ready
         self.stats = Stats()
-        # hot path: the per-cycle occupancy integrals add straight into
-        # the underlying counter mapping (see Stats.raw), and the queue
-        # containers are aliased so a length probe is one len() call
+        # hot path: counters add straight into the underlying mapping
+        # (see Stats.raw), and the queue containers are aliased so a
+        # length probe is one len() call
         self._stat_values = self.stats.raw()
         self._rq_items = self.queues.reads._items
         self._wq_items = self.queues.writes._items
         self._caq_items = self.caq._items
         self._lpq_items = self.ms.lpq._queue
+        self._lpq_lines = self.ms.lpq._lines
+        self._pb_sets = self.ms.buffer._sets
+        self._pb_num_sets = self.ms.buffer.num_sets
         self._caq_depth = self.caq.depth
+        # Occupancy integrals (see settle_integrals): the clock of a
+        # queue mutation is the index of the next depth sample, ``now``
+        # in the controller phase of a cycle and ``now + 1`` in its core
+        # phase (enqueue).  Each accumulator adds the clock when a
+        # command leaves its queue and subtracts it when one enters.
+        self._rq_acc = 0
+        self._wq_acc = 0
+        self._caq_acc = 0
+        # the integrals exist from the start, in their per-tick order
+        self.settle_integrals(0)
 
     # ------------------------------------------------------------------
     # command entry
@@ -123,6 +136,7 @@ class MemoryController:
                 # Figure 4: Reads fork into the Stream Filter on entry.
                 self.ms.observe_read(cmd, now, now * self.cpu_ratio)
             self._rq_items.append(cmd)
+            self._rq_acc -= now + 1
             return True
         if len(self._wq_items) >= self.queues.writes.depth:
             values["write_rejects"] += 1
@@ -130,8 +144,9 @@ class MemoryController:
         cmd.arrival = now
         values["writes_arrived"] += 1
         if self.ms.enabled:
-            self.ms.observe_write(cmd)
+            self.ms.observe_write(cmd, now)
         self._wq_items.append(cmd)
+        self._wq_acc -= now + 1
         self._pending_write_lines[cmd.line] += 1
         return True
 
@@ -151,17 +166,36 @@ class MemoryController:
             self._final_scheduler(now)
         if self._rq_items or self._wq_items:
             self._reorder_to_caq(now)
-        # occupancy integrals: averages fall out as sum / ticks.  Every
-        # simulated MC cycle lands here or in bulk_tick, so the
-        # integrals cover wall-cycle time, not just executed ticks.
-        values = self._stat_values
-        values["ticks"] += 1
-        values["occ_read_queue"] += len(self._rq_items)
-        values["occ_write_queue"] += len(self._wq_items)
-        values["occ_caq"] += len(self._caq_items)
-        values["occ_lpq"] += len(self._lpq_items)
+        # no integral arithmetic here: the queue mutations keep the
+        # occupancy accumulators, and settle_integrals reads them
         if self.tracer.enabled and now % QUEUE_SAMPLE_INTERVAL == 0:
             self._emit_depth_sample(now)
+
+    def settle_integrals(self, clock: int) -> None:
+        """Write the ``ticks``/``occ_*`` integrals as of ``clock``.
+
+        ``clock`` is the number of depth samples the integrals cover:
+        the next cycle to run at a loop boundary, or ``now + 1`` inside
+        the core phase of cycle ``now``.  A queue's integral is its
+        accumulator (exit clocks minus entry clocks of every command
+        that passed through) plus its current length times ``clock``,
+        so the averages fall out as ``occ_x / ticks`` over wall-cycle
+        time.  The event loop settles before collecting a result and
+        epoch probes settle where they sample; the reference loop
+        bumps the integrals every tick and never settles.
+        """
+        values = self._stat_values
+        values["ticks"] = float(clock)
+        values["occ_read_queue"] = float(
+            self._rq_acc + len(self._rq_items) * clock
+        )
+        values["occ_write_queue"] = float(
+            self._wq_acc + len(self._wq_items) * clock
+        )
+        values["occ_caq"] = float(self._caq_acc + len(self._caq_items) * clock)
+        values["occ_lpq"] = float(
+            self.ms.lpq.occ_acc + len(self._lpq_items) * clock
+        )
 
     def tick_reference(self, now: int) -> None:
         """The literal per-cycle tick — one MC cycle's executable
@@ -207,8 +241,8 @@ class MemoryController:
         The event-driven main loop calls this instead of ticking
         through a deterministic wait.  Queue contents are constant
         across such a window by construction, so the occupancy
-        integrals are one multiplication each, and the telemetry
-        samples a per-cycle loop would have emitted at
+        integrals need nothing here (they settle from the clock), and
+        the telemetry samples a per-cycle loop would have emitted at
         ``QUEUE_SAMPLE_INTERVAL`` boundaries are emitted here with the
         (constant) depths — a fast-forward jump leaves no holes in the
         queue-depth series.
@@ -231,12 +265,6 @@ class MemoryController:
             ):
                 self._conflict_counted.add(head_read.uid)
                 ms.scheduler.record_conflict()
-        values = self._stat_values
-        values["ticks"] += cycles
-        values["occ_read_queue"] += len(self._rq_items) * cycles
-        values["occ_write_queue"] += len(self._wq_items) * cycles
-        values["occ_caq"] += len(self._caq_items) * cycles
-        values["occ_lpq"] += len(self._lpq_items) * cycles
         if self.tracer.enabled:
             first = start + (-start) % QUEUE_SAMPLE_INTERVAL
             for t in range(first, end + 1, QUEUE_SAMPLE_INTERVAL):
@@ -323,7 +351,8 @@ class MemoryController:
                     values[k_max] = latency  # lint: stats-dynamic
                 # log2-bucketed histogram: bucket b counts latencies in
                 # [2^b, 2^(b+1)); bucket 0 holds 0- and 1-cycle responses
-                values[k_hist[max(latency, 1).bit_length() - 1]] += 1  # lint: stats-dynamic
+                bucket = latency.bit_length() - 1 if latency > 1 else 0
+                values[k_hist[bucket]] += 1  # lint: stats-dynamic
                 if self.on_read_complete is not None:
                     self.on_read_complete(cmd, now)
 
@@ -343,16 +372,29 @@ class MemoryController:
         if ms.enabled:
             # Second Prefetch Buffer check: the head of the CAQ may have
             # been covered by a prefetch that completed while it sat in
-            # the queue.
+            # the queue.  ms.would_serve's test, inline: most heads have
+            # no queued, buffered or in-flight prefetch of their line,
+            # and then neither probe would act.
+            pb_sets = self._pb_sets
+            pb_num_sets = self._pb_num_sets
             while caq_items:
                 head = caq_items[0]
                 if not head.is_read:
                     break
-                if ms.read_lookup(head.line):
+                line = head.line
+                if not (
+                    line in self._lpq_lines
+                    or line in pb_sets[line % pb_num_sets]
+                    or (line in ms.in_flight and line not in ms._cancelled)
+                ):
+                    break
+                if ms.read_lookup(line, now):
                     caq_items.popleft()
+                    self._caq_acc += now
                     self._buffer_hit(head, now, True)
                 elif ms.try_merge(head):
                     caq_items.popleft()
+                    self._caq_acc += now
                     self._merged(head, True)
                 else:
                     break
@@ -384,15 +426,16 @@ class MemoryController:
             cmd = caq_items[0]
         else:
             return
-        result = self.dram.try_issue(cmd, now)
-        if result.accepted:
+        accepted, completion, blocked_by = self.dram.try_issue(cmd, now)
+        if accepted:
             if use_lpq:
-                ms.lpq.pop()
+                ms.lpq.pop(now)
             else:
                 caq_items.popleft()
+                self._caq_acc += now
             self.scheduler.notify_issue(cmd, self.dram)
             heappush(self._completions, (
-                result.completion + config.overhead_mc_cycles, cmd.uid, cmd
+                completion + config.overhead_mc_cycles, cmd.uid, cmd
             ))
             if cmd.is_write:
                 count = self._pending_write_lines.get(cmd.line, 0)
@@ -408,7 +451,7 @@ class MemoryController:
                 self._delayed_counted.discard(cmd.uid)
                 self._conflict_counted.discard(cmd.uid)
         elif (
-            result.blocked_by is _MS_PREFETCH
+            blocked_by is _MS_PREFETCH
             and not cmd.is_ms_prefetch
             and cmd.uid not in self._delayed_counted
         ):
@@ -451,8 +494,10 @@ class MemoryController:
             return
         if cmd.is_write:
             wq_items.remove(cmd)
+            self._wq_acc += now
         else:
             rq_items.remove(cmd)
+            self._rq_acc += now
             if cmd.line in self._pending_write_lines:
                 # read-after-write hazard: the freshest data for this
                 # line sits in the write queue — forward it
@@ -462,7 +507,7 @@ class MemoryController:
                 ))
                 return
             if ms.enabled:
-                if ms.read_lookup(cmd.line):
+                if ms.read_lookup(cmd.line, now):
                     # First Prefetch Buffer check: serve the read without DRAM.
                     self._buffer_hit(cmd, now, False)
                     return
@@ -470,6 +515,7 @@ class MemoryController:
                     self._merged(cmd, False)
                     return
         caq_items.append(cmd)
+        self._caq_acc -= now
 
     # -- Prefetch Buffer check points -------------------------------------
     # Literal per-provenance keys (no f-string or enum ``.value`` per

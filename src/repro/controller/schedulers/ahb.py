@@ -90,8 +90,11 @@ class AHBScheduler(Scheduler):
                 score += 1  # group reads with reads: fewer bus turnarounds
             if score > best_score or (
                 score == best_score
-                and (cmd.arrival, cmd.uid) < (best_arrival, best_uid)
-            ):
+                and (
+                    cmd.arrival < best_arrival
+                    or (cmd.arrival == best_arrival and cmd.uid < best_uid)
+                )
+            ):  # ties go to the oldest (arrival, uid)
                 best = cmd
                 best_score = score
                 best_arrival = cmd.arrival

@@ -112,9 +112,9 @@ class Core:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        # checked once per executed main-loop cycle: the _ThreadContext
-        # fields are probed directly instead of through the `finished`
-        # property (a bound-descriptor call per thread per cycle)
+        # the event loop checks this only once the controller is idle,
+        # the reference loop once per cycle: the _ThreadContext fields
+        # are probed directly instead of through the `finished` property
         for ctx in self.contexts:
             if not (
                 ctx.trace_done
@@ -157,16 +157,25 @@ class Core:
                 if ctx.blocked_mem:
                     return
                 continue
-            if ctx.stall_cpu > 0:
-                take = min(ctx.stall_cpu, budget)
-                ctx.stall_cpu -= take
-                budget -= take
+            # hit-latency stall, then instruction gap: each either
+            # outlasts the budget (the tick ends) or is used up
+            stall = ctx.stall_cpu
+            if stall > 0:
+                if stall >= budget:
+                    ctx.stall_cpu = stall - budget
+                    return
+                ctx.stall_cpu = 0
+                budget -= stall
                 continue
-            if ctx.gap_cpu > 0:
-                take = min(ctx.gap_cpu, budget)
-                ctx.gap_cpu -= take
-                budget -= take
-                self.retired_instructions += take
+            gap = ctx.gap_cpu
+            if gap > 0:
+                if gap >= budget:
+                    ctx.gap_cpu = gap - budget
+                    self.retired_instructions += budget
+                    return
+                ctx.gap_cpu = 0
+                budget -= gap
+                self.retired_instructions += gap
                 continue
             if ctx.pending is not None:
                 budget -= 1
@@ -200,10 +209,10 @@ class Core:
             return
         ctx.pending = None
 
-        result = self.hierarchy.access(line, is_write)
-        ctx.writebacks.extend(result.writebacks)
+        level, latency, writebacks = self.hierarchy.access(line, is_write)
+        if writebacks:
+            ctx.writebacks.extend(writebacks)
 
-        level = result.level
         if level is _MEMORY and not is_write:
             if line in self._ps_inflight or line in self._waiters:
                 # merge with the in-flight fetch of the same line
@@ -216,9 +225,9 @@ class Core:
                 cmd = MemoryCommand(_READ, line, thread=ctx.tid, arrival=now)
                 if not self._issue_demand(ctx, cmd, now):
                     ctx.retry_demand = cmd
-        elif not is_write:
+        elif not is_write and latency > 1:
             # cache hit: charge the level's latency as additional stall
-            ctx.stall_cpu += max(0, result.latency_cpu - 1)
+            ctx.stall_cpu += latency - 1
         # stores never stall the core beyond their 1 issue cycle
 
         if self.ps.enabled:
@@ -271,11 +280,11 @@ class Core:
         line = cmd.line
         if cmd.provenance is _PS_PREFETCH:
             to_l1 = self._ps_inflight.pop(line, True)
-            writebacks = self.hierarchy.fill_from_memory(line, to_l1=to_l1)
+            writebacks = self.hierarchy.fill_from_memory(line, to_l1)
             self.ps.notify_fill(line, to_l1)
             self._stat_values["ps_fills"] += 1
         else:
-            writebacks = self.hierarchy.fill_from_memory(line, to_l1=True)
+            writebacks = self.hierarchy.fill_from_memory(line, True)
             self._stat_values["demand_fills"] += 1
         if writebacks:
             self.contexts[cmd.thread].writebacks.extend(writebacks)

@@ -22,6 +22,7 @@ class Bank:
 
     __slots__ = (
         "timing",
+        "cas_gap",
         "auto_precharge",
         "open_row",
         "cas_ready",
@@ -33,6 +34,9 @@ class Bank:
 
     def __init__(self, timing: DRAMTimingConfig, auto_precharge: bool = False) -> None:
         self.timing = timing
+        #: tCCD gates back-to-back CAS commands; the burst occupies the
+        #: column path at least as long
+        self.cas_gap = max(timing.t_ccd, timing.burst_cycles)
         self.auto_precharge = auto_precharge
         self.open_row: Optional[int] = None
         #: earliest cycle a CAS to the open row may start
@@ -70,18 +74,27 @@ class Bank:
 
         Returns ``(cas_at, activated)`` where ``cas_at`` is the cycle the
         column access starts and ``activated`` says whether an
-        activate/precharge pair was spent (for the power model).
+        activate/precharge pair was spent (for the power model).  Runs
+        once per issued command: every ``max`` is a comparison.
         """
         t = self.timing
         activated = False
         if self.open_row == row:
-            cas_at = max(now, self.cas_ready)
+            cas_at = self.cas_ready
+            if cas_at < now:
+                cas_at = now
         else:
             if self.open_row is None:
-                act_at = max(now, self.act_ready)
+                act_at = self.act_ready
+                if act_at < now:
+                    act_at = now
             else:
-                pre_at = max(now, self.pre_ready)
-                act_at = max(pre_at + t.t_rp, self.act_ready)
+                pre_at = self.pre_ready
+                if pre_at < now:
+                    pre_at = now
+                act_at = pre_at + t.t_rp
+                if act_at < self.act_ready:
+                    act_at = self.act_ready
             cas_at = act_at + t.t_rcd
             activated = True
             self.open_row = row
@@ -89,17 +102,21 @@ class Bank:
             self.pre_ready = act_at + t.t_ras
         # Data transfer occupies the column path for the burst; tCCD
         # gates back-to-back CAS commands.
+        cas_ready = cas_at + self.cas_gap
+        if cas_ready > self.cas_ready:
+            self.cas_ready = cas_ready
         burst_end = cas_at + (t.t_wl if is_write else t.t_cl) + t.burst_cycles
-        self.cas_ready = max(cas_at + max(t.t_ccd, t.burst_cycles), self.cas_ready)
         if is_write:
             # a write pushes out the earliest precharge by write recovery
-            self.pre_ready = max(self.pre_ready, burst_end + t.t_wr)
-        else:
-            self.pre_ready = max(self.pre_ready, burst_end)
+            burst_end += t.t_wr
+        if burst_end > self.pre_ready:
+            self.pre_ready = burst_end
         if self.auto_precharge:
             # closed page: the precharge is folded in; the next activate
             # may start once the (auto-)precharge completes
-            self.act_ready = max(self.act_ready, self.pre_ready + t.t_rp)
+            act_ready = self.pre_ready + t.t_rp
+            if act_ready > self.act_ready:
+                self.act_ready = act_ready
             self.open_row = None
         return cas_at, activated
 

@@ -9,7 +9,7 @@ and returning the completion cycle — or reports why it cannot start yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Stats
@@ -46,13 +46,25 @@ class AddressMap:
         return bank, row
 
 
-@dataclass(slots=True)
-class IssueResult:
-    """Outcome of a try_issue call (slotted: one is built per attempt)."""
+class IssueResult(NamedTuple):
+    """Outcome of a try_issue call.
+
+    A tuple, so the controller unpacks it and fields read through
+    C-level getters; an acceptance builds one with ``tuple.__new__``
+    and every refusal returns a shared instance.
+    """
 
     accepted: bool
     completion: int = 0  # cycle at which data transfer finishes
     blocked_by: Optional[Provenance] = None  # who holds the bank, if blocked
+
+
+_new_tuple = tuple.__new__
+
+#: refusal per holder of the refused command's bank (None: the bus)
+_REFUSED = {
+    holder: IssueResult(False, 0, holder) for holder in (None, *Provenance)
+}
 
 
 class DRAMDevice:
@@ -171,7 +183,9 @@ class DRAMDevice:
         cycle may be in the past, meaning the command is issuable now.
         """
         bank = self.banks[cmd.line % self.amap.total_banks]
-        return max(bank.held_until, self.bus_free_at - self.MAX_BUS_LEAD)
+        bus_at = self.bus_free_at - self.MAX_BUS_LEAD
+        held_until = bank.held_until
+        return held_until if held_until > bus_at else bus_at
 
     # ------------------------------------------------------------------
     # issue
@@ -188,20 +202,23 @@ class DRAMDevice:
         if horizon is not None and now >= horizon:
             self._apply_refreshes(now)
         amap = self.amap
+        nbanks = amap.total_banks
         line = cmd.line
-        bank_i = line % amap.total_banks
+        bank_i = line % nbanks
         bank = self.banks[bank_i]
         if now < bank.held_until:
-            return IssueResult(False, blocked_by=bank.holder_at(now))
-        if self.bus_free_at > now + self.MAX_BUS_LEAD:
-            return IssueResult(False)
+            return _REFUSED[bank.holder_at(now)]
+        bus_free_at = self.bus_free_at
+        if bus_free_at > now + self.MAX_BUS_LEAD:
+            return _REFUSED[None]
 
-        row = (line // amap.total_banks) // amap.row_lines
+        row = (line // nbanks) // amap.row_lines
         is_write = cmd.is_write
         cas_at, activated = bank.reserve(row, now, is_write)
         t = self.timing
-        lead = t.t_wl if is_write else t.t_cl
-        data_start = max(cas_at + lead, self.bus_free_at)
+        data_start = cas_at + (t.t_wl if is_write else t.t_cl)
+        if data_start < bus_free_at:
+            data_start = bus_free_at
         completion = data_start + t.burst_cycles
         self.bus_free_at = completion
         bank.hold(cmd.provenance, completion)
@@ -228,7 +245,7 @@ class DRAMDevice:
                     completion=completion,
                 )
             )
-        return IssueResult(True, completion=completion)
+        return _new_tuple(IssueResult, (True, completion, None))
 
     # ------------------------------------------------------------------
     def utilization(self, elapsed: int) -> float:

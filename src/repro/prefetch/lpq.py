@@ -30,6 +30,10 @@ class LowPriorityQueue:
         self.now_mc = 0
         self._queue: Deque[MemoryCommand] = deque()
         self._lines: Set[int] = set()
+        #: occupancy accumulator: each push subtracts its clock and each
+        #: pop or drop adds its clock (see
+        #: MemoryController.settle_integrals for the clock convention)
+        self.occ_acc = 0
         self.stats = Stats()
         # hot path: push/drop_line add straight into the counter mapping
         self._stat_values = self.stats.raw()
@@ -47,8 +51,9 @@ class LowPriorityQueue:
     def head(self) -> Optional[MemoryCommand]:
         return self._queue[0] if self._queue else None
 
-    def push(self, cmd: MemoryCommand) -> bool:
-        """Enqueue; returns False (command dropped) when full or duplicate."""
+    def push(self, cmd: MemoryCommand, clock: int) -> bool:
+        """Enqueue at ``clock``; returns False (command dropped) when
+        full or duplicate."""
         if cmd.line in self._lines:
             self.stats.bump("dropped_duplicate")
             if self.tracer.enabled:
@@ -69,17 +74,21 @@ class LowPriorityQueue:
             return False
         self._queue.append(cmd)
         self._lines.add(cmd.line)
+        self.occ_acc -= clock
         self._stat_values["pushed"] += 1
         return True
 
-    def pop(self) -> MemoryCommand:
+    def pop(self, clock: int) -> MemoryCommand:
+        """Dequeue the head at ``clock``."""
         cmd = self._queue.popleft()
         self._lines.discard(cmd.line)
+        self.occ_acc += clock
         return cmd
 
-    def drop_line(self, line: int) -> bool:
-        """Remove a pending prefetch that became redundant (e.g. the line
-        was demanded before the prefetch issued)."""
+    def drop_line(self, line: int, clock: int) -> bool:
+        """Remove, at ``clock``, a pending prefetch that became
+        redundant (e.g. the line was demanded before the prefetch
+        issued)."""
         if line not in self._lines:
             return False
         for cmd in list(self._queue):
@@ -87,6 +96,7 @@ class LowPriorityQueue:
                 self._queue.remove(cmd)
                 break
         self._lines.discard(line)
+        self.occ_acc += clock
         self._stat_values["squashed"] += 1
         if self.tracer.enabled:
             self.tracer.emit(

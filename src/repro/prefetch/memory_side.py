@@ -13,6 +13,11 @@ The controller drives it through four hooks:
 * :meth:`observe_write` on Write entry (coherence invalidation);
 * :meth:`notify_issue` / :meth:`notify_complete` as prefetch commands
   leave the LPQ and return from DRAM.
+
+Commands enter the controller in the core phase of cycle ``now_mc``
+(the LPQ clock is ``now_mc + 1`` there) and the check points run in its
+controller phase (clock ``now_mc``); the LPQ's occupancy accumulator is
+kept at each push, pop and drop with that clock.
 """
 
 from __future__ import annotations
@@ -126,10 +131,10 @@ class MemorySidePrefetcher:
             provenance=Provenance.MS_PREFETCH,
             arrival=now_mc,
         )
-        if self.lpq.push(cmd):
+        if self.lpq.push(cmd, now_mc + 1):
             values["generated"] += 1
 
-    def read_lookup(self, line: int) -> bool:
+    def read_lookup(self, line: int, now_mc: int) -> bool:
         """Prefetch Buffer probe for a regular Read (consuming on hit).
 
         Also squashes any still-queued prefetch of the same line — the
@@ -138,7 +143,7 @@ class MemorySidePrefetcher:
         if not self.enabled:
             return False
         if line in self.lpq._lines:  # most reads have no queued prefetch
-            self.lpq.drop_line(line)
+            self.lpq.drop_line(line, now_mc)
         if self.buffer.read_hit(line):
             self._stat_values["buffer_hits"] += 1
             if self.tracer.enabled:
@@ -190,11 +195,11 @@ class MemorySidePrefetcher:
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def observe_write(self, cmd: MemoryCommand) -> None:
+    def observe_write(self, cmd: MemoryCommand, now_mc: int) -> None:
         if not self.enabled:
             return
         self.buffer.invalidate(cmd.line)
-        self.lpq.drop_line(cmd.line)
+        self.lpq.drop_line(cmd.line, now_mc + 1)
         if cmd.line in self.in_flight and cmd.line not in self._merged:
             # the prefetched data will be stale on arrival: drop it
             self._cancelled.add(cmd.line)

@@ -17,23 +17,25 @@ from demand reads, exactly as the paper notes.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import List, Set
+from typing import List, NamedTuple, Set
 
 from repro.common.config import ProcessorSidePrefetcherConfig
 from repro.common.stats import Stats
 
 
-@dataclass(frozen=True, slots=True)
-class PSRequest:
+class PSRequest(NamedTuple):
     """One processor-side prefetch request.
 
     ``to_l1`` selects the fill destination: True fills L1+L2 (the
-    near-edge line), False stops at the L2 (the far-edge line).
+    near-edge line), False stops at the L2 (the far-edge line).  A
+    tuple, built through ``tuple.__new__`` on the emit paths.
     """
 
     line: int
     to_l1: bool
+
+
+_new_tuple = tuple.__new__
 
 
 class _Stream:
@@ -85,7 +87,8 @@ class ProcessorSidePrefetcher:
         for key, stream in self._streams.items():
             if line == stream.last + stream.step:
                 stream.last = line
-                stream.depth = min(stream.depth + 1, cfg.l2_lead)
+                if stream.depth < cfg.l2_lead:
+                    stream.depth += 1
                 self._streams.move_to_end(key)
                 values["advances"] += 1
                 return self._emit(stream)
@@ -120,11 +123,13 @@ class ProcessorSidePrefetcher:
         advance brings one line toward the L1 edge and one toward the L2
         edge).
         """
-        cfg = self.config
+        l1_lead = self.config.l1_lead
         out: List[PSRequest] = []
         while (stream.next_pf - stream.last) * stream.step <= stream.depth:
             distance = (stream.next_pf - stream.last) * stream.step
-            out.append(PSRequest(stream.next_pf, to_l1=distance <= cfg.l1_lead))
+            out.append(
+                _new_tuple(PSRequest, (stream.next_pf, distance <= l1_lead))
+            )
             stream.next_pf += stream.step
         return out
 

@@ -22,8 +22,7 @@ Matching rules, straight from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.common.config import StreamFilterConfig
 from repro.common.stats import Stats
@@ -33,14 +32,13 @@ from repro.common.types import Direction
 EvictionCallback = Callable[[int, Direction], None]
 
 
-@dataclass(slots=True)
-class StreamObservation:
-    """What the filter concluded about one Read (slotted: one per Read).
+class StreamObservation(NamedTuple):
+    """What the filter concluded about one Read (one per Read).
 
     ``position`` is k, the element index of this read within its stream
     (1 for a fresh stream).  ``tracked`` is False when the filter was
     full and the read could not be followed — no prefetch may be
-    generated for it.
+    generated for it.  A tuple, built through ``tuple.__new__``.
     """
 
     position: int
@@ -48,6 +46,8 @@ class StreamObservation:
     tracked: bool
     line: int
 
+
+_new_tuple = tuple.__new__
 
 _ASCENDING = Direction.ASCENDING
 _DESCENDING = Direction.DESCENDING
@@ -144,24 +144,24 @@ class StreamFilter:
             if line == slot.last + slot.step:
                 slot.last = line
                 slot.length += 1
-                slot.expires_at = min(
-                    slot.expires_at + cfg.lifetime_increment,
-                    now_cpu + cfg.lifetime_cap,
-                )
+                expires_at = slot.expires_at + cfg.lifetime_increment
+                cap = now_cpu + cfg.lifetime_cap
+                slot.expires_at = expires_at if expires_at < cap else cap
                 values["advances"] += 1
-                return StreamObservation(slot.length, slot.direction, True, line)
+                return _new_tuple(
+                    StreamObservation, (slot.length, slot.direction, True, line)
+                )
             if slot.length == 1 and line == slot.last - 1:
                 slot.direction = _DESCENDING
                 slot.step = -1
                 slot.last = line
                 slot.length = 2
-                slot.expires_at = min(
-                    slot.expires_at + cfg.lifetime_increment,
-                    now_cpu + cfg.lifetime_cap,
-                )
+                expires_at = slot.expires_at + cfg.lifetime_increment
+                cap = now_cpu + cfg.lifetime_cap
+                slot.expires_at = expires_at if expires_at < cap else cap
                 values["advances"] += 1
                 values["direction_flips"] += 1
-                return StreamObservation(2, _DESCENDING, True, line)
+                return _new_tuple(StreamObservation, (2, _DESCENDING, True, line))
 
         if len(self.slots) < cfg.slots:
             self.slots.append(_Slot(line, now_cpu, cfg.lifetime_init))
@@ -169,14 +169,14 @@ class StreamFilter:
             if expiry < self._soonest_expiry:
                 self._soonest_expiry = expiry
             values["allocations"] += 1
-            return StreamObservation(1, _ASCENDING, True, line)
+            return _new_tuple(StreamObservation, (1, _ASCENDING, True, line))
 
         # Filter full: the read is recorded as a completed length-1 stream
         # but cannot be followed, so no prefetch may be generated for it.
         values["untracked"] += 1
         if self.on_evict is not None:
             self.on_evict(1, _ASCENDING)
-        return StreamObservation(1, _ASCENDING, False, line)
+        return _new_tuple(StreamObservation, (1, _ASCENDING, False, line))
 
     # ------------------------------------------------------------------
     @property

@@ -25,7 +25,7 @@ Two main-loop modes produce field-for-field identical
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
@@ -86,12 +86,17 @@ class System:
         tracer: Optional[Tracer] = None,
         probes: Optional[EpochProbes] = None,
     ):
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if probes is not None and not self.tracer.enabled:
+            # probes sample on epoch_boundary events: with no enabled
+            # tracer they would record nothing, and binding them to the
+            # shared NULL_TRACER would keep this System alive
+            raise ValueError("probes need an enabled tracer to sample on")
         if isinstance(traces, Trace):
             traces = [traces]
         traces = list(traces)
         config = config.derive(threads=len(traces)).validate()
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.probes = probes
         self.power_model = DRAMPowerModel(config.dram, config.dram_power)
         self.dram = DRAMDevice(
@@ -179,119 +184,113 @@ class System:
         return self._collect()
 
     def _run_event(self, max_cycles: int) -> RunResult:
-        """The event-driven loop: tick, then jump deterministic waits."""
-        controller = self.controller
-        core = self.core
-        controller_tick = controller.tick
-        core_tick = core.tick
-        # dense-phase gate, inlined: while commands flow reorder->CAQ
-        # the machine acts every cycle, so wait detection is skipped on
-        # one deque truth-test and one length compare
-        rq_items = controller._rq_items
-        wq_items = controller._wq_items
-        caq_items = controller._caq_items
-        caq_depth = controller.caq.depth
-        ticks = 0
-        while not (core.done and controller.idle()):
-            now = self.now
-            controller_tick(now)
-            core_tick(now)
-            ticks += 1
-            self.now = now + 1
-            if now >= max_cycles:
-                raise self._cap_exceeded(ticks, max_cycles)
-            if (rq_items or wq_items) and len(caq_items) < caq_depth:
-                continue
-            skip, refused = self._deterministic_wait(max_cycles)
-            if skip > 0:
-                self._fast_forward(skip, refused)
-                if self.now > max_cycles:
-                    # a wait extended past the cap: fail exactly as
-                    # the per-cycle loop would after ticking there
-                    raise self._cap_exceeded(ticks, max_cycles)
-        self.loop_stats["ticks_executed"] = ticks
-        return self._collect()
+        """The event-driven loop: tick, then jump deterministic waits.
 
-    # ------------------------------------------------------------------
-    # event-driven fast-forward
-    # ------------------------------------------------------------------
-    def _deterministic_wait(self, max_cycles: int) -> Tuple[int, object]:  # lint: no-integral
-        # (pure query: shadows `now` locally, never advances the clock)
-        """How many upcoming cycles are provably inert, if any.
-
-        A cycle is *inert* when ticking through it would only advance
-        time: the reorder->CAQ stage is frozen (reorder queues empty,
-        or the FIFO CAQ full so nothing may move), every thread is
-        blocked on memory or linearly burning stall/gap budget, no
-        completion is due, and any pending CAQ/LPQ head is refused by
-        DRAM bank/bus timing.  Returns ``(skip, refused)`` where
-        ``skip`` may be 0 (do not jump) and ``refused`` is the command
-        a per-cycle loop would have been retrying against DRAM each
-        wait cycle (None when the wait holds no such head).
+        After each executed cycle the loop asks whether the upcoming
+        cycles are provably inert: ticking through them would only
+        advance time.  That holds when the reorder->CAQ stage is frozen
+        (reorder queues empty, or the FIFO CAQ full so nothing may
+        move), no completion is due, every thread is blocked on memory
+        or linearly burning stall/gap budget, and any pending CAQ/LPQ
+        head is refused by DRAM bank/bus timing.  The tests run
+        cheapest first, and the loop then jumps to the next event --
+        the earliest of the next completion, the head's DRAM issue
+        cycle and the core's linear horizon -- applying the skipped
+        cycles' accounting in bulk.
 
         The CAQ-full case is safe for the Adaptive Scheduling
         predicates: the reorder-dependent policies (1-3) all require an
         empty CAQ, so with the CAQ occupied the LPQ/CAQ choice depends
-        only on queue lengths and arrival stamps — all frozen across
+        only on queue lengths and arrival stamps -- all frozen across
         the window.
         """
         controller = self.controller
-        if (controller._rq_items or controller._wq_items) and len(
-            controller._caq_items
-        ) < controller.caq.depth:
-            return 0, None
-        horizon = self.core.linear_horizon()
-        if horizon == 0:
-            return 0, None
-        now = self.now
-        bound: Optional[int] = None  # absolute cycle of the next event
+        core = self.core
+        dram = self.dram
+        loop_stats = self.loop_stats
+        controller_tick = controller.tick
+        core_tick = core.tick
+        linear_horizon = core.linear_horizon
+        next_scheduler_event = controller.next_scheduler_event
+        bulk_tick = controller.bulk_tick
+        note_wait_refusal = controller.note_wait_refusal
+        consume_wait = core.consume_wait
+        rq_items = controller._rq_items
+        wq_items = controller._wq_items
+        caq_items = controller._caq_items
+        lpq_items = controller._lpq_items
         completions = controller._completions
-        if completions:
-            bound = completions[0][0]
-        sched_at, refused = controller.next_scheduler_event(now)
-        if sched_at is not None:
-            if sched_at <= now:
-                return 0, None  # next tick may act (issue or PB hit)
-            if bound is None or sched_at < bound:
-                bound = sched_at
-        if horizon is not None:
-            core_at = now + horizon
-            if bound is None or core_at < bound:
-                bound = core_at
-        if bound is None:
-            # nothing queued, nothing in flight, nothing running: a
-            # deadlocked or mis-wired machine — let the per-cycle path
-            # walk into the max_cycles guard loudly
-            return 0, None
-        skip = bound - now
-        if skip <= 0:
-            return 0, None
-        cap = max_cycles + 1 - now
-        if skip > cap:
-            skip = cap  # never silently sail past the cycle guard
-        return skip, refused
-
-    def _fast_forward(self, skip: int, refused) -> None:
-        """Jump ``skip`` inert cycles, applying their accounting in bulk."""
-        self.controller.bulk_tick(self.now, skip)
-        if refused is not None:
-            # a per-cycle loop would have probed DRAM each wait cycle:
-            # lazily applying refresh deadlines along the way, and
-            # counting the head as MS-delayed on the first refusal
-            self.controller.note_wait_refusal(refused, self.now)
-            end = self.now + skip - 1
-            # catch_up_refreshes' early-out, hoisted: most windows end
-            # before the next refresh deadline
-            refresh_at = self.dram._refresh_horizon
-            if refresh_at is not None and end >= refresh_at:
-                self.dram.catch_up_refreshes(end)
-        self.core.consume_wait(skip)
-        self.now += skip
-        stats = self.loop_stats
-        stats["jumps"] += 1
-        stats["cycles_skipped"] += skip
-
-    # ------------------------------------------------------------------
+        caq_depth = controller.caq.depth
+        limit = max_cycles + 1  # the first cycle a wait may not reach
+        now = self.now
+        ticks = 0
+        # idle test: the queues and the completion heap before core.done
+        while (
+            rq_items or wq_items or caq_items or lpq_items or completions
+            or not core.done
+        ):
+            controller_tick(now)
+            core_tick(now)
+            ticks += 1
+            if now >= max_cycles:
+                self.now = now + 1
+                raise self._cap_exceeded(ticks, max_cycles)
+            now += 1
+            # dense phase: commands flow reorder->CAQ every cycle
+            if (rq_items or wq_items) and len(caq_items) < caq_depth:
+                continue
+            if completions:
+                bound = completions[0][0]  # absolute cycle of the next event
+                if bound <= now:
+                    continue  # the next tick delivers it
+            else:
+                bound = None
+            horizon = linear_horizon()
+            if horizon == 0:
+                continue  # the next tick executes an access
+            sched_at, refused = next_scheduler_event(now)
+            if sched_at is not None:
+                if sched_at <= now:
+                    continue  # the next tick may issue or hit the buffer
+                if bound is None or sched_at < bound:
+                    bound = sched_at
+            if horizon is not None:
+                core_at = now + horizon
+                if bound is None or core_at < bound:
+                    bound = core_at
+            if bound is None:
+                # nothing queued, in flight or running: a deadlocked or
+                # mis-wired machine walks into the cycle guard loudly
+                continue
+            if bound > limit:
+                bound = limit  # never sail past the cycle guard
+            skip = bound - now
+            bulk_tick(now, skip)
+            if refused is not None:
+                # a per-cycle loop would have probed DRAM each wait
+                # cycle: lazily applying refresh deadlines along the
+                # way, and counting the head as MS-delayed on the first
+                # refusal
+                note_wait_refusal(refused, now)
+                end = now + skip - 1
+                # catch_up_refreshes' early-out, hoisted: most windows
+                # end before the next refresh deadline
+                refresh_at = dram._refresh_horizon
+                if refresh_at is not None and end >= refresh_at:
+                    dram.catch_up_refreshes(end)
+            consume_wait(skip)
+            now = bound
+            loop_stats["jumps"] += 1
+            loop_stats["cycles_skipped"] += skip
+            if now > max_cycles:
+                # a wait extended past the cap: fail exactly as the
+                # per-cycle loop would after ticking there
+                self.now = now
+                raise self._cap_exceeded(ticks, max_cycles)
+        self.now = now
+        loop_stats["ticks_executed"] = ticks
+        controller.settle_integrals(now)
+        return self._collect()
 
     # ------------------------------------------------------------------
     def _collect(self) -> RunResult:

@@ -100,6 +100,11 @@ class EpochProbes:
         def rec(name, value):
             self._series(name).record(epoch, value)
 
+        if system.loop_stats["mode"] == "event":
+            # the event loop keeps the occupancy integrals as queue
+            # accumulators: settle them at this sample's clock (the
+            # boundary fires in the core phase of cycle event.t)
+            system.controller.settle_integrals(event.t + 1)
         deltas = {
             k: s.snapshot_delta(self._prev[k])
             for k, s in self._stats_blocks.items()

@@ -5,11 +5,12 @@ loop, but both share the per-tick code: a change that alters both the
 same way passes it.  This test pins the store encoding of a small set
 of exact ``simulate()`` results (2000 accesses, seed 1) to SHA-256
 digests recorded in this file, so any change to what the simulator
-computes fails here.  The fast tier has no second implementation to
-check against, so its results (``simulate_job_fast``: the exact grid's
-variants, plus every profile under NP/PS/MS/PMS), one fast-model probe
-series and the generated trace records it reads (every profile) are
-pinned the same way.
+computes fails here.  One exact probe series (``EpochProbes`` reads
+the occupancy integrals mid-run) is pinned the same way.  The fast
+tier has no second implementation to check against, so its results
+(``simulate_job_fast``: the exact grid's variants, plus every profile
+under NP/PS/MS/PMS), one fast-model probe series and the generated
+trace records it reads (every profile) are pinned as well.
 
 Re-pin only when a change is meant to alter results::
 
@@ -26,6 +27,7 @@ from repro import BENCHMARKS, generate_trace, get_profile
 from repro.experiments import runner, store
 from repro.fastsim import FastModelProbes, simulate_job_fast
 from repro.system.presets import make_config
+from repro.telemetry import EpochProbes, Tracer
 
 ACCESSES = 2000
 SEED = 1
@@ -233,6 +235,7 @@ FAST_GOLDEN = {
     "notesbench/MS": "dd9e44115c594b98abb05acd8e17167685d10c2953256bea9c6e714fdccd57bd",
     "notesbench/PMS": "1b27efdfc5b1381978676be51bfa3c7119d4de58b4439db99846ea86d320adec",
 }
+EXACT_PROBE_GOLDEN = "5337a96c9da89e5e65b3d9384f411bc1420edb2fb37ae659f101bf5d240c8867"
 PROBE_GOLDEN = "fe25c67828bddfefa20e99324aab8d321b2eb1ab2b7bc7c828a59cff1015e469"
 TRACE_GOLDEN = {
     "GemsFDTD": "9c3d326aa1a927c85859ea2d82a19e42954c0b091b579359834efbae1e9a5fa5",
@@ -294,6 +297,13 @@ def _fast_digest(label):
     return _sha256(store.encode_result(result))
 
 
+def _exact_probe_digest():
+    probes = EpochProbes(interval=1)
+    runner.simulate_job(make_config("PMS"), "GemsFDTD", PROBE_ACCESSES, SEED,
+                        tracer=Tracer(enabled=True), probes=probes)
+    return _sha256({name: s.samples() for name, s in probes.series.items()})
+
+
 def _probe_digest():
     probes = FastModelProbes()
     simulate_job_fast(make_config("PMS"), "GemsFDTD", PROBE_ACCESSES, SEED,
@@ -323,6 +333,10 @@ def test_fast_result_matches_golden_digest(label):
     assert _fast_digest(label) == FAST_GOLDEN[label]
 
 
+def test_exact_probe_series_matches_golden_digest():
+    assert _exact_probe_digest() == EXACT_PROBE_GOLDEN
+
+
 def test_fast_probe_series_matches_golden_digest():
     assert _probe_digest() == PROBE_GOLDEN
 
@@ -341,6 +355,7 @@ if __name__ == "__main__":
     for job in FAST_JOBS:
         print(f'    "{job}": "{_fast_digest(job)}",')
     print("}")
+    print(f'EXACT_PROBE_GOLDEN = "{_exact_probe_digest()}"')
     print(f'PROBE_GOLDEN = "{_probe_digest()}"')
     print("TRACE_GOLDEN = {")
     for label in TRACE_JOBS:

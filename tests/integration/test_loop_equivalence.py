@@ -17,6 +17,7 @@ from repro.system.simulator import (
     resolve_loop_mode,
     simulate,
 )
+from repro.telemetry.probes import EpochProbes
 from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import SUITES
 
@@ -104,6 +105,35 @@ def test_queue_depth_samples_identical_across_modes():
         _run("PMS", traces, loop, tracer=tracer)
     assert samples["event"] == samples["reference"]
     assert len(samples["event"]) > 2
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_probe_series_identical_across_modes(threads):
+    # EpochProbes reads the mc.ticks / mc.occ_* integrals mid-run, at
+    # every epoch boundary: the event loop must hold them exact there,
+    # not only at the end of the run
+    traces = [
+        generate_trace(get_profile("GemsFDTD").workload, 8000, seed=1 + t)
+        for t in range(threads)
+    ]
+    series = {}
+    for loop in LOOP_MODES:
+        probes = EpochProbes(interval=1)
+        config = make_config("PMS", threads=threads)
+        System(config, traces, tracer=Tracer(enabled=True),
+               probes=probes).run(loop=loop)
+        series[loop] = {
+            name: s.samples() for name, s in probes.series.items()
+        }
+    assert series["event"] == series["reference"]
+    # not vacuous: several epochs, and every queue was occupied
+    averages = [
+        [value for _, value in samples]
+        for name, samples in series["event"].items()
+        if name.startswith("queue.") and name.endswith(".avg")
+    ]
+    assert len(averages) == 4
+    assert all(len(values) > 4 and max(values) > 0 for values in averages)
 
 
 def test_resolve_loop_mode_validates():

@@ -8,13 +8,17 @@ and telemetry flows through the CLI and the experiment runner without
 polluting the run cache.
 """
 
+import gc
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.experiments import runner
 from repro.system.presets import make_config
-from repro.system.simulator import simulate
+from repro.system.simulator import System, simulate
 from repro.telemetry import (
+    NULL_TRACER,
     EpochProbes,
     TelemetrySession,
     Tracer,
@@ -122,6 +126,37 @@ class TestTracedRun:
         }
         for epoch, policy in session.probes.get("policy.index").samples():
             assert by_epoch[epoch] == policy
+
+
+class TestProbesNeedATracer:
+    """Probes sample on the tracer's epoch events: without an enabled
+    tracer they would record nothing, and binding them to the shared
+    NULL_TRACER would keep every such System alive for the process."""
+
+    @staticmethod
+    def _held():
+        """(sinks on NULL_TRACER, live System objects)."""
+        gc.collect()
+        sinks = len(NULL_TRACER._global_sinks) + sum(
+            len(sinks) for sinks in NULL_TRACER._kind_sinks.values()
+        )
+        return sinks, sum(isinstance(o, System) for o in gc.get_objects())
+
+    def test_simulate_refuses_probes_without_enabled_tracer(self):
+        before = self._held()
+        for tracer in (None, Tracer(enabled=False)):
+            with pytest.raises(ValueError, match="probes"):
+                simulate(_small_epoch_config(), [_two_phase_trace(10, 8)],
+                         tracer=tracer, probes=EpochProbes())
+        with pytest.raises(ValueError, match="probes"):
+            runner.run("tonto", "PMS", accesses=500, probes=EpochProbes())
+        assert self._held() == before
+
+    def test_probes_with_enabled_tracer_still_sample(self):
+        probes = EpochProbes(interval=1)
+        simulate(_small_epoch_config(), [_two_phase_trace()],
+                 tracer=Tracer(), probes=probes)
+        assert probes.samples_taken > 0
 
 
 class TestRunnerCache:

@@ -31,16 +31,16 @@ def replay(spec):
         now += 1
         if op == "read":
             cmd = MemoryCommand(CommandKind.READ, line, arrival=now)
-            served = ms.read_lookup(line)
+            served = ms.read_lookup(line, now)
             if served:
                 assert line not in stale, "served stale data after a write"
             ms.observe_read(cmd, now, now * 8)
             stale.discard(line + 1)  # a fresh prefetch of line+1 may follow
         elif op == "write":
-            ms.observe_write(MemoryCommand(CommandKind.WRITE, line, arrival=now))
+            ms.observe_write(MemoryCommand(CommandKind.WRITE, line, arrival=now), now)
             stale.add(line)
         elif op == "issue" and ms.lpq.head() is not None:
-            ms.notify_issue(ms.lpq.pop())
+            ms.notify_issue(ms.lpq.pop(now))
         elif op == "complete" and ms.in_flight:
             target = next(iter(ms.in_flight))
             ms.notify_complete(

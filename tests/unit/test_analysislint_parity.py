@@ -20,6 +20,7 @@ from tests.unit._lint_util import mount, mount_text, real_tree
 DIVERGENT = ("parity_divergent.py", "src/repro/controller/parity_divergent.py")
 CLEAN = ("parity_clean.py", "src/repro/controller/parity_clean.py")
 BULK = ("par003_divergent.py", "src/repro/controller/par003_divergent.py")
+SETTLE = ("par001_settle.py", "src/repro/controller/par001_settle.py")
 
 
 class TestDivergentFixture:
@@ -56,6 +57,43 @@ class TestCleanFixture:
     def test_pair_detection_sees_the_class(self, tree):
         pairs = _class_pairs(tree.files[0])
         assert [cls.name for cls, _ in pairs] == ["BalancedController"]
+
+
+class TestSettleFixture:
+    """The event path is ``tick`` plus ``settle_integrals``."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return mount(SETTLE)
+
+    def test_forgotten_settled_integral_flagged(self, tree):
+        findings = StatsParityRule().check(tree)
+        assert [f.symbol for f in findings] == ["ForgetfulSettle"]
+        assert "only in tick_reference: occ_write" in findings[0].message
+        assert "occ_read" not in findings[0].message
+
+    def test_settle_counts_one_self_call_deep(self, tree):
+        by_name = {pa.cls.name: pa for pa in _analyses(tree)}
+        full = by_name["FullSettle"]
+        assert full.keys["tick"] == {"issued", "ticks", "occ_read"}
+        assert full.keys["tick"] == full.keys["tick_reference"]
+
+    def test_settle_is_not_counted_against_bulk_tick(self):
+        # PAR003 compares tick and bulk_tick alone: with the integrals
+        # settled from the clock, both sides write none
+        tree = mount_text(
+            "class Settled:\n"
+            "    def tick(self, now):\n"
+            '        self.stats.bump("issued")\n'
+            "\n"
+            "    def bulk_tick(self, start, cycles):\n"
+            "        pass\n"
+            "\n"
+            "    def settle_integrals(self, clock):\n"
+            '        self.stats.set("ticks", float(clock))\n',
+            "src/repro/controller/settled_bulk.py",
+        )
+        assert BulkTickParityRule().check(tree) == []
 
 
 class TestBulkTickFixture:

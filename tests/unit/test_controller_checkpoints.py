@@ -74,6 +74,26 @@ class TestSecondCheckPoint:
         assert mc.stats["pb_hits_caq"] == 1
         assert len(completed) == 2
 
+    def test_prefetch_issued_while_in_caq_merges(self):
+        # the CAQ-resident read's line goes in flight as a prefetch: the
+        # second check point attaches the read to it instead of DRAM
+        mc, completed = build(banks=1)
+        mc.enqueue(read(0), 0)
+        mc.enqueue(read(100), 0)
+        for now in range(3):
+            mc.tick(now)
+        assert 100 in [cmd.line for cmd in mc.caq]
+        pf = MemoryCommand(
+            CommandKind.READ, 100, provenance=Provenance.MS_PREFETCH
+        )
+        mc.ms.notify_issue(pf)
+        now = drain(mc, start=3)
+        assert mc.stats["pb_merges_caq"] == 1
+        assert mc.stats["issued_regular"] == 1
+        mc.ms.notify_complete(pf)  # the prefetch data delivers the read
+        drain(mc, start=now)
+        assert sorted(cmd.line for cmd, _ in completed) == [0, 100]
+
 
 class TestConflictAccounting:
     def test_blocked_head_read_counts_conflict(self):
@@ -82,7 +102,7 @@ class TestConflictAccounting:
         pf = MemoryCommand(
             CommandKind.READ, 0, provenance=Provenance.MS_PREFETCH
         )
-        mc.ms.lpq.push(pf)
+        mc.ms.lpq.push(pf, 0)
         mc.tick(0)  # prefetch issues (everything else empty: policy 1 ok)
         assert mc.stats["issued_prefetch"] == 1
         # a regular read to the held bank arrives and is blocked
@@ -96,7 +116,7 @@ class TestConflictAccounting:
         pf = MemoryCommand(
             CommandKind.READ, 0, provenance=Provenance.MS_PREFETCH
         )
-        mc.ms.lpq.push(pf)
+        mc.ms.lpq.push(pf, 0)
         mc.tick(0)
         mc.enqueue(read(100), 1)
         for now in range(1, 6):
@@ -108,7 +128,7 @@ class TestConflictAccounting:
         pf = MemoryCommand(
             CommandKind.READ, 0, provenance=Provenance.MS_PREFETCH
         )
-        mc.ms.lpq.push(pf)
+        mc.ms.lpq.push(pf, 0)
         mc.tick(0)
         mc.enqueue(read(100), 1)
         drain(mc, start=1)

@@ -62,14 +62,14 @@ class TestIssueComplete:
     def test_issue_tracks_in_flight(self):
         ms = make_ms()
         ms.observe_read(read(100), 0, 0)
-        cmd = ms.lpq.pop()
+        cmd = ms.lpq.pop(0)
         ms.notify_issue(cmd)
         assert cmd.line in ms.in_flight
 
     def test_complete_fills_buffer(self):
         ms = make_ms()
         ms.observe_read(read(100), 0, 0)
-        cmd = ms.lpq.pop()
+        cmd = ms.lpq.pop(0)
         ms.notify_issue(cmd)
         ms.notify_complete(cmd)
         assert cmd.line not in ms.in_flight
@@ -80,26 +80,26 @@ class TestReadLookup:
     def test_hit_consumes(self):
         ms = make_ms()
         ms.buffer.insert(101)
-        assert ms.read_lookup(101)
-        assert not ms.read_lookup(101)
+        assert ms.read_lookup(101, 0)
+        assert not ms.read_lookup(101, 0)
 
     def test_lookup_squashes_pending_prefetch(self):
         ms = make_ms()
         ms.observe_read(read(100), 0, 0)
         assert ms.lpq.contains_line(101)
-        ms.read_lookup(101)  # demand for the line arrived
+        ms.read_lookup(101, 0)  # demand for the line arrived
         assert not ms.lpq.contains_line(101)
 
     def test_disabled_lookup_misses(self):
         ms = make_ms(enabled=False)
-        assert not ms.read_lookup(101)
+        assert not ms.read_lookup(101, 0)
 
 
 class TestMerge:
     def prepared(self):
         ms = make_ms()
         ms.observe_read(read(100), 0, 0)
-        cmd = ms.lpq.pop()
+        cmd = ms.lpq.pop(0)
         ms.notify_issue(cmd)
         return ms, cmd
 
@@ -131,7 +131,7 @@ class TestMerge:
 
     def test_write_cancels_unmerged_in_flight(self):
         ms, pf = self.prepared()
-        ms.observe_write(write(101))
+        ms.observe_write(write(101), 0)
         ms.notify_complete(pf)
         # stale data must not land in the buffer
         assert not ms.buffer.contains(101)
@@ -141,7 +141,7 @@ class TestMerge:
         delivered = []
         ms.on_merge_ready = delivered.append
         ms.try_merge(read(101))
-        ms.observe_write(write(101))
+        ms.observe_write(write(101), 0)
         ms.notify_complete(pf)
         assert len(delivered) == 1
 
@@ -150,13 +150,13 @@ class TestWritePath:
     def test_write_invalidates_buffer(self):
         ms = make_ms()
         ms.buffer.insert(50)
-        ms.observe_write(write(50))
+        ms.observe_write(write(50), 0)
         assert not ms.buffer.contains(50)
 
     def test_write_squashes_lpq(self):
         ms = make_ms()
         ms.observe_read(read(100), 0, 0)
-        ms.observe_write(write(101))
+        ms.observe_write(write(101), 0)
         assert not ms.lpq.contains_line(101)
 
 
@@ -174,7 +174,7 @@ class TestEpochs:
     def test_coverage_metric(self):
         ms = make_ms()
         ms.buffer.insert(5)
-        ms.read_lookup(5)
+        ms.read_lookup(5, 0)
         assert ms.coverage(total_reads=10) == pytest.approx(0.1)
         assert ms.coverage(total_reads=0) == 0.0
 
