@@ -11,8 +11,8 @@ store (see repro.experiments.store) under ``.repro-results/``, so
 benchmarks that share runs — e.g. Figure 5 and Figure 8 — only pay for
 them once, and a *re-run* of any suite pays for nothing at all.
 ``REPRO_STORE=0`` keeps results in process memory instead, shared
-within one session only.  Export ``REPRO_JOBS=N`` to shard the
-grid-shaped suites across N worker processes.
+within one session only.  Export ``REPRO_JOBS=N`` to shard every
+figure's cells across N worker processes.
 """
 
 import os

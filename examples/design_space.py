@@ -7,24 +7,28 @@ scheduling policy — and prints a compact design table with speedups
 over the no-prefetch baseline and the hardware cost of each point.
 
 This is the workflow a practitioner would use to size the prefetcher
-for a new memory controller.
+for a new memory controller.  Each design point is data: a tuple of
+``(dotted.path, value)`` overrides of the PMS preset, the same form a
+``repro.experiments.sweep.Job`` carries to worker processes.
 
 Run:  python examples/design_space.py [benchmark]
 """
 
 import sys
-from dataclasses import replace
 
 from repro import generate_trace, get_profile, make_config, simulate
 from repro.analysis.hardware import estimate_cost
 from repro.analysis.report import format_table
 
-
-def run_point(trace, label, mutate):
-    config = mutate(make_config("PMS"))
-    result = simulate(config, trace)
-    cost = estimate_cost(config.ms_prefetcher)
-    return label, result, cost
+#: Design points as data: (label, (dotted.path, value) overrides of PMS).
+POINTS = [("default (16 PB, 8 SF, d1, adaptive)", ())]
+POINTS += [(f"PB {n} lines", (("ms_prefetcher.buffer.entries", n),))
+           for n in (8, 32)]
+POINTS += [(f"SF {n} slots", (("ms_prefetcher.stream_filter.slots", n),))
+           for n in (4, 16)]
+POINTS += [(f"degree {d}", (("ms_prefetcher.degree", d),)) for d in (2, 4)]
+POINTS += [(f"fixed policy {k}",
+            (("ms_prefetcher.scheduling.fixed_policy", k),)) for k in (1, 5)]
 
 
 def main() -> None:
@@ -32,66 +36,16 @@ def main() -> None:
     trace = generate_trace(get_profile(bench).workload, 12_000, seed=1)
     baseline = simulate(make_config("NP"), trace)
 
-    points = []
-
-    def pb(entries):
-        def mutate(c):
-            ms = replace(
-                c.ms_prefetcher,
-                buffer=replace(
-                    c.ms_prefetcher.buffer,
-                    entries=entries,
-                    assoc=min(4, entries),
-                ),
-            )
-            return c.derive(ms_prefetcher=ms)
-
-        return mutate
-
-    def slots(n):
-        def mutate(c):
-            ms = replace(
-                c.ms_prefetcher,
-                stream_filter=replace(c.ms_prefetcher.stream_filter, slots=n),
-            )
-            return c.derive(ms_prefetcher=ms)
-
-        return mutate
-
-    def degree(d):
-        def mutate(c):
-            return c.derive(ms_prefetcher=replace(c.ms_prefetcher, degree=d))
-
-        return mutate
-
-    def policy(k):
-        def mutate(c):
-            ms = replace(
-                c.ms_prefetcher,
-                scheduling=replace(c.ms_prefetcher.scheduling, fixed_policy=k),
-            )
-            return c.derive(ms_prefetcher=ms)
-
-        return mutate
-
-    points.append(run_point(trace, "default (16 PB, 8 SF, d1, adaptive)", lambda c: c))
-    for entries in (8, 32):
-        points.append(run_point(trace, f"PB {entries} lines", pb(entries)))
-    for n in (4, 16):
-        points.append(run_point(trace, f"SF {n} slots", slots(n)))
-    for d in (2, 4):
-        points.append(run_point(trace, f"degree {d}", degree(d)))
-    for k in (1, 5):
-        points.append(run_point(trace, f"fixed policy {k}", policy(k)))
-
     rows = []
-    for label, result, cost in points:
+    for label, overrides in POINTS:
+        config = make_config("PMS").with_overrides(overrides)
+        result = simulate(config, trace)
         rows.append(
             [
                 label,
                 baseline.cycles / result.cycles,
                 result.useful_prefetch_fraction * 100,
-                cost.total_state_bytes,
+                estimate_cost(config.ms_prefetcher).total_state_bytes,
             ]
         )
     print(

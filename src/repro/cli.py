@@ -525,7 +525,7 @@ def _cmd_sweep(args) -> int:
     import logging
     import os
 
-    from repro.experiments import sweep
+    from repro.experiments import runner, sweep
     from repro.obs import critpath, exporters, metrics
     from repro.obs import progress as obs_progress
     from repro.obs import spans as obs_spans
@@ -545,8 +545,7 @@ def _cmd_sweep(args) -> int:
         )
         logging.getLogger("repro").setLevel(logging.INFO)
     jobs = args.jobs if args.jobs is not None else (
-        int(os.environ["REPRO_JOBS"]) if "REPRO_JOBS" in os.environ
-        else os.cpu_count() or 1
+        runner.env_int("REPRO_JOBS", os.cpu_count() or 1)
     )
     configs = list(args.configs)
     specs = sweep.expand_grid(benchmarks, configs, accesses=args.accesses,

@@ -7,13 +7,14 @@ DDR2-533 memory system behind a Power5+-style controller.
 
 All configs are plain frozen-ish dataclasses (mutable for ease of sweep
 construction, but treated as immutable once a simulation starts).  Use
-:func:`dataclasses.replace` to derive sweep points.
+:meth:`SystemConfig.with_overrides` (or :func:`dataclasses.replace`) to
+derive sweep points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -468,3 +469,37 @@ class SystemConfig:
     def derive(self, **changes) -> "SystemConfig":
         """Return a shallow-copied config with top-level fields replaced."""
         return replace(self, **changes)
+
+    def with_overrides(self, overrides: Iterable[Tuple[str, object]]) -> "SystemConfig":
+        """A validated copy with each ``(dotted.path, value)`` field set,
+        e.g. ``("ms_prefetcher.buffer.entries", 8)``; ``self`` is
+        untouched.  A bad or repeated path, a value of another type than
+        the field's (replacing ``None`` is allowed) or a result that
+        fails :meth:`validate` raises ``ValueError`` naming the path."""
+        config, paths = self, []
+        for path, value in overrides:
+            if path in paths:
+                raise ValueError(f"override {path!r} is given twice")
+            paths.append(path)
+            config = _with_field(config, path.split("."), value, path)
+        try:
+            return config.validate()
+        except (TypeError, ValueError) as exc:  # a mistyped ex-None field: TypeError
+            raise ValueError(f"overrides {paths} fail validation: {exc}") from None
+
+
+def _with_field(block: object, names: Sequence[str], value: object, path: str):
+    """A copy of ``block`` with the field at ``names`` set to ``value``."""
+    name, rest = names[0], names[1:]
+    if name not in {f.name for f in fields(block)}:
+        raise ValueError(f"override {path!r}: no field {name!r} in {type(block).__name__}")
+    current = getattr(block, name)
+    if is_dataclass(current) != bool(rest):
+        raise ValueError(f"override {path!r} must lead through config blocks to a scalar")
+    if rest:
+        value = _with_field(current, rest, value, path)
+    elif current is not None and type(value) is not type(current):
+        raise ValueError(
+            f"override {path!r}: expected {type(current).__name__}, got {value!r}"
+        )
+    return replace(block, **{name: value})

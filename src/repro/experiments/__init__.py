@@ -2,13 +2,14 @@
 
 Every module exposes a pure function that computes the experiment's
 data (used by the benchmark suite and tests) plus a ``main()`` that
-prints the paper-style rows.  The shared :mod:`repro.experiments.runner`
-resolves every simulation run through the content-addressed
-:mod:`repro.experiments.store`, so experiments that need the same
-(benchmark, config) pair — e.g. Figure 5 and Figure 8 — pay for it
-once *ever* per machine, not once per process; and
-:mod:`repro.experiments.sweep` shards whole grids across worker
-processes (``run_suite(jobs=N)``).  See docs/experiments.md.
+prints the paper-style rows.  Every figure builds its cells as
+:class:`~repro.experiments.sweep.Job` lists (a config variant is a job
+with ``overrides``) and resolves them with one
+:func:`~repro.experiments.sweep.run_jobs` call, through the
+content-addressed :mod:`repro.experiments.store`: experiments that need
+the same (benchmark, config) pair — e.g. Figure 5 and Figure 8 — pay
+for it once *ever* per machine, not once per process, and ``REPRO_JOBS``
+shards every figure across worker processes.  See docs/experiments.md.
 
 Experiment ids (see DESIGN.md Section 4):
 
@@ -33,7 +34,7 @@ Experiment ids (see DESIGN.md Section 4):
 ========================  =====================================
 """
 
-from repro.experiments.runner import run, run_configs, run_suite
+from repro.experiments.runner import run, run_suite
 from repro.experiments.store import ResultStore, get_store
 from repro.experiments.sweep import Job, SweepOutcome, SweepStats, run_jobs
 
@@ -44,7 +45,6 @@ __all__ = [
     "SweepStats",
     "get_store",
     "run",
-    "run_configs",
     "run_jobs",
     "run_suite",
 ]

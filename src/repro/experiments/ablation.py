@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import run
+from repro.experiments.runner import run_suite
 from repro.system.presets import ABLATION_CONFIGS
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
@@ -72,18 +72,14 @@ def fig11_ablation(
     accesses: Optional[int] = None,
 ) -> AblationFigure:
     """Compute Figure 11 over the focus benchmarks."""
+    runs = run_suite(benchmarks, ABLATION_CONFIGS, accesses=accesses)
     figure = AblationFigure(benchmarks)
     for benchmark in benchmarks:
-        base = run(benchmark, "PMS", accesses=accesses)
-        row: Dict[str, float] = {}
-        for config in ABLATION_CONFIGS:
-            result = (
-                base
-                if config == "PMS"
-                else run(benchmark, config, accesses=accesses)
-            )
-            row[config] = result.normalized_time_vs(base)
-        figure.normalized[benchmark] = row
+        base = runs[benchmark]["PMS"]
+        figure.normalized[benchmark] = {
+            config: result.normalized_time_vs(base)
+            for config, result in runs[benchmark].items()
+        }
     return figure
 
 

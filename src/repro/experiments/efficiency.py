@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import run
+from repro.experiments.runner import run_suite
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
 
@@ -49,9 +49,10 @@ def fig13_efficiency(
     config: str = "PMS",
 ) -> EfficiencyFigure:
     """Compute Figure 13 over the focus benchmarks."""
+    runs = run_suite(benchmarks, (config,), accesses=accesses)
     figure = EfficiencyFigure()
     for benchmark in benchmarks:
-        result = run(benchmark, config, accesses=accesses)
+        result = runs[benchmark][config]
         stats = result.stats
         reads = stats.get("mc.reads_arrived", 0) or 1
         covered = result.pb_hits + stats.get("mc.merged_responses", 0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import run
+from repro.experiments.runner import run_suite
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
 DEGREES = (1, 2, 3, 4)
@@ -40,13 +40,14 @@ def degree_sweep(
     degrees: Sequence[int] = DEGREES,
 ) -> DegreeSweep:
     """Multi-line prefetching via inequality (6), degrees 1..4."""
+    names = {d: "PMS" if d == 1 else f"PMS_DEGREE{d}" for d in degrees}
+    runs = run_suite(benchmarks, ("NP", *names.values()), accesses=accesses)
     sweep = DegreeSweep(benchmarks)
     for benchmark in benchmarks:
-        baseline = run(benchmark, "NP", accesses=accesses)
+        baseline = runs[benchmark]["NP"]
         row: Dict[int, float] = {}
         for degree in degrees:
-            name = "PMS" if degree == 1 else f"PMS_DEGREE{degree}"
-            result = run(benchmark, name, accesses=accesses)
+            result = runs[benchmark][names[degree]]
             row[degree] = baseline.cycles / result.cycles if result.cycles else 0.0
         sweep.speedups[benchmark] = row
     return sweep
@@ -69,15 +70,14 @@ def asd_only(
     accesses: Optional[int] = None,
 ) -> ASDOnlyResult:
     """Single-prefetcher machines head to head (paper future work)."""
+    keys = {"asd": "ASD_PS", "ps": "PS", "ps_asd": "PS_ASD"}
+    runs = run_suite(benchmarks, ("NP", *keys.values()), accesses=accesses)
     result = ASDOnlyResult(benchmarks)
     for benchmark in benchmarks:
-        baseline = run(benchmark, "NP", accesses=accesses)
+        by_config = runs[benchmark]
         result.gains[benchmark] = {
-            "asd": run(benchmark, "ASD_PS", accesses=accesses).gain_vs(baseline),
-            "ps": run(benchmark, "PS", accesses=accesses).gain_vs(baseline),
-            "ps_asd": run(benchmark, "PS_ASD", accesses=accesses).gain_vs(
-                baseline
-            ),
+            key: by_config[name].gain_vs(by_config["NP"])
+            for key, name in keys.items()
         }
     return result
 

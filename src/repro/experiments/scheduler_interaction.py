@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import run
+from repro.experiments.runner import default_jobs
+from repro.experiments.sweep import expand_grid, run_jobs
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
 SCHEDULER_ORDER = ("ahb", "memoryless", "in_order")
@@ -40,12 +41,18 @@ def tab_scheduler_interaction(
     accesses: Optional[int] = None,
 ) -> SchedulerInteraction:
     """PMS-vs-NP gain under each scheduler (NP re-run per scheduler)."""
+    specs = [
+        job
+        for scheduler in SCHEDULER_ORDER
+        for job in expand_grid(benchmarks, ("NP", "PMS"), accesses=accesses,
+                               scheduler=scheduler)
+    ]
+    runs = iter(run_jobs(specs, jobs=default_jobs()).results)
     result = SchedulerInteraction(benchmarks)
     for scheduler in SCHEDULER_ORDER:
         row: Dict[str, float] = {}
         for benchmark in benchmarks:
-            base = run(benchmark, "NP", accesses=accesses, scheduler=scheduler)
-            pms = run(benchmark, "PMS", accesses=accesses, scheduler=scheduler)
+            base, pms = next(runs), next(runs)
             row[benchmark] = pms.gain_vs(base)
         result.gains[scheduler] = row
     return result

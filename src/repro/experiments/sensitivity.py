@@ -12,12 +12,12 @@ reads) is included as ``epoch_sweep``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.common.config import SystemConfig
-from repro.experiments.runner import run
+from repro.experiments.runner import default_jobs
+from repro.experiments.sweep import Job, run_jobs
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
 PB_SIZES = (8, 16, 32, 1024)
@@ -39,61 +39,30 @@ class SweepFigure:
         return sum(rows) / len(rows)
 
 
-def _pb_mutator(entries: int):
-    def mutate(config: SystemConfig) -> SystemConfig:
-        assoc = min(config.ms_prefetcher.buffer.assoc, entries)
-        ms = replace(
-            config.ms_prefetcher,
-            buffer=replace(
-                config.ms_prefetcher.buffer, entries=entries, assoc=assoc
-            ),
-        )
-        return config.derive(ms_prefetcher=ms)
-
-    return mutate
-
-
-def _sf_mutator(slots: int):
-    def mutate(config: SystemConfig) -> SystemConfig:
-        ms = replace(
-            config.ms_prefetcher,
-            stream_filter=replace(config.ms_prefetcher.stream_filter, slots=slots),
-        )
-        return config.derive(ms_prefetcher=ms)
-
-    return mutate
-
-
-def _epoch_mutator(epoch_reads: int):
-    def mutate(config: SystemConfig) -> SystemConfig:
-        ms = replace(
-            config.ms_prefetcher,
-            slh=replace(config.ms_prefetcher.slh, epoch_reads=epoch_reads),
-        )
-        return config.derive(ms_prefetcher=ms)
-
-    return mutate
-
-
 def _sweep(
     parameter: str,
+    path: str,
     values: Sequence[int],
-    mutator_factory,
     benchmarks: Sequence[str],
     accesses: Optional[int],
 ) -> SweepFigure:
+    """NP plus one PMS variant per value (``path`` overridden), per
+    benchmark, resolved in one :func:`run_jobs` call."""
+    specs: List[Job] = []
+    for benchmark in benchmarks:
+        specs.append(Job(benchmark, "NP", accesses=accesses))
+        specs.extend(
+            Job(benchmark, "PMS", accesses=accesses,
+                overrides=((path, value),))
+            for value in values
+        )
+    results = iter(run_jobs(specs, jobs=default_jobs()).results)
     figure = SweepFigure(parameter, values)
     for benchmark in benchmarks:
-        baseline = run(benchmark, "NP", accesses=accesses)
+        baseline = next(results)
         row: Dict[int, float] = {}
         for value in values:
-            result = run(
-                benchmark,
-                "PMS",
-                accesses=accesses,
-                mutate=mutator_factory(value),
-                mutate_key=f"{parameter}={value}",
-            )
+            result = next(results)
             row[value] = baseline.cycles / result.cycles if result.cycles else 0.0
         figure.speedups[benchmark] = row
     return figure
@@ -105,7 +74,8 @@ def fig14_buffer_size(
     sizes: Sequence[int] = PB_SIZES,
 ) -> SweepFigure:
     """Figure 14: PMS speedup vs Prefetch Buffer size."""
-    return _sweep("pb_entries", sizes, _pb_mutator, benchmarks, accesses)
+    return _sweep("pb_entries", "ms_prefetcher.buffer.entries", sizes,
+                  benchmarks, accesses)
 
 
 def fig15_filter_size(
@@ -114,7 +84,8 @@ def fig15_filter_size(
     sizes: Sequence[int] = SF_SIZES,
 ) -> SweepFigure:
     """Figure 15: PMS speedup vs Stream Filter size."""
-    return _sweep("sf_slots", sizes, _sf_mutator, benchmarks, accesses)
+    return _sweep("sf_slots", "ms_prefetcher.stream_filter.slots", sizes,
+                  benchmarks, accesses)
 
 
 def epoch_sweep(
@@ -123,7 +94,8 @@ def epoch_sweep(
     lengths: Sequence[int] = EPOCH_LENGTHS,
 ) -> SweepFigure:
     """Extension: PMS speedup vs SLH epoch length."""
-    return _sweep("epoch_reads", lengths, _epoch_mutator, benchmarks, accesses)
+    return _sweep("epoch_reads", "ms_prefetcher.slh.epoch_reads", lengths,
+                  benchmarks, accesses)
 
 
 def render(figure: SweepFigure) -> str:

@@ -19,7 +19,7 @@ from repro.analysis.slh_accuracy import exact_slh, slh_rms_error
 from repro.cache.hierarchy import CacheHierarchy, Level
 from repro.common.config import SLHConfig, StreamFilterConfig, SystemConfig
 from repro.common.types import Direction
-from repro.experiments.runner import default_accesses, get_trace
+from repro.experiments.runner import get_trace
 from repro.prefetch.slh import LikelihoodTables, slh_bars
 from repro.prefetch.stream_filter import StreamFilter
 from repro.workloads.trace import Trace
@@ -106,7 +106,7 @@ def fig3_slh_phases(
     accesses: Optional[int] = None,
 ) -> SLHFigure:
     """Figure 3: SLHs of every epoch plus the all-epoch aggregate."""
-    trace = get_trace(benchmark, accesses or default_accesses())
+    trace = get_trace(benchmark, accesses)
     reads = mc_read_stream(trace)
     epoch_bars = []
     for start in range(0, len(reads) - epoch_reads + 1, epoch_reads):
@@ -155,7 +155,7 @@ def fig16_slh_accuracy(
     sf_config: Optional[StreamFilterConfig] = None,
 ) -> SLHAccuracy:
     """Figure 16: how closely the 8-slot filter tracks the exact SLH."""
-    trace = get_trace(benchmark, accesses or default_accesses())
+    trace = get_trace(benchmark, accesses)
     reads = mc_read_stream(trace)
     start = min(epoch_index * epoch_reads, max(len(reads) - epoch_reads, 0))
     window = reads[start : start + epoch_reads]

@@ -3,21 +3,23 @@
 Each completed run is written as one JSON file under ``.repro-results/``
 (override with ``REPRO_STORE_DIR``), keyed by a SHA-256 hash of the
 *full job specification* — benchmark, configuration name, trace length,
-seed, thread count, scheduler, mutate key, and a fingerprint of the
-fully-built :class:`~repro.common.config.SystemConfig`.  That job key
-is the one job identity: ``runner.run``, the sweep engine, the fidelity
+seed, thread count, scheduler, and a fingerprint of the fully-built
+:class:`~repro.common.config.SystemConfig`.  That job key is the one
+job identity: the sweep engine (and so ``runner.run``), the fidelity
 orchestrator and the fabric all read and write results through it.
 
 With the store off (``REPRO_STORE=0`` or ``use_store=False``),
 :func:`active_store` hands out a :class:`MemoryStore` instead: the same
 ``get``/``put`` under the same keys, holding encoded results in process
 memory (so every read decodes a fresh object, as from disk) until
-``runner.clear_cache()`` empties it.
+``runner.clear_cache()`` empties it, and at most
+:data:`MEMORY_STORE_ENTRIES` of them (least recently used first out).
 
 Because the config fingerprint covers every knob of the final config
-(including sweep mutations and preset definitions), editing a preset or
-a mutation automatically invalidates exactly the affected entries —
-stale results can never be served.
+(including a job's overrides and preset definitions), editing a preset
+automatically invalidates exactly the affected entries — stale results
+can never be served — and an override that leaves the config unchanged
+shares the preset's key.
 
 Traced runs (tracer or probes attached) are **never** stored: their
 side effects are the point of running them, and a stored result cannot
@@ -36,6 +38,7 @@ import json
 import os
 import tempfile
 import time
+from collections import OrderedDict
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.common.config import SystemConfig
@@ -55,6 +58,10 @@ DEFAULT_ROOT = ".repro-results"
 #: Orphaned ``.tmp-*`` files younger than this are presumed to belong
 #: to a live writer and are left alone (see ResultStore.sweep_orphans).
 ORPHAN_MIN_AGE_SECONDS = 3600.0
+
+#: Most results a :class:`MemoryStore` keeps (~4 KiB each, so ~16 MiB):
+#: ten times the 340 distinct cells of the experiments report.
+MEMORY_STORE_ENTRIES = 4096
 
 
 def store_root() -> str:
@@ -86,12 +93,12 @@ def job_spec(
     seed: int,
     threads: int,
     scheduler: str,
-    mutate_key: Optional[str],
     config: SystemConfig,
     fidelity: str = "exact",
 ) -> Dict[str, object]:
     """The canonical job specification a store key is derived from.
 
+    A job's overrides are identified by ``config_fingerprint`` alone.
     Exact jobs keep the historical key shape (no ``fidelity`` key), so
     every pre-existing store entry stays addressable.  Fast-tier jobs
     add the tier *and* the fast-model version: bumping
@@ -105,7 +112,8 @@ def job_spec(
         "seed": seed,
         "threads": threads,
         "scheduler": scheduler,
-        "mutate_key": mutate_key,
+        # Always None now; kept so that every existing key stays valid.
+        "mutate_key": None,
         "config_fingerprint": config_fingerprint(config),
     }
     if fidelity != "exact":
@@ -346,24 +354,30 @@ class MemoryStore:
 
     Keyed by :func:`job_key` like the disk store and holding encoded
     results, so a hit decodes a fresh :class:`RunResult` exactly as a
-    disk read would; nothing touches the file system.
+    disk read would; nothing touches the file system.  It keeps the
+    :data:`MEMORY_STORE_ENTRIES` most recently used results.
     """
 
     def __init__(self) -> None:
         self.stats = StoreStats()
-        self._payloads: Dict[str, Dict[str, object]] = {}
+        self._payloads: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
 
     def get(self, spec: Mapping[str, object]) -> Optional[RunResult]:
-        payload = self._payloads.get(job_key(spec))
+        key = job_key(spec)
+        payload = self._payloads.get(key)
         if payload is None:
             self.stats.misses += 1
             return None
+        self._payloads.move_to_end(key)
         self.stats.hits += 1
         return decode_result(payload)
 
     def put(self, spec: Mapping[str, object], result: RunResult) -> str:
         key = job_key(spec)
         self._payloads[key] = encode_result(result)
+        self._payloads.move_to_end(key)
+        while len(self._payloads) > MEMORY_STORE_ENTRIES:
+            self._payloads.popitem(last=False)
         self.stats.puts += 1
         return key
 

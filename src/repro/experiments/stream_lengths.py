@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import default_accesses, get_trace
+from repro.experiments.runner import get_trace
 from repro.experiments.slh_figures import mc_read_stream
 from repro.workloads.profiles import FOCUS_BENCHMARKS
 
@@ -97,7 +97,7 @@ def fig12_stream_lengths(
     """Compute Figure 12 over the focus benchmarks."""
     figure = StreamLengthFigure(benchmarks)
     for benchmark in benchmarks:
-        trace = get_trace(benchmark, accesses or default_accesses())
+        trace = get_trace(benchmark, accesses)
         counts = stream_length_counts(mc_read_stream(trace))
         total = sum(counts.values()) or 1
         row = {

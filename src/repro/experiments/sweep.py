@@ -75,13 +75,18 @@ from repro.system.results import RunResult
 _log = logging.getLogger("repro.experiments.sweep")
 
 
+#: Config paths a job sets through its own fields, so no override may.
+_JOB_PATHS = ("name", "threads", "controller.scheduler")
+
+
 @dataclass(frozen=True)
 class Job:
     """One cell of a sweep grid, in unresolved (default-able) form.
 
-    Jobs name preset configs only: mutate callables cannot cross
-    process boundaries, so mutated runs go through
-    ``runner.run(mutate=..., mutate_key=...)`` serially.
+    A config variant is data: ``overrides`` holds ``(dotted.path,
+    scalar)`` pairs, e.g. ``(("ms_prefetcher.buffer.entries", 8),)``,
+    that :func:`prepare` applies to the named preset.  The store key
+    fingerprints the built config, so a variant needs no name of its own.
     """
 
     benchmark: str
@@ -93,9 +98,12 @@ class Job:
     #: execution tier: "exact" (cycle-accurate simulator) or "fast"
     #: (the :mod:`repro.fastsim` analytic model) — docs/fidelity.md
     fidelity: str = "exact"
+    #: config variant, sorted by path in :meth:`resolve`
+    overrides: Tuple[Tuple[str, object], ...] = ()
 
     def resolve(self) -> "Job":
-        """Fill env-backed defaults and validate the trace length."""
+        """Fill env-backed defaults, validate the trace length, sort and
+        check the overrides."""
         if self.fidelity not in JOB_FIDELITIES:
             raise ValueError(
                 f"unknown job fidelity {self.fidelity!r}: expected one of "
@@ -107,7 +115,21 @@ class Job:
             self,
             accesses=runner.resolve_accesses(self.accesses),
             seed=runner.default_seed() if self.seed is None else self.seed,
+            overrides=_sorted_overrides(self) if self.overrides else (),
         )
+
+
+def _sorted_overrides(job: Job) -> Tuple[Tuple[str, object], ...]:
+    """``job.overrides`` sorted by path; :func:`prepare` checks the rest."""
+    pairs = sorted((tuple(pair) for pair in job.overrides), key=lambda p: p[0])
+    if job.fidelity == "fast":
+        # predict() ignores the scheduler, core.mlp, the scheduling
+        # policy and the LPQ depth: an override there would not apply
+        raise ValueError(f"overrides {pairs} need an exact job, not a fast one")
+    for path, _ in pairs:
+        if path in _JOB_PATHS:
+            raise ValueError(f"override {path!r}: set it with the Job's own field")
+    return tuple(pairs)
 
 
 def expand_grid(
@@ -137,20 +159,24 @@ def expand_grid(
 
 
 def prepare(job: Job) -> Tuple["Job", Dict[str, object], SystemConfig]:
-    """Resolve one job and derive its identity.
+    """Resolve one job, build its config, and derive its identity.
 
-    Returns ``(resolved job, store spec, built config)``.  The store
-    spec embeds a fingerprint of the built config, which is what makes
-    job keys portable: any process (local worker, remote fabric agent,
+    Returns ``(resolved job, store spec, built config)``: the named
+    preset with the job's overrides applied.  The store spec embeds a
+    fingerprint of the built config, which is what makes job keys
+    portable: any process (local worker, remote fabric agent,
     coordinator) that prepares the same job from the same code arrives
-    at the same SHA-256 key.
+    at the same SHA-256 key.  A bad override raises ``ValueError``
+    naming its path.
     """
     job = job.resolve()
     config = make_config(job.config_name, threads=job.threads,
                          scheduler=job.scheduler)
+    if job.overrides:
+        config = config.with_overrides(job.overrides)
     spec = store.job_spec(job.benchmark, job.config_name, job.accesses,
-                          job.seed, job.threads, job.scheduler, None,
-                          config, fidelity=job.fidelity)
+                          job.seed, job.threads, job.scheduler, config,
+                          fidelity=job.fidelity)
     return job, spec, config
 
 
@@ -400,8 +426,8 @@ def compute_job(
 def _execute_job(payload: Dict[str, object], config: SystemConfig) -> Dict[str, object]:
     """Worker entry point: simulate one resolved job.
 
-    The parent ships the fully-built :class:`SystemConfig` (jobs name
-    presets only), so workers never need callables; the result travels
+    The parent ships the fully-built :class:`SystemConfig`, overrides
+    applied, so workers rebuild nothing; the result travels
     back through the store codec, annotated with a small ``_obs``
     timing block (queue wait + exec seconds) the parent strips before
     decoding.

@@ -117,7 +117,10 @@ def trace_context(
 
 # -- jobs ---------------------------------------------------------------
 def encode_job(job: sweep.Job) -> Dict[str, object]:
-    """Wire form of one *resolved* job (store-spec field names)."""
+    """Wire form of one *resolved* job (store-spec field names); the wire
+    names presets only, so a job with ``overrides`` is refused."""
+    if job.overrides:
+        raise ProtocolError(f"job.overrides {job.overrides} cannot go on the wire")
     if job.accesses is None or job.seed is None:
         raise ProtocolError(
             "jobs must be resolved (accesses and seed filled in) before "

@@ -30,7 +30,6 @@ METRIC_NAMES = {
     "repro_run_instructions_total": ("counter", ()),
     "repro_run_prefetches_total": ("counter", ()),
     "repro_runs_completed_total": ("counter", ("config", "loop_mode")),
-    "repro_runs_total": ("counter", ("source",)),
     "repro_store_bytes_written_total": ("counter", ()),
     "repro_store_reads_total": ("counter", ("result",)),
     "repro_store_writes_total": ("counter", ()),

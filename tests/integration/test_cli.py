@@ -1,5 +1,7 @@
 """Integration tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -35,6 +37,20 @@ class TestRun:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError):
             main(["run", "-b", "quake4", "-n", "1000"])
+
+
+class TestSweep:
+    def test_bad_repro_jobs_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match="REPRO_JOBS='two'"):
+            main(["sweep", "-b", "tonto", "-c", "NP", "-n", "500",
+                  "--no-progress"])
+
+    def test_jobs_default_to_the_cpu_count(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["sweep", "-b", "tonto", "-c", "NP", "-n", "500",
+                     "--no-progress"]) == 0
+        assert f"jobs={os.cpu_count() or 1})" in capsys.readouterr().out
 
 
 class TestCompare:

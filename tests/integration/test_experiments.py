@@ -6,7 +6,7 @@ right shape; the full-size qualitative assertions live in benchmarks/.
 
 import pytest
 
-from repro.experiments import runner, store
+from repro.experiments import runner, store, sweep
 from repro.experiments.ablation import fig11_ablation
 from repro.experiments.efficiency import fig13_efficiency
 from repro.experiments.extensions import asd_only, degree_sweep
@@ -14,7 +14,11 @@ from repro.experiments.hardware_cost import tab_hardware_cost
 from repro.experiments.performance import performance_figure
 from repro.experiments.power import power_figure
 from repro.experiments.scheduler_interaction import tab_scheduler_interaction
-from repro.experiments.sensitivity import fig14_buffer_size, fig15_filter_size
+from repro.experiments.sensitivity import (
+    epoch_sweep,
+    fig14_buffer_size,
+    fig15_filter_size,
+)
 from repro.experiments.slh_figures import (
     fig16_slh_accuracy,
     fig2_slh_example,
@@ -43,18 +47,14 @@ class TestRunner:
         assert runner.cache_info()["simulated"] == 1
         assert len(store.get_store()) == 1
 
-    def test_mutated_runs_not_cached_without_key(self):
-        runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c)
-        runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c)
-        assert runner.cache_info()["simulated"] == 2
-        assert len(store.get_store()) == 0
-
-    def test_mutated_runs_cached_with_key(self):
+    def test_override_runs_are_stored(self):
+        job = sweep.Job("tonto", "NP", accesses=SMALL,
+                        overrides=(("core.mlp", 2),))
         for _ in range(2):
-            runner.run("tonto", "NP", accesses=SMALL, mutate=lambda c: c,
-                       mutate_key="x")
-        assert runner.cache_info()["simulated"] == 1
-        assert len(store.get_store()) == 1
+            sweep.run_jobs([job])
+        runner.run("tonto", "NP", accesses=SMALL)  # the preset: its own key
+        assert runner.cache_info()["simulated"] == 2
+        assert len(store.get_store()) == 2
 
     def test_smt_uses_distinct_seeds(self):
         runner.run("tonto", "NP", accesses=SMALL, threads=2)
@@ -81,6 +81,13 @@ class TestSLHFigures:
         acc = fig16_slh_accuracy(accesses=SMALL, epoch_reads=500)
         assert 0 <= acc.rms_error < 0.5
         assert acc.table()
+
+    @pytest.mark.parametrize(
+        "figure", [fig3_slh_phases, fig16_slh_accuracy, fig12_stream_lengths]
+    )
+    def test_zero_accesses_is_an_error_not_the_default(self, figure):
+        with pytest.raises(ValueError, match="positive trace length"):
+            figure(accesses=0)
 
 
 class TestPerformanceAndPower:
@@ -125,6 +132,25 @@ class TestFocusFigures:
     def test_fig15_sweep_values(self):
         fig = fig15_filter_size(benchmarks=("tpcc",), accesses=SMALL, sizes=(4, 8))
         assert set(fig.speedups["tpcc"]) == {4, 8}
+
+
+class TestEveryFigureRunsThroughRunJobs:
+    def test_with_repro_jobs_2_nothing_simulates_in_this_process(
+        self, monkeypatch
+    ):
+        # every cell, config variants included, runs in a worker
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        one = {"benchmarks": ("tonto",), "accesses": SMALL}
+        fig11_ablation(**one)
+        fig13_efficiency(**one)
+        fig14_buffer_size(**one, sizes=(8, 16))
+        fig15_filter_size(**one, sizes=(4, 8))
+        epoch_sweep(**one, lengths=(500,))
+        tab_scheduler_interaction(**one)
+        degree_sweep(**one, degrees=(1, 2))
+        asd_only(**one)
+        assert runner.cache_info()["simulated"] == 0
+        assert len(store.get_store()) > 0
 
 
 class TestTables:

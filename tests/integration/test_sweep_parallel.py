@@ -10,11 +10,23 @@ import os
 
 import pytest
 
-from repro.experiments import runner, store
+from repro.experiments import runner, store, sweep
+from repro.experiments.sensitivity import PB_SIZES
 
 ACCESSES = 1200
 BENCHMARKS = ("tonto", "milc")
 CONFIGS = ("NP", "PMS")
+
+#: Figure 14's cells: NP plus PMS at every Prefetch Buffer size.
+FIG14_JOBS = [
+    job
+    for bench in BENCHMARKS
+    for job in [sweep.Job(bench, "NP", accesses=ACCESSES)] + [
+        sweep.Job(bench, "PMS", accesses=ACCESSES,
+                  overrides=(("ms_prefetcher.buffer.entries", size),))
+        for size in PB_SIZES
+    ]
+]
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +53,15 @@ class TestParallelEqualsSerial:
                 assert p == s, (bench, config)
                 assert p.stats == s.stats
 
+        # one more input: config variants, shipped to workers as data
+        runner.clear_cache()
+        parallel = sweep.run_jobs(FIG14_JOBS, jobs=2, use_store=False)
+        runner.clear_cache()
+        serial = sweep.run_jobs(FIG14_JOBS, jobs=1, use_store=False)
+        assert parallel.stats.executed_parallel == len(FIG14_JOBS)
+        assert parallel.results == serial.results
+        assert len({r.cycles for r in serial.results}) > 2  # variants differ
+
     def test_parallel_results_fill_the_run_cache(self):
         # the result store is the run cache: workers' results land in it
         runner.run_suite(BENCHMARKS, CONFIGS, accesses=ACCESSES, jobs=2)
@@ -54,7 +75,7 @@ class TestParallelEqualsSerial:
 class TestStoreOffTraffic:
     def test_suite_then_run_simulates_once(self, monkeypatch):
         # REPRO_STORE=0 still reuses a result within the process: the
-        # report's grid calls depend on it (384 simulated, not 532)
+        # report's figures share cells (340 distinct of 502 requested)
         monkeypatch.setenv("REPRO_STORE", "0")
         suite = runner.run_suite(("tonto",), ("NP",), accesses=ACCESSES)
         again = runner.run("tonto", "NP", accesses=ACCESSES)
@@ -107,60 +128,12 @@ class TestStoreAcrossSessions:
         assert runner.cache_info()["simulated"] == 1
         assert len(store.get_store()) == 2
 
-    def test_mutated_runs_round_trip_via_read_through(self):
-        def degrade(config):
-            config.ms_prefetcher.slh.epoch_reads = 500
-            return config
-
-        first = runner.run("tonto", "MS", accesses=ACCESSES,
-                           mutate=degrade, mutate_key="epoch=500")
+    def test_override_runs_round_trip(self):
+        job = sweep.Job("tonto", "MS", accesses=ACCESSES,
+                        overrides=(("ms_prefetcher.slh.epoch_reads", 500),))
+        first = sweep.run_jobs([job]).results[0]
         runner.clear_cache()
-        second = runner.run("tonto", "MS", accesses=ACCESSES,
-                            mutate=degrade, mutate_key="epoch=500")
-        assert second == first
+        second = sweep.run_jobs([job])
+        assert second.results[0] == first
+        assert second.stats.from_store == 1
         assert runner.cache_info()["simulated"] == 0
-
-    def test_mutation_semantics_change_invalidates(self):
-        def v1(config):
-            config.ms_prefetcher.slh.epoch_reads = 500
-            return config
-
-        def v2(config):  # same mutate_key, different effect
-            config.ms_prefetcher.slh.epoch_reads = 250
-            return config
-
-        first = runner.run("milc", "MS", accesses=ACCESSES,
-                           mutate=v1, mutate_key="epoch")
-        # same process, no clear_cache(): the job key fingerprints the
-        # mutated config, so v2 must not be served v1's result
-        second = runner.run("milc", "MS", accesses=ACCESSES,
-                            mutate=v2, mutate_key="epoch")
-        assert runner.cache_info()["simulated"] == 2
-        assert second != first
-        runner.clear_cache()
-        assert runner.run("milc", "MS", accesses=ACCESSES,
-                          mutate=v2, mutate_key="epoch") == second
-        assert runner.cache_info()["simulated"] == 0
-
-
-class TestTelemetryStaysSerial:
-    def test_traced_suite_ignores_jobs(self):
-        from repro.telemetry.probes import EpochProbes
-        from repro.telemetry.tracer import Tracer
-
-        tracer = Tracer()
-        probes = EpochProbes(interval=1)
-
-        def short_epochs(config):
-            config.ms_prefetcher.slh.epoch_reads = 50
-            return config
-
-        results = runner.run_suite(
-            ("tonto",), ("MS",), accesses=ACCESSES, jobs=4,
-            tracer=tracer, probes=probes, mutate=short_epochs,
-        )
-        assert results["tonto"]["MS"].telemetry is not None
-        assert probes.samples_taken > 0  # ran in THIS process, serially
-        # traced runs are never stored, on disk or in memory
-        assert len(store.get_store()) == 0
-        assert len(store.active_store(use_store=False)) == 0

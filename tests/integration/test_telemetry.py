@@ -149,7 +149,8 @@ class TestProbesNeedATracer:
                 simulate(_small_epoch_config(), [_two_phase_trace(10, 8)],
                          tracer=tracer, probes=EpochProbes())
         with pytest.raises(ValueError, match="probes"):
-            runner.run("tonto", "PMS", accesses=500, probes=EpochProbes())
+            runner.simulate_job(make_config("PMS"), "tonto", 500, 1,
+                                probes=EpochProbes())
         assert self._held() == before
 
     def test_probes_with_enabled_tracer_still_sample(self):
@@ -157,39 +158,6 @@ class TestProbesNeedATracer:
         simulate(_small_epoch_config(), [_two_phase_trace()],
                  tracer=Tracer(), probes=probes)
         assert probes.samples_taken > 0
-
-
-class TestRunnerCache:
-    def test_traced_request_never_served_from_cache(self):
-        runner.clear_cache()
-        try:
-            plain = runner.run("tonto", "PMS", accesses=1500)
-            assert runner.cache_info()["simulated"] == 1
-            tracer = Tracer()
-            traced = runner.run("tonto", "PMS", accesses=1500, tracer=tracer)
-            assert runner.cache_info()["simulated"] == 2
-            assert traced.telemetry_active
-            assert not plain.telemetry_active
-            assert tracer.total_events > 0
-            # traced results themselves are not stored
-            again = Tracer()
-            runner.run("tonto", "PMS", accesses=1500, tracer=again)
-            assert runner.cache_info()["simulated"] == 3
-            assert again.total_events == tracer.total_events
-        finally:
-            runner.clear_cache()
-
-    def test_disabled_tracer_still_cacheable(self):
-        runner.clear_cache()
-        try:
-            plain = runner.run("tonto", "PMS", accesses=1500)
-            again = runner.run(
-                "tonto", "PMS", accesses=1500, tracer=Tracer(enabled=False)
-            )
-            assert again == plain
-            assert runner.cache_info()["simulated"] == 1
-        finally:
-            runner.clear_cache()
 
 
 class TestCliTelemetry:

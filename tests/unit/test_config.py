@@ -215,6 +215,22 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(threads=0).validate()
 
+    def test_with_overrides_replaces_nested_fields(self):
+        cfg = SystemConfig()
+        new = cfg.with_overrides([("ms_prefetcher.slh.epoch_reads", 500),
+                                  ("dram.timing.burst_cycles", 6)])
+        assert new.ms_prefetcher.slh.epoch_reads == 500
+        assert new.dram.timing.burst_cycles == 6
+        assert cfg.ms_prefetcher.slh.epoch_reads == 1000  # copy-on-write
+        assert cfg.dram.timing.burst_cycles == 4
+        assert new.hierarchy is cfg.hierarchy  # untouched blocks shared
+
+    def test_with_overrides_names_the_path_of_a_bad_value(self):
+        with pytest.raises(ValueError, match="core.mlp"):
+            SystemConfig().with_overrides([("core.mlp", 0)])
+        with pytest.raises(ValueError, match="core.mlp"):
+            SystemConfig().with_overrides([("core.mlp", True)])
+
     def test_invalid_nested_config_caught(self):
         bad = SystemConfig()
         bad = bad.derive(core=replace(bad.core, cpu_ratio=0))

@@ -66,6 +66,12 @@ class TestJobCodec:
         with pytest.raises(ProtocolError, match="resolved"):
             protocol.encode_job(resolved_job(seed=None))
 
+    def test_job_with_overrides_refused(self):
+        # the wire names presets only: a peer would drop the variant
+        job = resolved_job(overrides=(("core.mlp", 2),))
+        with pytest.raises(ValueError, match="overrides"):
+            protocol.encode_job(job)
+
     def test_unknown_fields_rejected(self):
         payload = protocol.encode_job(resolved_job())
         payload["surprise"] = 1

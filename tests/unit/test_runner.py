@@ -35,6 +35,18 @@ class TestDefaults:
         monkeypatch.setenv("REPRO_JOBS", "4")
         assert runner.default_jobs() == 4
 
+    @pytest.mark.parametrize("name, read", [
+        ("REPRO_JOBS", runner.default_jobs),
+        ("REPRO_SEED", runner.default_seed),
+        ("REPRO_TRACE_ACCESSES", runner.default_accesses),
+    ])
+    def test_a_non_integer_names_the_variable_and_value(
+        self, monkeypatch, name, read
+    ):
+        monkeypatch.setenv(name, "two")
+        with pytest.raises(ValueError, match=f"{name}='two'"):
+            read()
+
 
 class TestAccessesValidation:
     """``accesses=0`` means zero, not "use the default" (falsy-arg bug)."""
@@ -137,34 +149,16 @@ class TestStoreReadThrough:
 
 
 class TestRunConfigs:
-    def test_run_configs_keys(self):
-        results = runner.run_configs("tonto", ("NP", "MS"), accesses=800)
-        assert set(results) == {"NP", "MS"}
-        assert results["NP"].config_name == "NP"
-
     def test_run_suite_shape(self):
         results = runner.run_suite(("tonto",), ("NP",), accesses=800)
         assert set(results) == {"tonto"}
         assert set(results["tonto"]) == {"NP"}
 
     def test_run_suite_unknown_kwarg_raises_even_parallel(self):
-        # A typo must raise the same TypeError it would serially, not be
-        # silently dropped by the parallel path.
+        # A typo must raise TypeError, not be silently dropped.
         with pytest.raises(TypeError):
             runner.run_suite(("tonto",), ("NP",), accesses=800, jobs=2,
                              acesses=900)
-
-    def test_run_suite_mutate_key_stays_serial(self):
-        # mutate_key is part of the job key; the parallel path cannot
-        # model it, so the suite must fall back to serial run() calls.
-        from repro.experiments import store
-        from repro.system.presets import make_config
-
-        runner.run_suite(("tonto",), ("NP",), accesses=800, jobs=2,
-                         mutate_key="x")
-        spec = store.job_spec("tonto", "NP", 800, runner.default_seed(), 1,
-                              "ahb", "x", make_config("NP"))
-        assert store.get_store().get(spec) is not None
 
     def test_scheduler_in_cache_key(self):
         # the store's job key (the one cache key) includes the scheduler

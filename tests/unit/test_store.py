@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -34,7 +35,7 @@ def sample_result(**overrides):
 
 def sample_spec(config=None, **overrides):
     config = config or make_config("PMS")
-    spec = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None, config)
+    spec = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", config)
     spec.update(overrides)
     return spec
 
@@ -169,6 +170,34 @@ class TestMemoryStore:
         assert len(st) == 0
         assert os.listdir(tmp_path) == []  # nothing ever hit the disk
 
+    def test_least_recently_used_entry_goes_first(self, monkeypatch):
+        monkeypatch.setattr(store, "MEMORY_STORE_ENTRIES", 2)
+        st = store.MemoryStore()
+        st.put(sample_spec(seed=1), sample_result())
+        st.put(sample_spec(seed=2), sample_result())
+        assert st.get(sample_spec(seed=1)) is not None  # refreshed
+        st.put(sample_spec(seed=3), sample_result())    # evicts seed 2
+        assert len(st) == 2
+        assert st.get(sample_spec(seed=2)) is None
+        assert st.get(sample_spec(seed=1)) is not None
+
+    def test_memory_stays_flat_over_three_times_the_cap(self):
+        # a long-lived `repro fabric work` agent puts every result it runs
+        cap = store.MEMORY_STORE_ENTRIES
+        spec, result = sample_spec(), sample_result()
+        st = store.MemoryStore()
+        held = []
+        tracemalloc.start()
+        try:
+            for third in range(3):
+                for n in range(cap):
+                    st.put(dict(spec, seed=third * cap + n), result)
+                assert len(st) == cap
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert abs(held[2] - held[0]) <= 0.1 * held[0], held
+
 
 class TestSweepOrphans:
     @staticmethod
@@ -289,7 +318,7 @@ class TestFidelityPayload:
 
     def test_store_round_trip_preserves_error_bars(self, tmp_path):
         active = store.ResultStore(str(tmp_path))
-        spec = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
+        spec = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb",
                               make_config("PMS"), fidelity="fast")
         result = sample_result(fidelity=self.fidelity_record())
         active.put(spec, result)
@@ -306,15 +335,15 @@ class TestFidelityPayload:
     def test_fast_spec_keys_cover_the_model_version(self, monkeypatch):
         from repro.fastsim import version as fv
         config = make_config("PMS")
-        spec_v1 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
+        spec_v1 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb",
                                  config, fidelity="fast")
         monkeypatch.setattr(fv, "FAST_MODEL_VERSION",
                             fv.FAST_MODEL_VERSION + 1)
-        spec_v2 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
+        spec_v2 = store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb",
                                  config, fidelity="fast")
         assert store.job_key(spec_v1) != store.job_key(spec_v2)
 
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(ValueError, match="fidelity"):
-            store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb", None,
+            store.job_spec("tpcc", "PMS", 2000, 1, 1, "ahb",
                            make_config("PMS"), fidelity="approximate")

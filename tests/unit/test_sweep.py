@@ -48,18 +48,104 @@ class TestJob:
             sweep.Job("tpcc", "NP", accesses=0).resolve()
 
     def test_resolve_rejects_mutate_key(self):
-        # Workers cannot apply mutate callables, so a sweep job has no
-        # way to name a mutated identity at all.
+        # a variant is a job's overrides; it has no name of its own
         with pytest.raises(TypeError, match="mutate_key"):
             sweep.Job("tpcc", "NP", mutate_key="pb_entries=32")
 
     def test_run_jobs_rejects_mutate_key(self):
-        # the job key run_jobs stores under never carries a mutate key,
-        # so no sweep result can land under a mutated identity
+        # the spec keeps a constant mutate_key so existing keys stay valid
         _job, spec, _config = sweep.prepare(
             sweep.Job("tonto", "NP", accesses=ACCESSES)
         )
         assert spec["mutate_key"] is None
+
+
+def key_of(job):
+    return store.job_key(sweep.prepare(job)[1])
+
+
+PB_ENTRIES = "ms_prefetcher.buffer.entries"
+
+
+class TestJobKeyPins:
+    """Job keys with no overrides, captured before overrides existed:
+    any move here orphans every store entry on every machine."""
+
+    @pytest.mark.parametrize("job, key", [
+        (sweep.Job("milc", "PMS", accesses=2000, seed=1),
+         "e70b218dd78929b8bf464a5221a67f66dcfefede7f50b4df06465786fb964547"),
+        (sweep.Job("milc", "PMS", accesses=2000, seed=1, fidelity="fast"),
+         "331968855a0e6853898eb52d02f161ba6863591d98af04bbbec5b1ac9fab5483"),
+        (sweep.Job("tonto", "NP", accesses=2000, seed=1, threads=2,
+                   scheduler="in_order"),
+         "7edde5a78f223c62c673527730565b09659361463026e4cadfdf0b1419fb2c32"),
+    ])
+    def test_key_is_pinned(self, job, key):
+        assert key_of(job) == key
+
+
+class TestOverrides:
+    def test_prepare_applies_them(self):
+        job, _spec, config = sweep.prepare(sweep.Job(
+            "milc", "PMS", accesses=2000,
+            overrides=((PB_ENTRIES, 8), ("core.mlp", 2)),
+        ))
+        assert config.ms_prefetcher.buffer.entries == 8
+        assert config.core.mlp == 2
+        assert job.overrides == (("core.mlp", 2), (PB_ENTRIES, 8))  # sorted
+
+    def test_resolve_sorts_and_jobs_stay_hashable(self):
+        a = sweep.Job("milc", "PMS", overrides=((PB_ENTRIES, 8), ("core.mlp", 2)))
+        b = sweep.Job("milc", "PMS", overrides=(("core.mlp", 2), (PB_ENTRIES, 8)))
+        assert a.resolve() == b.resolve()
+        assert hash(a.resolve()) == hash(b.resolve())
+
+    def test_a_variant_equal_to_the_preset_shares_its_key(self):
+        plain = sweep.Job("milc", "PMS", accesses=2000, seed=1)
+        same = sweep.Job("milc", "PMS", accesses=2000, seed=1,
+                         overrides=((PB_ENTRIES, 16),))
+        other = sweep.Job("milc", "PMS", accesses=2000, seed=1,
+                          overrides=((PB_ENTRIES, 8),))
+        assert key_of(same) == key_of(plain)
+        assert key_of(other) != key_of(plain)
+
+    @pytest.mark.parametrize("overrides, named", [
+        (((PB_ENTRIES + "s", 8),), "entriess"),                # unknown field
+        (((f"{PB_ENTRIES}.x", 8),), "entries"),                # not a block
+        (((PB_ENTRIES, 8.0),), PB_ENTRIES),                    # wrong type
+        (((PB_ENTRIES, 8), (PB_ENTRIES, 32)), PB_ENTRIES),     # repeated
+        (((PB_ENTRIES, 6),), PB_ENTRIES),                      # fails validate
+        ((("name", "X"),), "name"),                            # job-owned
+        ((("threads", 2),), "threads"),
+        ((("controller.scheduler", "in_order"),), "controller.scheduler"),
+        (((PB_ENTRIES, [8]),), PB_ENTRIES),                    # not a scalar
+        ((("ms_prefetcher.scheduling.fixed_policy", "3"),), "fixed_policy"),
+    ])
+    def test_bad_override_names_its_path(self, overrides, named):
+        job = sweep.Job("milc", "PMS", accesses=2000, overrides=overrides)
+        with pytest.raises(ValueError, match=named):
+            sweep.prepare(job)
+
+    def test_none_may_be_replaced(self):
+        _job, _spec, config = sweep.prepare(sweep.Job(
+            "milc", "PMS", accesses=2000,
+            overrides=(("ms_prefetcher.scheduling.fixed_policy", 3),),
+        ))
+        assert config.ms_prefetcher.scheduling.fixed_policy == 3
+
+    def test_fast_jobs_refuse_them(self):
+        job = sweep.Job("milc", "PMS", accesses=2000, fidelity="fast",
+                        overrides=(("core.mlp", 2),))
+        with pytest.raises(ValueError, match="overrides.*core.mlp"):
+            job.resolve()
+
+    def test_a_bad_override_fails_before_anything_runs(self):
+        jobs = [sweep.Job("tonto", "NP", accesses=ACCESSES),
+                sweep.Job("tonto", "PMS", accesses=ACCESSES,
+                          overrides=(("core.mlpp", 2),))]
+        with pytest.raises(ValueError, match="mlpp"):
+            sweep.run_jobs(jobs)
+        assert runner.cache_info()["simulated"] == 0
 
 
 class TestServing:

@@ -2,9 +2,11 @@
 
 Runs every experiment at the reference trace length (20 000 accesses
 per benchmark unless REPRO_TRACE_ACCESSES overrides) and rewrites
-EXPERIMENTS.md.  Takes ~30-45 minutes for a cold full refresh; pass
-``--jobs N`` to shard the grid-shaped experiments across N worker
-processes, and re-runs are served from the on-disk result store under
+EXPERIMENTS.md.  Every figure resolves its cells through ``run_jobs``,
+so ``--jobs N`` shards all of them across N worker processes: a cold
+full refresh with ``--jobs 2`` took 218 s of wall time on a shared
+2-vCPU host (352 s when only the grid-shaped figures were sharded).
+Re-runs are served from the on-disk result store under
 ``.repro-results/`` (disable with ``REPRO_STORE=0``).
 """
 
@@ -85,13 +87,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "-j", "--jobs", type=int, default=None,
-        help="worker processes for grid-shaped experiments "
+        help="worker processes for every experiment "
         "(default: REPRO_JOBS or serial)",
     )
     args = parser.parse_args()
     if args.jobs is not None:
-        # run_suite reads REPRO_JOBS at call time, so every figure
-        # module that fans out a grid inherits this without plumbing.
+        # every figure module reads REPRO_JOBS at call time, so each
+        # inherits this without plumbing.
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
 
     t0 = time.time()
