@@ -4,11 +4,12 @@ Off-the-shelf linters check Python; this package checks the
 *simulator*.  Every rule here encodes an invariant that a past bug (or
 a near-miss) showed the hot-path refactors can silently violate:
 
-* ``DET*`` — **determinism**: no wall-clock, no unseeded randomness,
-  no set-iteration-order dependence inside the simulated machine
-  (``repro.{controller,dram,cpu,cache,prefetch,system}``).  Telemetry
-  and perf modules are allowlisted — tracer self-measurement
-  legitimately reads ``time.perf_counter``.
+* ``DET*`` — **determinism**: no wall-clock (``time.*`` or
+  ``datetime.now()``-style), no unseeded randomness, no OS entropy, no
+  set-iteration-order dependence inside the simulated machine
+  (``repro.{cache,controller,cpu,dram,fastsim,prefetch,scenarios,
+  system}``).  Telemetry and perf modules are allowlisted — tracer
+  self-measurement legitimately reads ``time.perf_counter``.
 * ``PAR*`` — **dual-path parity**: a class that defines both ``tick``
   and ``tick_reference`` must bump the same statically-extractable
   stats keys and emit the same tracer event kinds from both bodies.
@@ -21,10 +22,14 @@ a near-miss) showed the hot-path refactors can silently violate:
   passed to ``Stats.bump``/``set`` or indexed through ``Stats.raw()``
   must appear in the generated ``repro/common/stat_keys.py`` registry;
   reads of keys no writer produces are flagged as typos.
-* ``HYG*`` — **hot-path hygiene**: dataclasses in the
-  controller/dram/prefetch hot paths declare ``slots``, and nothing
-  the per-tick event loop executes calls ``datetime.now()``-style
-  wall-clock helpers.
+* ``CONC003`` — no blocking call while a fleet lock is held.
+* ``ATO001`` — durable writes go through write-tmp-then-``os.replace``.
+
+The fleet contracts that a test can check at runtime are tests, not
+rules: the wire schema (``tests/unit/test_fabric_protocol.py``), the
+metric naming contract (``MetricsRegistry`` refuses bad names), and
+leaked files, sockets and threads (the pytest warning filter and the
+thread check in ``tests/conftest.py``).
 
 See ``docs/linting.md`` for the rule catalogue, the waiver comment
 syntax, the baseline workflow, and registry regeneration.

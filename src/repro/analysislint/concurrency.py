@@ -1,26 +1,15 @@
-"""CONC rules: thread lifecycle, resource release, lock discipline.
+"""CONC003: no blocking call while a lock is held.
 
 The fleet layer (``repro.fabric``, ``repro.obs``) is the only part of
-the tree that spawns threads, binds sockets and holds locks, and its
-bugs are the classic ones: a heartbeat thread that outlives its agent,
-a server socket left bound after ``shutdown()`` raised, a blocking call
-made while the coordinator lock is held.  These rules encode the repo's
-concurrency contract on top of the :mod:`~repro.analysislint.flow` CFG:
+the tree that holds locks, and a blocking call (``sleep``, ``join``,
+an HTTP request, ``serve_forever``, ``wait``, ...) made inside a
+``with <lock>:`` body starves every other user of that lock.  It is a
+timing hazard that no test triggers reliably, so it stays a static
+check, with the PAR-style one-level ``self.X()`` helper expansion.
 
-* **CONC001** — a ``threading.Thread`` created in a fleet package must
-  be daemonized, handed off (escaping the function), or ``join``-ed on
-  every path to function exit.
-* **CONC002** — a file/socket/server acquired in a sim or fleet package
-  must be released via a context manager or on every exit path
-  (``try/finally`` routes through the CFG, so a ``finally`` release
-  counts).
-* **CONC003** — no blocking call (``sleep``, ``join``, HTTP request,
-  ``serve_forever``, ``wait``, …) inside a ``with <lock>:`` body, with
-  the PAR-style one-level ``self.X()`` helper expansion.
-
-All three rules are *obligation* checks: escapes and waivers discharge
-the obligation, so over-approximation silences, never invents,
-findings.
+Thread lifecycles and resource release are checked at runtime instead:
+the test suite fails on a ``ResourceWarning`` and on a non-daemon
+thread a test leaves running (``pyproject.toml``, ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +17,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysislint import flow
 from repro.analysislint.core import (
     Finding,
     SourceFile,
@@ -53,23 +41,10 @@ BLOCKING_CALLS = frozenset(
     }
 )
 
-#: call-name last segments that acquire a releasable resource, mapped
-#: to the method names that release it
-ACQUIRE_CALLS: Dict[str, Set[str]] = {
-    "open": {"close"},
-    "open_text": {"close"},
-    "socket": {"close"},
-    "socketpair": {"close"},
-    "HTTPServer": {"server_close"},
-    "ThreadingHTTPServer": {"server_close"},
-    "urlopen": {"close"},
-    "HTTPConnection": {"close"},
-}
-
 
 def walk_own(root: ast.AST) -> Iterable[ast.AST]:
-    """``ast.walk`` minus nested function/class bodies (they get their
-    own CFG and their own findings)."""
+    """``ast.walk`` minus nested function/class bodies (each is checked
+    as a function of its own)."""
     stack = list(ast.iter_child_nodes(root))
     while stack:
         node = stack.pop()
@@ -77,278 +52,6 @@ def walk_own(root: ast.AST) -> Iterable[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _stmt_nodes(cfg: flow.CFG) -> Dict[int, int]:
-    """id(stmt) -> CFG node id."""
-    return {
-        id(node.stmt): node.id for node in cfg.nodes if node.stmt is not None
-    }
-
-
-def _enclosing_cfg_node(
-    sf: SourceFile, cfg: flow.CFG, node: ast.AST
-) -> Optional[int]:
-    stmt_map = _stmt_nodes(cfg)
-    current: Optional[ast.AST] = node
-    while current is not None:
-        nid = stmt_map.get(id(current))
-        if nid is not None:
-            return nid
-        current = sf.parent(current)
-    return None
-
-
-def _assign_target(sf: SourceFile, call: ast.Call) -> Optional[str]:
-    """The simple name ``v`` when the call is exactly ``v = <call>``."""
-    parent = sf.parent(call)
-    if (
-        isinstance(parent, ast.Assign)
-        and parent.value is call
-        and len(parent.targets) == 1
-        and isinstance(parent.targets[0], ast.Name)
-    ):
-        return parent.targets[0].id
-    if (
-        isinstance(parent, ast.AnnAssign)
-        and parent.value is call
-        and isinstance(parent.target, ast.Name)
-    ):
-        return parent.target.id
-    return None
-
-
-def _is_with_context(sf: SourceFile, call: ast.Call) -> bool:
-    """Is the call (possibly wrapped in ``closing(...)``) a ``with``
-    item's context expression?"""
-    node: ast.AST = call
-    parent = sf.parent(node)
-    if (
-        isinstance(parent, ast.Call)
-        and call_name(parent).rsplit(".", 1)[-1] == "closing"
-    ):
-        node, parent = parent, sf.parent(parent)
-    if not isinstance(parent, ast.withitem):
-        return False
-    return parent.context_expr is node
-
-
-def _calls_method_on(stmt: ast.AST, name: str, methods: Set[str]) -> bool:
-    """Does this statement's *own header* call ``name.<m>()`` for any
-    ``m`` in ``methods``?  (Nested statements are separate CFG nodes.)"""
-    for node in flow.walk_stmt_header(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in methods
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == name
-        ):
-            return True
-    return False
-
-
-class _FlowRule(Rule):
-    """Shared scoping/iteration for the per-function CFG rules."""
-
-    def _scope(self, tree: SourceTree) -> List[SourceFile]:
-        raise NotImplementedError
-
-    def check(self, tree: SourceTree) -> List[Finding]:
-        findings: List[Finding] = []
-        for sf in self._scope(tree):
-            for func in sf.functions():
-                findings.extend(self._check_function(sf, func))
-        return findings
-
-    def _check_function(
-        self, sf: SourceFile, func: ast.FunctionDef
-    ) -> List[Finding]:
-        raise NotImplementedError
-
-
-class ThreadLifecycleRule(_FlowRule):
-    """CONC001: every ``threading.Thread`` created in fleet code must
-    be daemonized at construction, handed off (escaped), or ``join``-ed
-    on every CFG path to function exit."""
-
-    id = "CONC001"
-    title = "fleet threads must be daemonized, handed off, or joined on every exit path"
-    shorthand = "thread-ok"
-
-    def _scope(self, tree: SourceTree) -> List[SourceFile]:
-        return tree.in_packages(set(self.config.fleet_packages))
-
-    def _check_function(
-        self, sf: SourceFile, func: ast.FunctionDef
-    ) -> List[Finding]:
-        creations = [
-            node
-            for node in walk_own(func)
-            if isinstance(node, ast.Call)
-            and call_name(node).rsplit(".", 1)[-1] == "Thread"
-        ]
-        if not creations:
-            return []
-        findings: List[Finding] = []
-        cfg = None
-        escapes = None
-        for call in creations:
-            if sf.waived(call, self.id, self.shorthand):
-                continue
-            if any(
-                kw.arg == "daemon"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in call.keywords
-            ):
-                continue
-            name = _assign_target(sf, call)
-            if name is None:
-                findings.append(
-                    self.finding(
-                        sf.relpath,
-                        call.lineno,
-                        "Thread created without daemon=True and never "
-                        "bound to a name, so it can never be joined",
-                        sf.qualname(call) or func.name,
-                    )
-                )
-                continue
-            if escapes is None:
-                escapes = flow.escaping_names(func)
-            if name in escapes:
-                continue  # ownership transferred to the caller
-            if self._daemonized_later(func, name):
-                continue
-            if cfg is None:
-                cfg = flow.build_cfg(func)
-            start = _enclosing_cfg_node(sf, cfg, call)
-            if start is None:  # pragma: no cover - defensive
-                continue
-            joined_everywhere = not flow.can_reach_exit(
-                cfg,
-                start,
-                lambda node, _n=name: node.stmt is not None
-                and _calls_method_on(node.stmt, _n, {"join"}),
-            )
-            if not joined_everywhere:
-                findings.append(
-                    self.finding(
-                        sf.relpath,
-                        call.lineno,
-                        f"thread '{name}' is neither daemonized nor "
-                        "joined on every path to function exit",
-                        sf.qualname(call) or func.name,
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _daemonized_later(func: ast.FunctionDef, name: str) -> bool:
-        for node in walk_own(func):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Attribute)
-                and node.targets[0].attr == "daemon"
-                and isinstance(node.targets[0].value, ast.Name)
-                and node.targets[0].value.id == name
-                and isinstance(node.value, ast.Constant)
-                and node.value.value is True
-            ):
-                return True
-        return False
-
-
-class ResourceReleaseRule(_FlowRule):
-    """CONC002: files/sockets/servers acquired in fleet or sim code
-    must be released via a context manager, ``try/finally``, or a
-    release call on every CFG path; escaping (returned, stored on an
-    object, passed onward) transfers the obligation."""
-
-    id = "CONC002"
-    title = "files/sockets/servers must be released via with, finally, or on every exit path"
-    shorthand = "resource-ok"
-
-    def _scope(self, tree: SourceTree) -> List[SourceFile]:
-        packages = set(self.config.fleet_packages) | set(self.config.sim_packages)
-        return tree.in_packages(packages)
-
-    def _check_function(
-        self, sf: SourceFile, func: ast.FunctionDef
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        cfg = None
-        escapes = None
-        for call in walk_own(func):
-            if not isinstance(call, ast.Call):
-                continue
-            last = call_name(call).rsplit(".", 1)[-1]
-            release_methods = ACQUIRE_CALLS.get(last)
-            if release_methods is None:
-                continue
-            if sf.waived(call, self.id, self.shorthand):
-                continue
-            if _is_with_context(sf, call):
-                continue
-            name = _assign_target(sf, call)
-            if name is None:
-                # acquired anonymously: as a call argument, return value
-                # or attribute/subscript store it escapes (conservatively
-                # fine); anything else leaks
-                parent = sf.parent(call)
-                if isinstance(parent, (ast.Call, ast.Return, ast.Yield)):
-                    continue
-                if isinstance(parent, ast.keyword):
-                    continue
-                if isinstance(parent, ast.Assign) and any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in parent.targets
-                ):
-                    continue
-                if isinstance(parent, ast.AnnAssign) and isinstance(
-                    parent.target, (ast.Attribute, ast.Subscript)
-                ):
-                    continue
-                findings.append(
-                    self.finding(
-                        sf.relpath,
-                        call.lineno,
-                        f"'{last}(...)' acquired without binding, context "
-                        "manager, or handoff — it can never be released",
-                        sf.qualname(call) or func.name,
-                    )
-                )
-                continue
-            if escapes is None:
-                escapes = flow.escaping_names(func)
-            if name in escapes:
-                continue  # caller owns the release now
-            if cfg is None:
-                cfg = flow.build_cfg(func)
-            start = _enclosing_cfg_node(sf, cfg, call)
-            if start is None:  # pragma: no cover - defensive
-                continue
-            released = not flow.can_reach_exit(
-                cfg,
-                start,
-                lambda node, _n=name, _m=release_methods: node.stmt is not None
-                and _calls_method_on(node.stmt, _n, _m),
-            )
-            if not released:
-                verbs = "/".join(sorted(release_methods))
-                findings.append(
-                    self.finding(
-                        sf.relpath,
-                        call.lineno,
-                        f"'{name}' from '{last}(...)' is not released "
-                        f"({verbs}) on every path to function exit — use "
-                        "a context manager or try/finally",
-                        sf.qualname(call) or func.name,
-                    )
-                )
-        return findings
 
 
 class LockBlockingRule(Rule):

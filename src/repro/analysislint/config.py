@@ -1,13 +1,11 @@
 """Lint configuration: the ``[tool.repro.lint]`` block in pyproject.toml.
 
 Rule scoping used to be hardcoded module constants (``SIM_PACKAGES``,
-``WALLCLOCK_ALLOWLIST``).  With the CONC/ATO/PROTO/MET families each
-wanting their own package scope, the knobs move to pyproject.toml:
+``WALLCLOCK_ALLOWLIST``).  With the CONC and ATO rules each wanting
+their own package scope, the knobs live in pyproject.toml:
 
-* ``[tool.repro.lint]`` — scalar options (``metric_label_cap``)
 * ``[tool.repro.lint.scope]`` — package lists per rule family
-  (``sim_packages``, ``hot_packages``, ``fleet_packages``,
-  ``atomic_packages``)
+  (``sim_packages``, ``fleet_packages``, ``atomic_packages``)
 * ``[tool.repro.lint.allow]`` — path-substring allowlists
   (``wallclock`` replaces the old ``WALLCLOCK_ALLOWLIST``)
 * ``[tool.repro.lint.severity]`` — per-rule ``"error"`` (default),
@@ -56,7 +54,6 @@ class LintConfig:
         "scenarios",
         "system",
     )
-    hot_packages: Tuple[str, ...] = ("controller", "dram", "prefetch")
     fleet_packages: Tuple[str, ...] = ("fabric", "obs")
     atomic_packages: Tuple[str, ...] = (
         "experiments",
@@ -73,8 +70,6 @@ class LintConfig:
     )
     # rule id -> "error" | "warn" | "off"; unlisted rules are errors
     severity: Mapping[str, str] = field(default_factory=dict)
-    # max label names per metric (MET002 cardinality cap)
-    metric_label_cap: int = 3
 
     def rule_severity(self, rule_id: str) -> str:
         return self.severity.get(rule_id, "error")
@@ -199,16 +194,10 @@ def load_config(root: Optional[str]) -> LintConfig:
         for rule, level in severity_raw.items()
         if str(level) in SEVERITIES
     }
-    cap = lint.get("metric_label_cap", DEFAULT_CONFIG.metric_label_cap)
-    if not isinstance(cap, int) or cap < 0:
-        cap = DEFAULT_CONFIG.metric_label_cap
     return replace(
         DEFAULT_CONFIG,
         sim_packages=_as_tuple(
             scope.get("sim_packages"), DEFAULT_CONFIG.sim_packages
-        ),
-        hot_packages=_as_tuple(
-            scope.get("hot_packages"), DEFAULT_CONFIG.hot_packages
         ),
         fleet_packages=_as_tuple(
             scope.get("fleet_packages"), DEFAULT_CONFIG.fleet_packages
@@ -220,5 +209,4 @@ def load_config(root: Optional[str]) -> LintConfig:
             allow.get("wallclock"), DEFAULT_CONFIG.wallclock_allowlist
         ),
         severity=severity,
-        metric_label_cap=cap,
     )

@@ -10,9 +10,10 @@ silently breaks that, so inside ``repro.{controller,dram,cpu,cache,
 prefetch,system}`` they are banned outright:
 
 * ``DET001`` — wall-clock/monotonic reads (``time.time``,
-  ``time.perf_counter``, ``time.monotonic``, ``time.time_ns``, ...).
-  ``repro.telemetry`` and ``repro.perf`` are allowlisted: tracer
-  self-measurement is *about* wall-clock time.
+  ``time.perf_counter``, ``time.monotonic``, ``time.time_ns``, ...)
+  and ``datetime.now()``-style calls.  ``repro.telemetry`` and
+  ``repro.perf`` are allowlisted: tracer self-measurement is *about*
+  wall-clock time.
 * ``DET002`` — module-level ``random.*`` calls and bare seeded-nowhere
   helpers (``random()``, ``randint``...).  Seeded ``random.Random(seed)``
   instances are fine — the workloads package builds its traces from
@@ -42,6 +43,14 @@ _WALLCLOCK_CALLS = {
     "time.monotonic_ns",
     "time.process_time",
     "time.process_time_ns",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "date.today",
+    "datetime.date.today",
 }
 
 _RANDOM_FUNCS = {

@@ -30,7 +30,6 @@ import ast
 from typing import Dict, List, Set, Tuple
 
 from repro.analysislint.core import Finding, SourceFile, SourceTree
-from repro.analysislint.flow import called_self_methods as _called_self_methods
 from repro.analysislint.rules import Rule
 from repro.analysislint.statsmodel import scan_stats_usage
 
@@ -61,8 +60,32 @@ def _class_pairs(
     return out
 
 
-# _called_self_methods lives in flow.py now (imported above) — the
-# CONC rules share the same one-level expansion.
+def called_self_methods(func: ast.FunctionDef) -> Set[str]:
+    """Names of ``self.X(...)`` calls plus locally aliased bound methods
+    (``f = self.X`` followed by ``f(...)``)."""
+    aliases: Dict[str, str] = {}
+    called: Set[str] = set()
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "self"
+        ):
+            aliases[node.targets[0].id] = node.value.attr
+        if isinstance(node, ast.Call):
+            func_expr = node.func
+            if (
+                isinstance(func_expr, ast.Attribute)
+                and isinstance(func_expr.value, ast.Name)
+                and func_expr.value.id == "self"
+            ):
+                called.add(func_expr.attr)
+            elif isinstance(func_expr, ast.Name) and func_expr.id in aliases:
+                called.add(aliases[func_expr.id])
+    return called
 
 
 def _direct_event_kinds(func: ast.FunctionDef) -> Set[str]:
@@ -112,7 +135,7 @@ class _PairAnalysis:
                 func = methods[body]
                 keys.update(key_writes.get(sf.qualname(func), ()))
                 events.update(_direct_event_kinds(func))
-                for callee_name in _called_self_methods(func):
+                for callee_name in called_self_methods(func):
                     callee = methods.get(callee_name)
                     if callee is None:
                         continue

@@ -22,9 +22,8 @@ from repro.analysislint.core import Finding, SourceTree
 #: Kept as module-level aliases of the config defaults for callers that
 #: predate ``[tool.repro.lint]``; rules themselves read ``self.config``
 #: so pyproject overrides take effect.  See config.py for rationale on
-#: each scope (sim determinism, hot-path hygiene, wall-clock sanctum).
+#: each scope (sim determinism, wall-clock sanctum).
 SIM_PACKAGES: Set[str] = set(DEFAULT_CONFIG.sim_packages)
-HOT_PACKAGES: Set[str] = set(DEFAULT_CONFIG.hot_packages)
 WALLCLOCK_ALLOWLIST = DEFAULT_CONFIG.wallclock_allowlist
 
 
@@ -64,23 +63,13 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
     committed defaults.
     """
     from repro.analysislint.atomic import AtomicWriteRule
-    from repro.analysislint.concurrency import (
-        LockBlockingRule,
-        ResourceReleaseRule,
-        ThreadLifecycleRule,
-    )
+    from repro.analysislint.concurrency import LockBlockingRule
     from repro.analysislint.cycles import CycleAccountingRule
     from repro.analysislint.determinism import (
         SetIterationRule,
         UnseededRandomRule,
         UrandomRule,
         WallClockRule,
-    )
-    from repro.analysislint.hygiene import HotPathDatetimeRule, SlotsRule
-    from repro.analysislint.obsmetrics import (
-        MetricNameRule,
-        MetricRegistryRule,
-        UnknownMetricReadRule,
     )
     from repro.analysislint.parity import (
         BulkTickParityRule,
@@ -91,10 +80,6 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         DynamicKeyRule,
         RegistryRule,
         UnwrittenReadRule,
-    )
-    from repro.analysislint.wireproto import (
-        WireHandlerParityRule,
-        WireVersionRule,
     )
 
     rules = (
@@ -109,17 +94,8 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         RegistryRule(),
         DynamicKeyRule(),
         UnwrittenReadRule(),
-        SlotsRule(),
-        HotPathDatetimeRule(),
-        ThreadLifecycleRule(),
-        ResourceReleaseRule(),
         LockBlockingRule(),
         AtomicWriteRule(),
-        WireHandlerParityRule(),
-        WireVersionRule(),
-        MetricRegistryRule(),
-        MetricNameRule(),
-        UnknownMetricReadRule(),
     )
     if config is not None:
         for rule in rules:

@@ -27,11 +27,9 @@ from repro.analysislint.baseline import (
 )
 from repro.analysislint.config import LintConfig, load_config
 from repro.analysislint.core import Finding, SourceTree, load_tree
-from repro.analysislint.obsmetrics import write_metric_registry
 from repro.analysislint.registry import write_registry
 from repro.analysislint.report import StaleWaiver, render_json, render_text
 from repro.analysislint.rules import Rule, all_rules
-from repro.analysislint.wireproto import write_wire_schema
 
 
 def find_repo_root(start: Optional[str] = None) -> str:
@@ -87,9 +85,9 @@ def run_lint(
 
     ``paths`` defaults to ``<root>/src/repro``; narrowing it narrows
     every per-file rule but the registry rules always compare against
-    the committed registries, so partial scans of files that define
-    counters/metrics/messages will report registry drift — run on the
-    full tree for authoritative results.
+    the committed stat-key registry, so partial scans of files that
+    define counters will report registry drift — run on the full tree
+    for authoritative results.
 
     Passing an explicit ``rules`` iterable (tests, focused runs)
     bypasses severity filtering *and* stale-waiver collection — both
@@ -134,20 +132,11 @@ def run_lint(
 
 
 def regenerate_registry(root: Optional[str] = None) -> List[str]:
-    """Rewrite all three generated registries from a fresh scan.
-
-    ``repro/common/stat_keys.py`` (stat-key registry),
-    ``repro/fabric/wire_schema.py`` (wire-protocol schema) and
-    ``repro/obs/metric_names.py`` (metric-name registry); returns the
-    written paths.
-    """
+    """Rewrite the generated stat-key registry
+    (``repro/common/stat_keys.py``) from a fresh scan; returns the
+    written paths."""
     root = find_repo_root(root)
-    tree = load_tree(root)
-    return [
-        write_registry(tree, root),
-        write_wire_schema(tree, root),
-        write_metric_registry(tree, root),
-    ]
+    return [write_registry(load_tree(root), root)]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -158,9 +147,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="lint",
         description=(
             "simulator-invariant static analysis (determinism, dual-path "
-            "parity, cycle accounting, concurrency/atomicity contracts, "
-            "wire-protocol and registry parity, hot-path hygiene) — see "
-            "docs/linting.md"
+            "parity, cycle accounting, the stat-key registry, lock "
+            "discipline, atomic writes) — see docs/linting.md"
         ),
     )
     parser.add_argument(
@@ -194,10 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--write-registry",
         action="store_true",
-        help=(
-            "regenerate the stat-key, wire-schema, and metric-name "
-            "registries and exit"
-        ),
+        help="regenerate the stat-key registry and exit",
     )
     args = parser.parse_args(argv)
 

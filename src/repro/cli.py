@@ -32,8 +32,8 @@ Commands:
   the fleet (with a critical-path summary of the stitched trace),
   ``fabric watch`` streams live progress over SSE
 * ``lint``      — simulator-invariant static analysis (determinism,
-  dual-path parity, cycle accounting, stat-key registry, hot-path
-  hygiene; see docs/linting.md)
+  dual-path parity, cycle accounting, stat-key registry, lock
+  discipline, atomic writes; see docs/linting.md)
 
 ``run`` and ``compare`` accept ``--trace-events PATH`` (JSONL event
 log) and ``--probe-interval N`` (sample epoch series every N epochs);
@@ -373,8 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-baseline", action="store_true",
                       help="grandfather every current finding")
     lint.add_argument("--write-registry", action="store_true",
-                      help="regenerate the stat-key/wire-schema/metric-name "
-                           "registries and exit")
+                      help="regenerate the stat-key registry and exit")
 
     return parser
 

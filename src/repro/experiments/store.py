@@ -79,10 +79,34 @@ def _canonical(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: JSON leaves that ``_plain`` returns as they are
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+#: dataclass type -> its field names, looked up once per class
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _plain(value: object) -> object:
+    """``dataclasses.asdict(value)`` as JSON sees it, without the deep
+    copy ``asdict`` makes of every leaf."""
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not dataclasses.is_dataclass(cls):
+            if isinstance(value, (list, tuple)):
+                return [_plain(item) for item in value]
+            if isinstance(value, dict):
+                return {key: _plain(item) for key, item in value.items()}
+            return value
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return {name: _plain(getattr(value, name)) for name in names}
+
+
 def config_fingerprint(config: SystemConfig) -> str:
     """Short digest of every knob of a fully-built system config."""
-    payload = dataclasses.asdict(config)
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8"))
+    digest = hashlib.sha256(_canonical(_plain(config)).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

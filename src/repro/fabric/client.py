@@ -173,9 +173,7 @@ class FabricClient:
             self.url + "/events", headers={"Accept": "text/event-stream"}
         )
         try:
-            # Closed by the finally below; the CFG rule cannot see
-            # across the second try block.
-            response = urllib.request.urlopen(  # lint: resource-ok
+            response = urllib.request.urlopen(
                 request, timeout=timeout if timeout is not None else self.timeout
             )
         except (urllib.error.URLError, TimeoutError, ConnectionError,

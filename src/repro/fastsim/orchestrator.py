@@ -21,6 +21,9 @@ per-job tiers:
     outright, and any point whose predicted gain over the sweep's
     baseline config lies inside the calibrated error band re-runs
     exact too (see :func:`repro.fastsim.gate.near_decision_boundary`).
+    A job with ``overrides`` runs exact: the fast model takes presets
+    only.  It stays out of the fast sub-sweep, the gate's sample and
+    escalation.  (Under ``fast`` such a job raises ``ValueError``.)
 
 All tiers flow through the same store + observability path;
 fast results are persisted *with* their error bars, so a later session
@@ -110,6 +113,11 @@ def run_fidelity_sweep(
         )
         return FidelityOutcome(results=outcome.results, stats=outcome.stats)
 
+    if fidelity == "auto" and any(job.overrides for job in specs):
+        return _run_variants_exact(
+            specs, jobs, gate, baseline_config, use_store, **run_kwargs
+        )
+
     gate = gate or FidelityGate()
     fast_specs = [replace(job, fidelity="fast") for job in specs]
     fast = run_jobs(fast_specs, jobs=jobs, use_store=use_store, **run_kwargs)
@@ -159,6 +167,41 @@ def run_fidelity_sweep(
         record=record,
         validated_indices=validated,
         escalated_indices=escalated,
+    )
+
+
+def _run_variants_exact(
+    specs: Sequence[Job],
+    jobs: int,
+    gate: Optional[FidelityGate],
+    baseline_config: str,
+    use_store: Optional[bool],
+    **run_kwargs: object,
+) -> FidelityOutcome:
+    """An ``auto`` sweep whose jobs with overrides run exact, each result
+    in its own slot; the preset jobs take the usual ``auto`` path."""
+    presets = [i for i, job in enumerate(specs) if not job.overrides]
+    variants = [i for i, job in enumerate(specs) if job.overrides]
+    outcome = run_fidelity_sweep(
+        [specs[i] for i in presets], "auto", jobs=jobs, gate=gate,
+        baseline_config=baseline_config, use_store=use_store, **run_kwargs,
+    )
+    exact = run_jobs(
+        [replace(specs[i], fidelity="exact") for i in variants],
+        jobs=jobs, use_store=use_store, **run_kwargs,
+    )
+    outcome.stats.merge(exact.stats)
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    for pos, i in enumerate(presets):
+        results[i] = outcome.results[pos]
+    for pos, i in enumerate(variants):
+        results[i] = exact.results[pos]
+    return FidelityOutcome(
+        results=results,
+        stats=outcome.stats,
+        record=outcome.record,
+        validated_indices=[presets[p] for p in outcome.validated_indices],
+        escalated_indices=[presets[p] for p in outcome.escalated_indices],
     )
 
 

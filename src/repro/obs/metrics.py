@@ -24,6 +24,12 @@ registry for the same name returns the same instrument, and asking
 with a different type or label set raises — two call sites can never
 silently write into differently-shaped metrics under one name.
 
+Every registration, on a disabled registry too, also meets the naming
+contract or raises :class:`MetricError` naming the metric: the name
+matches ``^repro_[a-z0-9_]*[a-z0-9]$``, a counter's name ends in
+``_total``, and a metric has at most :data:`METRIC_LABEL_CAP` label
+names (label sets are what explode a scraper's storage).
+
 Mutation is thread-safe (the HTTP endpoint of :mod:`repro.obs.server`
 reads registries from a second thread); the enabled-path cost is one
 lock acquisition per update, which is negligible at the per-job /
@@ -40,6 +46,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
+    "METRIC_LABEL_CAP",
     "NULL_METRICS",
     "Counter",
     "Gauge",
@@ -58,27 +65,40 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+#: Most label names one metric may declare.
+METRIC_LABEL_CAP = 3
+
+_NAME_RE = re.compile(r"^repro_[a-z0-9_]*[a-z0-9]$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 class MetricError(ValueError):
-    """Invalid metric/label name, or a name re-registered differently."""
+    """A metric that breaks the naming contract, an invalid label name,
+    or a name re-registered differently."""
 
 
-def _check_name(name: str) -> str:
+def _check_name(name: str, kind: str) -> str:
     if not _NAME_RE.match(name):
-        raise MetricError(f"invalid metric name {name!r}")
+        raise MetricError(
+            f"invalid metric name {name!r}: must match {_NAME_RE.pattern}"
+        )
+    if kind == "counter" and not name.endswith("_total"):
+        raise MetricError(f"counter {name!r} must end in _total")
     return name
 
 
-def _check_labelnames(labelnames: Iterable[str]) -> Tuple[str, ...]:
+def _check_labelnames(name: str, labelnames: Iterable[str]) -> Tuple[str, ...]:
     names = tuple(labelnames)
     for label in names:
         if not _LABEL_RE.match(label) or label.startswith("__"):
-            raise MetricError(f"invalid label name {label!r}")
+            raise MetricError(f"{name}: invalid label name {label!r}")
     if len(set(names)) != len(names):
-        raise MetricError(f"duplicate label names in {names!r}")
+        raise MetricError(f"{name}: duplicate label names in {names!r}")
+    if len(names) > METRIC_LABEL_CAP:
+        raise MetricError(
+            f"{name}: {len(names)} label names {names!r}, at most "
+            f"{METRIC_LABEL_CAP}"
+        )
     return names
 
 
@@ -254,8 +274,8 @@ class MetricsRegistry:
 
     # -- registration --------------------------------------------------
     def _register(self, cls, name, help, labelnames, **extra) -> _Instrument:
-        _check_name(name)
-        labelnames = _check_labelnames(labelnames)
+        _check_name(name, cls.kind)
+        labelnames = _check_labelnames(name, labelnames)
         with self._lock:
             existing = self._instruments.get(name)
             if existing is not None:

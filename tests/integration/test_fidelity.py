@@ -113,6 +113,35 @@ class TestAutoTier:
             assert out.results[index].error_bar("cycles") is not None
 
 
+class TestAutoKeepsVariantsExact:
+    """The fast model takes presets only, so ``auto`` runs a job with
+    overrides exact instead of failing the whole sweep."""
+
+    VARIANT = sweep.Job("milc", "PMS", accesses=2000, seed=SEED,
+                        overrides=(("ms_prefetcher.buffer.entries", 8),))
+
+    def test_lone_variant_returns_one_exact_result(self):
+        out = run_fidelity_sweep([self.VARIANT], fidelity="auto")
+        [result] = out.results
+        assert result.fidelity is None
+        assert result == sweep.run_jobs([self.VARIANT]).results[0]
+        assert out.validated_indices == [] and out.escalated_indices == []
+
+    def test_mixed_list_keeps_each_result_in_its_slot(self):
+        plain = sweep.Job("milc", "PMS", accesses=2000, seed=SEED)
+        out = run_fidelity_sweep([plain, self.VARIANT], fidelity="auto")
+        first, second = out.results
+        assert first.fidelity_tier == "fast" or 0 in out.validated_indices
+        assert 1 not in out.validated_indices + out.escalated_indices
+        assert second.fidelity is None
+        assert second == sweep.run_jobs([self.VARIANT]).results[0]
+        assert second != sweep.run_jobs([plain]).results[0]
+
+    def test_fast_sweep_still_refuses_a_variant(self):
+        with pytest.raises(ValueError, match="overrides"):
+            run_fidelity_sweep([self.VARIANT], fidelity="fast")
+
+
 class TestStoreRoundTrip:
     def test_calibrated_bars_survive_a_cold_process(self):
         jobs = grid(["milc", "cg"], ["NP", "PMS"])

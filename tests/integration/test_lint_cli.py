@@ -41,22 +41,26 @@ class TestToolsLint:
         assert data["files"] > 50
 
     def test_write_registry_is_a_no_op(self, tmp_path):
-        """Regenerating the committed registries must not change them —
-        the same invariant CI enforces with git diff --exit-code."""
-        registries = [
-            os.path.join(REPO_ROOT, "src", "repro", "common", "stat_keys.py"),
-            os.path.join(REPO_ROOT, "src", "repro", "fabric", "wire_schema.py"),
-            os.path.join(REPO_ROOT, "src", "repro", "obs", "metric_names.py"),
-        ]
-        before = {}
-        for registry in registries:
-            with open(registry, "r", encoding="utf-8") as handle:
-                before[registry] = handle.read()
-        proc = _run("tools/lint.py", "--write-registry")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        for registry in registries:
-            with open(registry, "r", encoding="utf-8") as handle:
-                assert handle.read() == before[registry], registry
+        """Regenerating the committed registry must not change it — the
+        same invariant CI enforces with git diff --exit-code.  The
+        original bytes are restored either way, so a stale registry
+        fails every run until the regenerated file is committed."""
+        registry = os.path.join(
+            REPO_ROOT, "src", "repro", "common", "stat_keys.py"
+        )
+        with open(registry, "rb") as handle:
+            before = handle.read()
+        try:
+            proc = _run("tools/lint.py", "--write-registry")
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            assert proc.stdout.split() == [
+                "wrote", os.path.join("src", "repro", "common", "stat_keys.py")
+            ]
+            with open(registry, "rb") as handle:
+                assert handle.read() == before, registry
+        finally:
+            with open(registry, "wb") as handle:
+                handle.write(before)
 
     def test_output_writes_json_artifact(self, tmp_path):
         """--output writes the JSON report to a file (the CI artifact)

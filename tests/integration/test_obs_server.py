@@ -91,6 +91,7 @@ class TestLiveEndpoints:
     def test_unknown_route_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(live_server.url + "/nope")
+        err.value.close()  # the error holds the response's socket
         assert err.value.code == 404
 
 
@@ -119,6 +120,7 @@ class TestSpansEndpoint:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(server.url + "/spans.json")
+            err.value.close()
             assert err.value.code == 404
         finally:
             server.close()
@@ -150,7 +152,7 @@ class TestEventsStream:
             registry=registry, progress=progress, spans=collector
         ).start()
         try:
-            response = urllib.request.urlopen(  # lint: resource-ok
+            response = urllib.request.urlopen(
                 server.url + "/events", timeout=5
             )
             try:
@@ -171,7 +173,7 @@ class TestEventsStream:
 
     def test_close_ends_the_stream(self):
         server = ObsServer(registry=MetricsRegistry(enabled=True)).start()
-        response = urllib.request.urlopen(  # lint: resource-ok
+        response = urllib.request.urlopen(
             server.url + "/events", timeout=5
         )
         try:

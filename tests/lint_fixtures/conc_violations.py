@@ -1,80 +1,13 @@
-"""Fleet concurrency violations: CONC001/002/003 must fire here.
+"""Fleet concurrency violations: CONC003 must fire here.
 
-``Agent.start`` spawns a non-daemon thread it never joins and
-``Agent.start_flaky`` joins it on only one branch; ``Poller.fetch``
-leaks its socket on the early-return path; ``Coordinator`` sleeps —
-directly and via a one-level ``self._poll_remote()`` helper — while
-holding its lock.  Every class also carries the clean variant of the
-same shape, so the tests pin both directions.
+``Coordinator`` sleeps — directly and via a one-level
+``self._poll_remote()`` helper — while holding its lock, and also
+carries the clean variant of the same shape, so the tests pin both
+directions.
 """
 
-import socket
 import threading
 import time
-
-
-class Agent:
-    def __init__(self):
-        self._stop = threading.Event()
-
-    def _loop(self):
-        while not self._stop.is_set():
-            self._stop.wait(0.1)
-
-    def start(self):
-        worker = threading.Thread(target=self._loop)  # CONC001: never joined
-        worker.start()
-
-    def start_flaky(self, fast):
-        worker = threading.Thread(target=self._loop)  # CONC001: joined on one branch only
-        worker.start()
-        if fast:
-            worker.join()
-
-    def start_daemon(self):
-        worker = threading.Thread(target=self._loop, daemon=True)
-        worker.start()
-
-    def start_daemon_attr(self):
-        worker = threading.Thread(target=self._loop)
-        worker.daemon = True
-        worker.start()
-
-    def start_handoff(self):
-        worker = threading.Thread(target=self._loop)
-        self._worker = worker  # ownership handed to the instance
-        worker.start()
-
-    def start_joined(self):
-        worker = threading.Thread(target=self._loop)
-        worker.start()
-        worker.join()
-
-
-class Poller:
-    def fetch(self, host, ready):
-        sock = socket.socket()  # CONC002: early return skips close
-        if not ready:
-            return None
-        sock.connect((host, 80))
-        data = sock.recv(1024)
-        sock.close()
-        return data
-
-    def fetch_finally(self, host):
-        sock = socket.socket()
-        try:
-            sock.connect((host, 80))
-            return sock.recv(1024)
-        finally:
-            sock.close()
-
-    def read_with(self, path):
-        with open(path) as handle:
-            return handle.read()
-
-    def open_handoff(self):
-        return socket.socket()  # caller owns the release
 
 
 class Coordinator:

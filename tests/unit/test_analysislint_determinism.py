@@ -77,6 +77,23 @@ class TestScoping:
         assert len(findings) == 2
         assert all(f.rule == "DET001" for f in findings)
 
+    def test_datetime_now_flagged(self):
+        # the datetime family of wall-clock reads is DET001's too
+        tree = mount_text(
+            "import datetime\n\n\n"
+            "class StampingBlock:\n"
+            "    def tick(self, now):\n"
+            "        self.stamp = datetime.datetime.now()\n"
+            "        self.day = datetime.date.today()\n",
+            "src/repro/controller/stamp.py",
+        )
+        findings = WallClockRule().check(tree)
+        assert [f.symbol for f in findings] == ["StampingBlock.tick"] * 2
+        assert "datetime.datetime.now" in findings[0].message
+        assert WallClockRule().check(mount_text(
+            tree.files[0].text, "src/repro/analysis/stamp.py"
+        )) == []
+
     def test_from_import_random_detected(self):
         tree = mount_text(
             "from random import randint\n"

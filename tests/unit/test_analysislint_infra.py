@@ -53,23 +53,20 @@ class TestConfigLoading:
         assert load_config(None) == DEFAULT_CONFIG
         assert load_config(str(tmp_path)) == DEFAULT_CONFIG
 
-    def test_overlay_scope_severity_and_cap(self, tmp_path):
+    def test_overlay_scope_and_severity(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
-            "metric_label_cap = 5\n"
             "[tool.repro.lint.scope]\n"
             'fleet_packages = ["fabric"]\n'
             "[tool.repro.lint.severity]\n"
-            'HYG001 = "warn"\n'
+            'CONC003 = "warn"\n'
             'DET004 = "off"\n'
             'BAD001 = "loud"\n'  # invalid level: dropped
         )
         config = load_config(str(tmp_path))
-        assert config.metric_label_cap == 5
         assert config.fleet_packages == ("fabric",)
         # untouched scopes keep their defaults
         assert config.sim_packages == DEFAULT_CONFIG.sim_packages
-        assert config.rule_severity("HYG001") == "warn"
+        assert config.rule_severity("CONC003") == "warn"
         assert config.rule_severity("DET004") == "off"
         assert config.rule_severity("BAD001") == "error"
         assert config.rule_severity("DET001") == "error"
@@ -84,7 +81,7 @@ class TestFallbackTomlParser:
         with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
             doc = _parse_toml_subset(fh.read())
         lint = doc["tool"]["repro"]["lint"]
-        assert lint["metric_label_cap"] == 3
+        assert tuple(lint["scope"]["sim_packages"]) == DEFAULT_CONFIG.sim_packages
         assert tuple(lint["scope"]["fleet_packages"]) == ("fabric", "obs")
         assert tuple(lint["allow"]["wallclock"]) == DEFAULT_CONFIG.wallclock_allowlist
 
@@ -102,10 +99,10 @@ class TestFallbackTomlParser:
             "select = [\n"
             '  "E4",\n'
             "]\n"
-            "[tool.repro.lint]\n"
-            "metric_label_cap = 2\n"
+            "[tool.repro.lint.severity]\n"
+            'DET004 = "warn"\n'
         )
-        assert doc["tool"]["repro"]["lint"]["metric_label_cap"] == 2
+        assert doc["tool"]["repro"]["lint"]["severity"]["DET004"] == "warn"
 
     def test_multiline_array_inside_lint_table_raises(self):
         with pytest.raises(ValueError, match="single-line"):

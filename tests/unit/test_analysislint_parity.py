@@ -5,6 +5,9 @@ divergent ``tick``/``tick_reference`` pair must be flagged, and the real
 ``MemoryController`` / ``MemorySidePrefetcher`` pairs must pass.
 """
 
+import ast
+import textwrap
+
 import pytest
 
 from repro.analysislint.parity import (
@@ -14,6 +17,7 @@ from repro.analysislint.parity import (
     StatsParityRule,
     _analyses,
     _class_pairs,
+    called_self_methods,
 )
 from tests.unit._lint_util import mount, mount_text, real_tree
 
@@ -164,3 +168,17 @@ class TestRealDualPathClasses:
         mc = by_name["MemoryController"]
         assert mc.keys["tick"], "MemoryController.tick writes no visible keys?"
         assert mc.keys["tick"] == mc.keys["tick_reference"]
+
+
+class TestCalledSelfMethods:
+    def test_direct_and_aliased_calls(self):
+        func = ast.parse(textwrap.dedent(
+            """
+            def f(self):
+                self._direct()
+                fn = self._aliased
+                fn()
+                other()
+            """
+        )).body[0]
+        assert called_self_methods(func) == {"_direct", "_aliased"}

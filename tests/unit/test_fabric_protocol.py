@@ -1,12 +1,40 @@
-"""Unit tests for the fabric wire protocol (codec + validation)."""
+"""Unit tests for the fabric wire protocol (codec + validation), and
+the wire schema every message kind must keep at each protocol version."""
+
+import json
 
 import pytest
 
-from repro.experiments import sweep
+from repro.experiments import store, sweep
 from repro.fabric import protocol
+from repro.fabric.agent import WorkerAgent
 from repro.fabric.client import FabricClient
+from repro.fabric.coordinator import Coordinator
 from repro.fabric.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.obs import spans as obs_spans
+
+#: The wire schema per protocol version: the fields of one job, and the
+#: fields each message kind carries beyond ``protocol``/``kind``.  A
+#: field-set change without a ``PROTOCOL_VERSION`` bump leaves mixed
+#: fleets mis-parsing each other, so a change must bump the version and
+#: pin the new version's schema here.
+WIRE_SCHEMAS = {
+    4: {
+        "job": ("benchmark", "config", "accesses", "seed", "threads",
+                "scheduler", "fidelity"),
+        "kinds": {
+            "complete_ack": ("accepted", "duplicates", "errors"),
+            "complete_report": ("items", "lease", "metrics", "spans",
+                                "worker"),
+            "heartbeat": ("lease", "worker"),
+            "heartbeat_ack": ("alive", "lease"),
+            "lease_grant": ("jobs", "lease", "lease_seconds", "trace"),
+            "lease_request": ("capacity", "worker"),
+            "sweep_accepted": ("deduped", "queued", "sweep", "total"),
+            "sweep_request": ("jobs", "priority", "trace"),
+        },
+    },
+}
 
 
 def resolved_job(**overrides):
@@ -346,3 +374,96 @@ class TestClientSubmitFidelity:
         tiers = [job.fidelity for job in jobs]
         assert tiers[:2] == ["fast", "fast"]
         assert tiers[2:] == ["exact"] * FidelityGate().sample_size(2)
+
+
+class InProcessClient(FabricClient):
+    """A client whose requests reach a Coordinator through JSON text but
+    without HTTP."""
+
+    def __init__(self, coordinator):
+        super().__init__("in-process")
+        self.routes = {
+            "/v1/sweeps": coordinator.submit,
+            "/v1/lease": coordinator.lease,
+            "/v1/heartbeat": coordinator.heartbeat,
+            "/v1/complete": coordinator.complete,
+        }
+
+    def _call(self, path, document=None):
+        reply = self.routes[path](json.loads(json.dumps(document)))
+        return json.loads(json.dumps(reply))
+
+
+@pytest.fixture(scope="class")
+def wire_traffic(tmp_path_factory):
+    """Drive a coordinator and a worker through submit, lease, heartbeat
+    and complete; return every document ``protocol.envelope`` built and
+    every kind ``protocol.check_envelope`` accepted."""
+    produced, consumed = [], set()
+    envelope, check_envelope = protocol.envelope, protocol.check_envelope
+
+    def recording_envelope(kind, **fields):
+        message = envelope(kind, **fields)
+        produced.append(message)
+        return message
+
+    def recording_check(document, kind):
+        checked = check_envelope(document, kind)
+        consumed.add(kind)
+        return checked
+
+    root = tmp_path_factory.mktemp("wire")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "envelope", recording_envelope)
+        patch.setattr(protocol, "check_envelope", recording_check)
+        coordinator = Coordinator(
+            result_store=store.ResultStore(str(root / "coordinator"))
+        )
+        client = InProcessClient(coordinator)
+        client.submit(["milc"], ["NP", "PMS"], accesses=300, seed=1,
+                      fidelity="fast")
+        lease_id, jobs, _seconds = client.lease("w0", 1)
+        assert client.heartbeat("w0", lease_id) is True
+        client.complete("w0", lease_id, [
+            {"key": jobs[0][0], "result": None, "error": "injected"},
+        ])
+        totals = WorkerAgent(
+            "in-process", worker_id="w1", client=client, poll_seconds=0.01,
+            drain_idle_seconds=0.0,
+            result_store=store.ResultStore(str(root / "worker")),
+        ).run()
+    assert totals["executed"] >= 3 and totals["errors"] == 0
+    return produced, consumed
+
+
+class TestWireSchema:
+    """The replies and requests a live fleet exchanges, against the
+    schema pinned for this build's ``PROTOCOL_VERSION``."""
+
+    def test_every_kind_produced_is_consumed(self, wire_traffic):
+        produced, consumed = wire_traffic
+        assert {message["kind"] for message in produced} == consumed
+
+    def test_kinds_match_the_pinned_schema(self, wire_traffic):
+        produced, _consumed = wire_traffic
+        schema = WIRE_SCHEMAS[PROTOCOL_VERSION]["kinds"]
+        assert {message["kind"] for message in produced} == set(schema)
+
+    def test_field_sets_match_the_pinned_schema(self, wire_traffic):
+        produced, _consumed = wire_traffic
+        schema = WIRE_SCHEMAS[PROTOCOL_VERSION]["kinds"]
+        for message in produced:
+            fields = sorted(set(message) - {"protocol", "kind"})
+            assert tuple(fields) == schema[message["kind"]], message["kind"]
+
+    def test_job_wire_fields_match_the_pinned_schema(self, wire_traffic):
+        produced, _consumed = wire_traffic
+        job_fields = WIRE_SCHEMAS[PROTOCOL_VERSION]["job"]
+        assert protocol._JOB_WIRE_FIELDS == job_fields
+        jobs = [job for message in produced if message["kind"] == "sweep_request"
+                for job in message["jobs"]]
+        jobs += [entry["job"] for message in produced
+                 if message["kind"] == "lease_grant" for entry in message["jobs"]]
+        assert jobs
+        for job in jobs:
+            assert tuple(job) == job_fields

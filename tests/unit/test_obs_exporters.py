@@ -50,16 +50,16 @@ class TestExposition:
 
     def test_unused_instruments_are_omitted(self):
         reg = MetricsRegistry()
-        reg.counter("never_incremented_total", "x")
+        reg.counter("repro_never_incremented_total", "x")
         assert exporters.render_exposition(reg) == ""
 
     def test_label_values_are_escaped(self):
         reg = MetricsRegistry()
-        reg.counter("c", "", ("path",)).inc(path='a"b\\c\nd')
+        reg.counter("repro_c_total", "", ("path",)).inc(path='a"b\\c\nd')
         text = exporters.render_exposition(reg)
         assert 'path="a\\"b\\\\c\\nd"' in text
         parsed = exporters.parse_exposition(text)
-        assert parsed[("c", (("path", 'a"b\\c\nd'),))] == 1.0
+        assert parsed[("repro_c_total", (("path", 'a"b\\c\nd'),))] == 1.0
 
 
 class TestParse:
@@ -92,32 +92,32 @@ class TestParse:
         # plus a comma and an equals sign that must not split the pair
         hostile = 'a\\b"c\nd,e=f'
         reg = MetricsRegistry()
-        reg.counter("c", "", ("path", "kind")).inc(
+        reg.counter("repro_c_total", "", ("path", "kind")).inc(
             2, path=hostile, kind="plain"
         )
         parsed = exporters.parse_exposition(exporters.render_exposition(reg))
         assert parsed[
-            ("c", (("kind", "plain"), ("path", hostile)))
+            ("repro_c_total", (("kind", "plain"), ("path", hostile)))
         ] == 2.0
 
     def test_trailing_backslash_label_value(self):
         reg = MetricsRegistry()
-        reg.counter("c", "", ("p",)).inc(p="ends\\")
+        reg.counter("repro_c_total", "", ("p",)).inc(p="ends\\")
         parsed = exporters.parse_exposition(exporters.render_exposition(reg))
-        assert parsed[("c", (("p", "ends\\"),))] == 1.0
+        assert parsed[("repro_c_total", (("p", "ends\\"),))] == 1.0
 
     def test_histogram_inf_sum_count_round_trip(self):
         reg = MetricsRegistry()
-        hist = reg.histogram("h_seconds", "", buckets=(0.5,),
+        hist = reg.histogram("repro_h_seconds", "", buckets=(0.5,),
                              labelnames=("stage",))
         hist.observe(0.1, stage="lease")
         hist.observe(9.0, stage="lease")
         parsed = exporters.parse_exposition(exporters.render_exposition(reg))
         stage = ("stage", "lease")
-        assert parsed[("h_seconds_bucket", (("le", "0.5"), stage))] == 1.0
-        assert parsed[("h_seconds_bucket", (("le", "+Inf"), stage))] == 2.0
-        assert parsed[("h_seconds_sum", (stage,))] == pytest.approx(9.1)
-        assert parsed[("h_seconds_count", (stage,))] == 2.0
+        assert parsed[("repro_h_seconds_bucket", (("le", "0.5"), stage))] == 1.0
+        assert parsed[("repro_h_seconds_bucket", (("le", "+Inf"), stage))] == 2.0
+        assert parsed[("repro_h_seconds_sum", (stage,))] == pytest.approx(9.1)
+        assert parsed[("repro_h_seconds_count", (stage,))] == 2.0
 
     def test_inf_sample_value_parses(self):
         parsed = exporters.parse_exposition("g +Inf\nh -Inf\n")

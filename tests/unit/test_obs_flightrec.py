@@ -100,13 +100,13 @@ class TestPostmortem:
 
     def test_dump_includes_metrics_when_enabled(self, tmp_path):
         reg = MetricsRegistry(enabled=True)
-        reg.counter("c_total").inc(4)
+        reg.counter("repro_c_total").inc(4)
         rec = FlightRecorder(metrics=reg)
         doc = read_postmortem(
             rec.postmortem("worker_crash", "k2", directory=str(tmp_path))
         )
         names = {m["name"] for m in doc["metrics"]["metrics"]}
-        assert "c_total" in names
+        assert "repro_c_total" in names
 
     def test_default_directory_is_postmortem_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))

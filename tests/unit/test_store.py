@@ -1,14 +1,17 @@
 """Unit tests for the content-addressed on-disk result store."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import tracemalloc
 
 import pytest
 
+from repro.common.config import SCHEDULERS
 from repro.dram.power import PowerReport
 from repro.experiments import store
-from repro.system.presets import make_config
+from repro.system.presets import ABLATION_CONFIGS, CONFIG_NAMES, make_config
 from repro.system.results import RunResult
 
 
@@ -82,6 +85,25 @@ class TestKeys:
         config.ms_prefetcher.buffer.entries = 32
         assert store.config_fingerprint(config) != base
 
+    def test_fingerprint_equals_the_asdict_digest(self):
+        # the field walk must hash the same canonical JSON that
+        # dataclasses.asdict gives, or every stored key moves
+        def reference(config):
+            text = store._canonical(dataclasses.asdict(config))
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+        configs = [
+            make_config(name, threads=threads, scheduler=scheduler)
+            for name in dict.fromkeys(CONFIG_NAMES + ABLATION_CONFIGS)
+            for threads in (1, 2)
+            for scheduler in SCHEDULERS
+        ]
+        configs.append(make_config("PMS").with_overrides(
+            (("ms_prefetcher.buffer.entries", 8), ("core.mlp", 2))
+        ))
+        for config in configs:
+            assert store.config_fingerprint(config) == reference(config), config.name
+
     def test_config_change_invalidates_the_entry(self, tmp_path):
         st = store.ResultStore(str(tmp_path))
         st.put(sample_spec(), sample_result())
@@ -118,9 +140,11 @@ class TestResultStore:
         st = store.ResultStore(str(tmp_path))
         spec = sample_spec()
         path = st.put(spec, sample_result())
-        document = json.load(open(path))
+        with open(path) as handle:
+            document = json.load(handle)
         document["spec"]["seed"] = 99  # hand-tampered entry
-        json.dump(document, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(document, handle)
         assert st.get(spec) is None
         assert st.stats.errors == 1
 

@@ -80,7 +80,8 @@ class TestSeriesExport:
         path = str(tmp_path / "series.csv")
         rows = series_to_csv(probes, path)
         assert rows == 3
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         header = lines[0].split(",")
         assert header[0] == "epoch"
         assert "policy.index" in header
@@ -92,7 +93,8 @@ class TestSeriesExport:
         path = str(tmp_path / "series.json")
         doc = series_to_json(probes, path)
         assert doc["series"]["slh.lht.t0.asc"]["values"][0] == [0, 10, 5]
-        on_disk = json.loads(open(path).read())
+        with open(path) as handle:
+            on_disk = json.load(handle)
         assert on_disk["series"].keys() == doc["series"].keys()
 
     def test_json_without_path_returns_doc(self):
