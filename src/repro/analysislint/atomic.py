@@ -3,15 +3,16 @@
 Every durable artifact in the fleet pipeline — store result files,
 metric snapshots, flight-recorder post-mortems, converted traces — is
 read back by *other* processes (workers, the coordinator, CI), so a
-torn write is not a local bug, it poisons the whole fleet.  The repo's
-sanctioned idiom is::
+torn write is not a local bug, it poisons the whole fleet.  The repo
+writes them all through one helper, ``repro.common.files.durable_write``::
 
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=...)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+    with durable_write(final_path) as fh:
         fh.write(payload)
-    os.replace(tmp, final_path)
 
-(or the lighter ``tmp = path + ".tmp"`` variant).  ATO001 flags any
+which holds the idiom this rule recognises: ``tempfile.mkstemp`` beside
+the target, a write-mode open of the temp file, ``os.replace`` onto
+the target (the lighter ``tmp = path + ".tmp"`` variant passes too).
+ATO001 flags any
 write-mode ``open``/``os.fdopen``/``open_text``/``gzip.open`` in the
 configured ``atomic_packages`` whose target does not flow into an
 ``os.replace``/``os.rename`` in the same function.  Append-mode opens

@@ -56,6 +56,7 @@ class LintConfig:
     )
     fleet_packages: Tuple[str, ...] = ("fabric", "obs")
     atomic_packages: Tuple[str, ...] = (
+        "common",
         "experiments",
         "fabric",
         "obs",

@@ -14,17 +14,10 @@ for predictable reports.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro.analysislint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysislint.core import Finding, SourceTree
-
-#: Kept as module-level aliases of the config defaults for callers that
-#: predate ``[tool.repro.lint]``; rules themselves read ``self.config``
-#: so pyproject overrides take effect.  See config.py for rationale on
-#: each scope (sim determinism, wall-clock sanctum).
-SIM_PACKAGES: Set[str] = set(DEFAULT_CONFIG.sim_packages)
-WALLCLOCK_ALLOWLIST = DEFAULT_CONFIG.wallclock_allowlist
 
 
 class Rule:

@@ -14,9 +14,10 @@ waivers*: ``# lint:`` comments that no longer suppress anything.
 
 from __future__ import annotations
 
+import argparse
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.analysislint.baseline import (
     DEFAULT_BASELINE,
@@ -139,12 +140,10 @@ def regenerate_registry(root: Optional[str] = None) -> List[str]:
     return [write_registry(load_tree(root), root)]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Shared CLI entry point (tools/lint.py and ``repro lint``)."""
-    import argparse
-
+def build_parser(prog: str = "lint") -> argparse.ArgumentParser:
+    """The analyzer's arguments, parsed by both front doors."""
     parser = argparse.ArgumentParser(
-        prog="lint",
+        prog=prog,
         description=(
             "simulator-invariant static analysis (determinism, dual-path "
             "parity, cycle accounting, the stat-key registry, lock "
@@ -184,7 +183,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="regenerate the stat-key registry and exit",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None, prog: str = "lint") -> int:
+    """Shared CLI entry point (tools/lint.py and ``repro lint``)."""
+    args = build_parser(prog).parse_args(argv)
 
     root = find_repo_root()
     if args.write_registry:

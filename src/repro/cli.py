@@ -44,16 +44,25 @@ never stored.  ``sweep`` additionally drives a live progress line
 (suppress with ``--no-progress``), always writes a metrics snapshot
 under ``.repro-results/metrics/``, and serves ``/metrics`` +
 ``/healthz`` + ``/progress`` live when given ``--metrics-port N``.
+
+Every simulating command builds its cells as
+:class:`~repro.experiments.sweep.Job` objects (:func:`_jobs`).
+``compare``, ``suite`` and ``sweep`` resolve them through ``run_jobs``
+(the result store and the worker pool); ``run``, traced ``compare`` and
+``telemetry`` simulate them in this process on every call and store
+nothing (:func:`_simulate`).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import List, Optional
 
 from repro.analysis.report import format_table
-from repro.system.presets import ABLATION_CONFIGS, CONFIG_NAMES, make_config
+from repro.system.presets import ABLATION_CONFIGS, CONFIG_NAMES
 from repro.workloads.profiles import SUITES
 
 #: figure/table id -> (module, entry function, render function) names
@@ -120,6 +129,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-store", action="store_true",
                        help="skip the on-disk result store")
 
+    def configs(p):
+        p.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
+                       default=list(CONFIG_NAMES),
+                       help="configurations (default: NP PS MS PMS)")
+
+    def grid(p, verb):
+        p.add_argument("-s", "--suite", choices=sorted(SUITES),
+                       help=f"{verb} a whole suite")
+        p.add_argument("-b", "--benchmarks", nargs="+", metavar="BENCH",
+                       help=f"{verb} an explicit benchmark list")
+        configs(p)
+
     compare = sub.add_parser("compare", help="NP/PS/MS/PMS on one benchmark")
     compare.add_argument("-b", "--benchmark", required=True)
     common(compare)
@@ -134,13 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="benchmarks x configs grid via the parallel engine"
     )
-    sweep.add_argument("-s", "--suite", choices=sorted(SUITES),
-                       help="sweep a whole suite")
-    sweep.add_argument("-b", "--benchmarks", nargs="+", metavar="BENCH",
-                       help="sweep an explicit benchmark list")
-    sweep.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
-                       default=list(CONFIG_NAMES),
-                       help="configurations (default: NP PS MS PMS)")
+    grid(sweep, "sweep")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-job timeout in seconds")
     sweep.add_argument("--fidelity", choices=("exact", "fast", "auto"),
@@ -201,9 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="calibrate the fast model's error bars on a converted trace",
     )
     tcal.add_argument("file", help="internal-format trace file")
-    tcal.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
-                      default=list(CONFIG_NAMES),
-                      help="configurations (default: NP PS MS PMS)")
+    configs(tcal)
     tcal.add_argument("-n", "--accesses", type=int, default=None,
                       help="replay at most N records (default: all)")
     tcal.add_argument("--seed", type=int, default=1)
@@ -320,13 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a grid to a coordinator over HTTP"
     )
     fsubmit.add_argument("--coordinator", required=True, metavar="URL")
-    fsubmit.add_argument("-s", "--suite", choices=sorted(SUITES),
-                         help="submit a whole suite")
-    fsubmit.add_argument("-b", "--benchmarks", nargs="+", metavar="BENCH",
-                         help="submit an explicit benchmark list")
-    fsubmit.add_argument("-c", "--configs", nargs="+", metavar="CONFIG",
-                         default=list(CONFIG_NAMES),
-                         help="configurations (default: NP PS MS PMS)")
+    grid(fsubmit, "submit")
     fsubmit.add_argument("--priority", type=int, default=0,
                          help="queue priority (higher runs first)")
     fsubmit.add_argument("--fidelity", choices=("exact", "fast"),
@@ -358,37 +365,89 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fallback poll interval when the SSE stream "
                              "is unavailable (default 2.0)")
 
-    lint = sub.add_parser(
-        "lint", help="simulator-invariant static analysis (docs/linting.md)"
+    # listed for --help only: main() hands lint's argv to the analyzer
+    sub.add_parser(
+        "lint", add_help=False,
+        help="simulator-invariant static analysis (docs/linting.md)",
     )
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to scan (default: src/repro)")
-    lint.add_argument("--check", action="store_true",
-                      help="exit nonzero on any new (non-baselined) finding")
-    lint.add_argument("--json", action="store_true", help="JSON report")
-    lint.add_argument("--output", metavar="PATH", default=None,
-                      help="additionally write the JSON report to PATH")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="baseline file (default .lint-baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="grandfather every current finding")
-    lint.add_argument("--write-registry", action="store_true",
-                      help="regenerate the stat-key registry and exit")
-
     return parser
 
 
-def _make_session(trace_events, probe_interval):
-    """A TelemetrySession when either telemetry flag was given, else None."""
-    if trace_events is None and probe_interval is None:
+def _jobs(args, benchmarks, configs, **fields) -> list:
+    """The benchmarks x configs cells of one invocation as sweep Jobs,
+    at its ``-n`` and ``--seed``; ``fields`` sets the other Job fields."""
+    from repro.experiments.sweep import expand_grid
+
+    return expand_grid(benchmarks, configs, accesses=args.accesses,
+                       seed=args.seed, **fields)
+
+
+def _grid(args, command: str):
+    """``(benchmarks, configs)`` from ``--benchmarks`` or ``--suite`` and
+    ``--configs``; None, after a usage line on stderr, without either."""
+    if args.benchmarks:
+        benchmarks = list(args.benchmarks)
+    elif args.suite:
+        benchmarks = list(SUITES[args.suite])
+    else:
+        print(f"{command}: pass --suite or --benchmarks", file=sys.stderr)
         return None
+    return benchmarks, list(args.configs)
+
+
+def _workers(args, default: int = 1) -> int:
+    """Worker processes: ``--jobs``, else ``REPRO_JOBS``, else ``default``."""
+    from repro.experiments.runner import env_int
+
+    return max(1, args.jobs if args.jobs is not None
+               else env_int("REPRO_JOBS", default))
+
+
+def _by_bench(specs, results) -> dict:
+    """``{benchmark: {config: result}}`` from aligned jobs and results."""
+    by_bench: dict = {}
+    for spec, result in zip(specs, results):
+        by_bench.setdefault(spec.benchmark, {})[spec.config_name] = result
+    return by_bench
+
+
+def _simulate(job, trace_events=None, probe_interval=None):
+    """Simulate one job in this process, on every call, storing nothing:
+    ``sweep.prepare``, then ``runner.simulate_job`` inside a
+    ``TelemetrySession`` when either telemetry argument is set.
+
+    Returns ``(result, session)``; the session is None when untraced.
+    """
+    from repro.experiments import runner, sweep
+
+    job, _, config = sweep.prepare(job)
+    cell = (config, job.benchmark, job.accesses, job.seed, job.threads)
+    if trace_events is None and probe_interval is None:
+        return runner.simulate_job(*cell), None
     from repro.telemetry.session import TelemetrySession
 
-    return TelemetrySession(trace_events=trace_events,
-                            probe_interval=probe_interval)
+    with TelemetrySession(trace_events=trace_events,
+                          probe_interval=probe_interval) as session:
+        result = runner.simulate_job(*cell, tracer=session.tracer,
+                                     probes=session.probes)
+    if session.writer is not None and result.telemetry is not None:
+        result.telemetry["events_written"] = session.writer.events_written
+    return result, session
 
 
-def _cmd_list() -> int:
+def _verbose_logging(verbose: bool) -> None:
+    """``--verbose``: the ``repro`` loggers' INFO records go to stderr."""
+    import logging
+
+    if verbose:
+        logging.basicConfig(
+            level=logging.INFO, stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        logging.getLogger("repro").setLevel(logging.INFO)
+
+
+def _cmd_list(args) -> int:
     print("suites:")
     for suite, names in SUITES.items():
         print(f"  {suite}: {', '.join(names)}")
@@ -400,29 +459,10 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments.runner import get_trace
-    from repro.system.simulator import simulate
-
-    traces = [
-        get_trace(args.benchmark, args.accesses, seed=args.seed + t)
-        for t in range(args.threads)
-    ]
-    config = make_config(args.config, threads=args.threads,
-                         scheduler=args.scheduler)
-    session = _make_session(args.trace_events, args.probe_interval)
-    result = simulate(
-        config,
-        traces,
-        tracer=session.tracer if session else None,
-        probes=session.probes if session else None,
-    )
-    if session is not None:
-        session.close()
-        if session.writer is not None and result.telemetry is not None:
-            result.telemetry["events_written"] = session.writer.events_written
+    (job,) = _jobs(args, [args.benchmark], [args.config],
+                   threads=args.threads, scheduler=args.scheduler)
+    result, session = _simulate(job, args.trace_events, args.probe_interval)
     if args.json:
-        import json
-
         print(json.dumps(result.to_dict(), indent=2))
         return 0
     print(result.summary())
@@ -449,54 +489,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _events_path_for(base: str, config_name: str) -> str:
+def _events_path_for(base: Optional[str], config_name: str) -> Optional[str]:
     """Per-config event-log path: ``out.jsonl`` -> ``out.NP.jsonl``."""
-    import os
-
+    if base is None:
+        return None
     root, ext = os.path.splitext(base)
     return f"{root}.{config_name}{ext or '.jsonl'}"
 
 
 def _cmd_compare(args) -> int:
-    traced = args.trace_events is not None or args.probe_interval is not None
-    if traced:
-        # Traced runs are serial-only and never stored/cached: their
-        # side effects (event logs, probe series) are the point.
-        from repro.experiments.runner import get_trace
-        from repro.system.simulator import simulate
+    specs = _jobs(args, [args.benchmark], CONFIG_NAMES)
+    if args.trace_events is None and args.probe_interval is None:
+        from repro.experiments.sweep import run_jobs
 
-        trace = get_trace(args.benchmark, args.accesses, seed=args.seed)
-        results = {}
-        for name in CONFIG_NAMES:
-            events = (
-                _events_path_for(args.trace_events, name)
-                if args.trace_events is not None else None
-            )
-            session = _make_session(events, args.probe_interval)
-            results[name] = simulate(
-                make_config(name),
-                trace,
-                tracer=session.tracer if session else None,
-                probes=session.probes if session else None,
-            )
-            if session is not None:
-                session.close()
+        results = run_jobs(specs, jobs=_workers(args),
+                           use_store=False if args.no_store else None).results
     else:
-        from repro.experiments.runner import run_suite
-
-        results = run_suite(
-            (args.benchmark,), CONFIG_NAMES, jobs=args.jobs,
-            accesses=args.accesses, seed=args.seed,
-            use_store=False if args.no_store else None,
-        )[args.benchmark]
-    np_run = results["NP"]
-    rows = []
-    for name in CONFIG_NAMES:
-        r = results[name]
-        rows.append(
-            [name, r.cycles, r.gain_vs(np_run), r.avg_read_latency(),
-             r.coverage * 100]
-        )
+        # Traced runs are serial-only and never stored: their side
+        # effects (event logs, probe series) are the point.
+        results = [
+            _simulate(job, _events_path_for(args.trace_events, job.config_name),
+                      args.probe_interval)[0]
+            for job in specs
+        ]
+    np_run = results[CONFIG_NAMES.index("NP")]
+    rows = [
+        [job.config_name, r.cycles, r.gain_vs(np_run), r.avg_read_latency(),
+         r.coverage * 100]
+        for job, r in zip(specs, results)
+    ]
     print(
         format_table(
             ["config", "MC cycles", "gain vs NP %", "read lat", "coverage %"],
@@ -508,47 +529,31 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    import os
+    from repro.analysis.metrics import compare_runs
+    from repro.experiments.performance import render
+    from repro.experiments.sweep import run_jobs
 
-    os.environ["REPRO_TRACE_ACCESSES"] = str(args.accesses)
-    os.environ["REPRO_SEED"] = str(args.seed)
-    if args.no_store:
-        os.environ["REPRO_STORE"] = "0"
-    from repro.experiments.performance import performance_figure, render
-
-    print(render(performance_figure(args.suite, jobs=args.jobs)))
+    specs = _jobs(args, SUITES[args.suite], CONFIG_NAMES)
+    outcome = run_jobs(specs, jobs=_workers(args),
+                       use_store=False if args.no_store else None)
+    print(render(compare_runs(args.suite, _by_bench(specs, outcome.results))))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    import logging
-    import os
-
-    from repro.experiments import runner, sweep
+    from repro.fastsim import run_fidelity_sweep
     from repro.obs import critpath, exporters, metrics
     from repro.obs import progress as obs_progress
     from repro.obs import spans as obs_spans
     from repro.obs.server import ObsServer
 
-    if args.benchmarks:
-        benchmarks = list(args.benchmarks)
-    elif args.suite:
-        benchmarks = list(SUITES[args.suite])
-    else:
-        print("sweep: pass --suite or --benchmarks", file=sys.stderr)
+    grid = _grid(args, "sweep")
+    if grid is None:
         return 2
-    if args.verbose:
-        logging.basicConfig(
-            level=logging.INFO, stream=sys.stderr,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        logging.getLogger("repro").setLevel(logging.INFO)
-    jobs = args.jobs if args.jobs is not None else (
-        runner.env_int("REPRO_JOBS", os.cpu_count() or 1)
-    )
-    configs = list(args.configs)
-    specs = sweep.expand_grid(benchmarks, configs, accesses=args.accesses,
-                              seed=args.seed)
+    benchmarks, configs = grid
+    _verbose_logging(args.verbose)
+    jobs = _workers(args, default=os.cpu_count() or 1)
+    specs = _jobs(args, benchmarks, configs)
     # The sweep CLI always runs with fleet metrics on: the registry is
     # cheap at this granularity and feeds the snapshot + live endpoint.
     # Ditto the span collector — its snapshot feeds the critical-path
@@ -571,21 +576,11 @@ def _cmd_sweep(args) -> int:
         ).start()
         print(f"  obs endpoint: {server.url}", file=sys.stderr)
     try:
-        if args.fidelity == "exact":
-            outcome = sweep.run_jobs(
-                specs, jobs=max(1, jobs), timeout=args.timeout,
-                use_store=False if args.no_store else None,
-                progress=live, metrics=registry,
-            )
-        else:
-            from repro.fastsim import run_fidelity_sweep
-
-            outcome = run_fidelity_sweep(
-                specs, fidelity=args.fidelity, jobs=max(1, jobs),
-                timeout=args.timeout,
-                use_store=False if args.no_store else None,
-                progress=live, metrics=registry,
-            )
+        outcome = run_fidelity_sweep(
+            specs, fidelity=args.fidelity, jobs=jobs, timeout=args.timeout,
+            use_store=False if args.no_store else None,
+            progress=live, metrics=registry,
+        )
     finally:
         if printer is not None:
             printer.close()
@@ -597,22 +592,19 @@ def _cmd_sweep(args) -> int:
             server.close()
         metrics.reset_default_registry()
         obs_spans.reset_default_collector()
-    by_bench = {}
-    for spec, result in zip(specs, outcome.results):
-        by_bench.setdefault(spec.benchmark, {})[spec.config_name] = result
     print(
         _grid_table(
-            benchmarks, configs, by_bench,
+            benchmarks, configs, _by_bench(specs, outcome.results),
             title=(f"sweep: {len(benchmarks)} benchmarks x "
                    f"{len(configs)} configs ({args.accesses} accesses, "
-                   f"jobs={max(1, jobs)})"),
+                   f"jobs={jobs})"),
         )
     )
     print(f"  {outcome.stats.describe()}")
-    record = getattr(outcome, "record", None)
+    record = outcome.record
     if record is not None:
         print(f"  {record.summary()}")
-        if getattr(outcome, "escalated_indices", None):
+        if outcome.escalated_indices:
             escalated = ", ".join(
                 f"{specs[i].benchmark}/{specs[i].config_name}"
                 for i in outcome.escalated_indices
@@ -672,9 +664,6 @@ def _cmd_obs(args) -> int:
 
 def _cmd_obs_trace(args) -> int:
     """``repro obs trace export``: span snapshot -> Chrome trace JSON."""
-    import json
-    import os
-
     from repro.obs import critpath
     from repro.obs import spans as obs_spans
     from repro.obs.paths import spans_dir
@@ -701,24 +690,11 @@ def _cmd_obs_trace(args) -> int:
     return 0
 
 
-def _fabric_logging(verbose: bool) -> None:
-    import logging
-
-    if verbose:
-        logging.basicConfig(
-            level=logging.INFO, stream=sys.stderr,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        logging.getLogger("repro").setLevel(logging.INFO)
-
-
 def _cmd_fabric(args) -> int:
-    import json
-
     if args.fabric_command == "serve":
         from repro.fabric.coordinator import serve
 
-        _fabric_logging(args.verbose)
+        _verbose_logging(args.verbose)
         coordinator, server = serve(
             host=args.host, port=args.port,
             lease_seconds=args.lease_seconds,
@@ -739,7 +715,7 @@ def _cmd_fabric(args) -> int:
     if args.fabric_command == "work":
         from repro.fabric.agent import WorkerAgent
 
-        _fabric_logging(args.verbose)
+        _verbose_logging(args.verbose)
         agent = WorkerAgent(
             args.coordinator,
             worker_id=args.worker_id,
@@ -758,18 +734,13 @@ def _cmd_fabric(args) -> int:
 
     client = FabricClient(args.coordinator)
     if args.fabric_command == "submit":
-        if args.benchmarks:
-            benchmarks = list(args.benchmarks)
-        elif args.suite:
-            benchmarks = list(SUITES[args.suite])
-        else:
-            print("fabric submit: pass --suite or --benchmarks",
-                  file=sys.stderr)
+        grid = _grid(args, "fabric submit")
+        if grid is None:
             return 2
-        configs = list(args.configs)
-        accepted = client.submit(
-            benchmarks, configs, accesses=args.accesses, seed=args.seed,
-            priority=args.priority, fidelity=args.fidelity,
+        benchmarks, configs = grid
+        accepted = client.submit_jobs(
+            _jobs(args, benchmarks, configs, fidelity=args.fidelity),
+            priority=args.priority,
         )
         sweep_id = accepted["sweep"]
         print(f"accepted {sweep_id}: {accepted['total']} jobs, "
@@ -918,7 +889,7 @@ def _cmd_trace(args) -> int:
 
     record, outcome = calibrate_trace(
         args.file, configs=args.configs, accesses=args.accesses,
-        seed=args.seed, jobs=max(1, args.jobs or 1),
+        seed=args.seed, jobs=_workers(args),
         use_store=False if args.no_store else None,
     )
     for result in outcome.results:
@@ -933,13 +904,11 @@ def _cmd_fuzz(args) -> int:
 
     report = run_fuzz(
         budget=args.budget, seed=args.seed, objective=args.objective,
-        accesses=args.accesses, jobs=max(1, args.jobs or 1),
+        accesses=args.accesses, jobs=_workers(args),
         top=args.top, round_size=args.round_size,
         use_store=False if args.no_store else None,
     )
     if args.json:
-        import json
-
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0
     rows = [
@@ -970,18 +939,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_telemetry(args) -> int:
-    from repro.experiments.runner import get_trace
-    from repro.system.simulator import simulate
-    from repro.telemetry.session import TelemetrySession
-
-    trace = get_trace(args.benchmark, args.accesses, seed=args.seed)
-    config = make_config(args.config)
-    session = TelemetrySession(trace_events=args.events,
-                               probe_interval=args.probe_interval)
-    result = simulate(config, trace, tracer=session.tracer,
-                      probes=session.probes)
-    session.close()
-
+    (job,) = _jobs(args, [args.benchmark], [args.config])
+    result, session = _simulate(job, args.events, args.probe_interval)
     print(result.summary())
     print()
     print(session.report(max_rows=args.rows))
@@ -1002,39 +961,30 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysislint import runner as lint_runner
-
-    forwarded: List[str] = list(args.paths)
-    for flag in ("check", "json", "update_baseline", "write_registry"):
-        if getattr(args, flag):
-            forwarded.append("--" + flag.replace("_", "-"))
-    if args.baseline is not None:
-        forwarded.extend(["--baseline", args.baseline])
-    if args.output is not None:
-        forwarded.extend(["--output", args.output])
-    return lint_runner.main(forwarded)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch to the chosen subcommand."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        # the analyzer parses its own arguments (docs/linting.md)
+        from repro.analysislint import runner as lint_runner
+
+        return lint_runner.main(argv[1:], prog="repro lint")
     args = _build_parser().parse_args(argv)
     handlers = {
-        "list": lambda: _cmd_list(),
-        "run": lambda: _cmd_run(args),
-        "compare": lambda: _cmd_compare(args),
-        "suite": lambda: _cmd_suite(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "figure": lambda: _cmd_figure(args),
-        "trace": lambda: _cmd_trace(args),
-        "fuzz": lambda: _cmd_fuzz(args),
-        "cost": lambda: _cmd_cost(args),
-        "telemetry": lambda: _cmd_telemetry(args),
-        "obs": lambda: _cmd_obs(args),
-        "fabric": lambda: _cmd_fabric(args),
-        "lint": lambda: _cmd_lint(args),
+        "list": _cmd_list,
+        "run": _cmd_run,
+        "compare": _cmd_compare,
+        "suite": _cmd_suite,
+        "sweep": _cmd_sweep,
+        "figure": _cmd_figure,
+        "trace": _cmd_trace,
+        "fuzz": _cmd_fuzz,
+        "cost": _cmd_cost,
+        "telemetry": _cmd_telemetry,
+        "obs": _cmd_obs,
+        "fabric": _cmd_fabric,
     }
-    return handlers[args.command]()
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

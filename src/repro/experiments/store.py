@@ -36,12 +36,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.common.config import SystemConfig
+from repro.common.files import durable_write
 from repro.dram.power import PowerReport
 from repro.obs.metrics import default_registry
 from repro.system.results import RunResult
@@ -278,20 +278,8 @@ class ResultStore:
             "result": encode_result(result),
         }
         text = json.dumps(document, sort_keys=True)
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".json", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with durable_write(path) as handle:
+            handle.write(text)
         self.stats.puts += 1
         _count_write(len(text.encode("utf-8")))
         return path

@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import store, sweep
 from repro.fabric import protocol
-from repro.fastsim.version import JOB_FIDELITIES
 from repro.obs import spans as obs_spans
 from repro.system.results import RunResult
 
@@ -91,43 +90,44 @@ class FabricClient:
         priority: int = 0,
         fidelity: str = "exact",
     ) -> Dict[str, object]:
-        """Submit a grid; returns the ``sweep_accepted`` document.
+        """Submit a grid: :func:`~repro.experiments.sweep.expand_grid`,
+        then :meth:`submit_jobs`.  ``fidelity`` is a per-job tier,
+        "exact" or "fast" (docs/fidelity.md); anything else raises
+        :class:`ValueError` before a request is sent."""
+        return self.submit_jobs(sweep.expand_grid(
+            benchmarks, configs, accesses=accesses, seed=seed,
+            threads=threads, scheduler=scheduler, fidelity=fidelity,
+        ), priority=priority)
 
-        The grid expands and resolves here, on the submitting host, so
-        env-backed defaults (``REPRO_TRACE_ACCESSES``, ``REPRO_SEED``)
-        are this host's.  ``fidelity`` is a per-job tier, "exact" or
-        "fast" (docs/fidelity.md): "fast" submits a fast-tier job for
-        every cell *plus* the FidelityGate's deterministic exact
-        validation sample, so the completed sweep contains everything
-        :meth:`fetch_calibrated_suite` needs to attach error bars.
-        Anything else raises :class:`ValueError`.
+    def submit_jobs(
+        self, jobs: Sequence[sweep.Job], priority: int = 0
+    ) -> Dict[str, object]:
+        """Submit jobs; returns the ``sweep_accepted`` document.
+
+        The jobs resolve here, on the submitting host, so env-backed
+        defaults (``REPRO_TRACE_ACCESSES``, ``REPRO_SEED``) are this
+        host's.  Fast jobs travel with the FidelityGate's deterministic
+        exact validation sample over them, so the completed sweep holds
+        everything :meth:`fetch_calibrated_suite` needs to attach error
+        bars.
 
         When the process has a live span collector, the submission
         opens a ``fabric.submit`` span and sends its context with the
         request, so the coordinator's sweep trace parents under the
         submitting client.
         """
-        if fidelity not in JOB_FIDELITIES:
-            raise ValueError(
-                f"fidelity must be one of {JOB_FIDELITIES}, got {fidelity!r}"
-            )
         span = obs_spans.default_collector().span(
             "fabric.submit", coordinator=self.url,
         )
         try:
-            jobs = [
-                job.resolve()
-                for job in sweep.expand_grid(
-                    benchmarks, configs, accesses=accesses, seed=seed,
-                    threads=threads, scheduler=scheduler, fidelity=fidelity,
-                )
-            ]
-            if fidelity == "fast":
+            jobs = [job.resolve() for job in jobs]
+            fast = [job for job in jobs if job.fidelity == "fast"]
+            if fast:
                 from repro.fastsim.gate import FidelityGate
 
-                keys = [store.job_key(sweep.prepare(job)[1]) for job in jobs]
+                keys = [store.job_key(sweep.prepare(job)[1]) for job in fast]
                 jobs += [
-                    dataclasses.replace(jobs[i], fidelity="exact")
+                    dataclasses.replace(fast[i], fidelity="exact")
                     for i in FidelityGate().select(keys)
                 ]
             reply = self._call("/v1/sweeps", protocol.sweep_request(

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.common.files import durable_write
 from repro.obs import paths
 from repro.obs.metrics import MetricsRegistry
 
@@ -169,20 +169,10 @@ def write_snapshot(
     (:func:`repro.obs.paths.metrics_dir`).
     """
     directory = paths.metrics_dir() if directory is None else directory
-    os.makedirs(directory, exist_ok=True)
     document = registry_snapshot(registry, progress=progress)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".json", dir=directory)
     path = os.path.join(directory, filename)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with durable_write(path) as handle:
+        json.dump(document, handle, sort_keys=True, indent=1)
     return path
 
 

@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional
 
+from repro.common.files import durable_write
 from repro.obs import paths
 from repro.obs.exporters import registry_snapshot
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -149,22 +149,10 @@ class FlightRecorder(logging.Handler):
             "metrics": registry_snapshot(metrics) if metrics.enabled else None,
             "extra": dict(extra) if extra is not None else None,
         }
+        path = os.path.join(directory, f"{job_key}.json")
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=directory
-            )
-            path = os.path.join(directory, f"{job_key}.json")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, sort_keys=True, indent=1)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with durable_write(path) as handle:
+                json.dump(document, handle, sort_keys=True, indent=1)
         except OSError:
             _log.warning(
                 "could not write post-mortem for job %s under %s",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import uuid
@@ -48,6 +47,7 @@ from typing import (
     Union,
 )
 
+from repro.common.files import durable_write
 from repro.obs.paths import spans_dir
 
 #: Schema version of encoded spans and span snapshot documents.
@@ -403,19 +403,9 @@ def write_spans(source: Union[SpanCollector, Iterable[Mapping[str, Any]]],
         "spans": spans,
     }
     directory = directory if directory is not None else spans_dir()
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, filename)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    with durable_write(path) as handle:
+        json.dump(document, handle, sort_keys=True)
     return path
 
 

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.files import durable_write
 from repro.experiments import runner, store
 from repro.experiments.sweep import Job, SweepStats, run_jobs
 from repro.obs import metrics as obs_metrics
@@ -131,12 +132,9 @@ def report_path(objective: str, seed: int, root: Optional[str] = None) -> str:
 def save_report(report: FuzzReport, root: Optional[str] = None) -> str:
     """Persist a report as JSON (atomic rename), returning its path."""
     path = report_path(report.objective, report.seed, root)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with durable_write(path) as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, path)
     report.path = path
     return path
 

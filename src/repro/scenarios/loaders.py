@@ -35,11 +35,11 @@ Two formats are supported (docs/scenarios.md has examples):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.workloads.trace import RawRecord, Trace, open_text
+from repro.common.files import durable_write, open_text
+from repro.workloads.trace import RawRecord, Trace
 
 #: rw-column tokens meaning "write" (lower-cased before lookup).
 _WRITE_TOKENS = {"w", "s", "1", "write", "store", "wr", "st"}
@@ -257,13 +257,9 @@ def convert_trace(
     records = 0
     writes = 0
     tids = set()
-    # written to a sibling temp path then os.replace-d, so a crashed or
-    # limit-interrupted conversion can never leave a torn trace where a
-    # sweep's content-addressed loader would pick it up (the suffix is
-    # preserved so open_text still gzips ``.gz`` outputs)
-    tmp = (output[: -len(".gz")] + ".part.gz") if output.endswith(".gz") \
-        else output + ".part"
-    with open_text(tmp, "w") as out:
+    # a failed conversion leaves no file where a sweep's
+    # content-addressed loader would pick it up
+    with durable_write(output) as out:
         out.write(f"# trace {name or source} (converted from {fmt})\n")
         for gap, line, is_write, tid in FORMATS[fmt](
             source, line_size=line_size, default_gap=default_gap
@@ -274,10 +270,8 @@ def convert_trace(
             tids.add(tid)
             if limit is not None and records >= limit:
                 break
-    if records == 0:
-        os.remove(tmp)
-        raise ValueError(f"{source}: no trace records found")
-    os.replace(tmp, output)
+        if records == 0:
+            raise ValueError(f"{source}: no trace records found")
     return ConversionReport(
         records=records, threads=max(1, len(tids)), writes=writes,
         output=output,

@@ -14,18 +14,12 @@ docs/scenarios.md).
 
 from __future__ import annotations
 
-import gzip
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.common.files import open_text
 
 RawRecord = Tuple[int, int, bool]
-
-
-def open_text(path: str, mode: str = "r") -> IO[str]:
-    """Open a text file, transparently gzipped when the path ends ``.gz``."""
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Integration tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import runner
 
 
 class TestList:
@@ -37,6 +39,69 @@ class TestRun:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError):
             main(["run", "-b", "quake4", "-n", "1000"])
+
+    def test_json_equals_the_library_run(self, capsys):
+        # the CLI and runner.run build the same job
+        assert main(["run", "-b", "milc", "-c", "PMS", "-n", "1500",
+                     "--threads", "2", "--scheduler", "in_order",
+                     "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        library = runner.run("milc", "PMS", accesses=1500, seed=1, threads=2,
+                             scheduler="in_order")
+        assert printed == json.loads(json.dumps(library.to_dict()))
+
+    def test_every_call_simulates_with_the_store_on(self, monkeypatch, capsys):
+        # `REPRO_LOOP=reference repro run` must run the reference loop,
+        # not read a stored event-loop result
+        monkeypatch.setenv("REPRO_STORE", "1")
+        before = runner.cache_info()["simulated"]
+        for _ in range(2):
+            assert main(["run", "-b", "tonto", "-c", "NP", "-n", "800"]) == 0
+        assert runner.cache_info()["simulated"] == before + 2
+
+
+class TestSuite:
+    def test_leaves_the_environment_alone(self, monkeypatch, capsys):
+        for name in ("REPRO_TRACE_ACCESSES", "REPRO_SEED", "REPRO_STORE"):
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert main(["suite", "-s", "nas", "-n", "300", "--seed", "7",
+                     "--no-store"]) == 0
+        assert "Performance gain (%), nas" in capsys.readouterr().out
+        assert dict(os.environ) == before
+
+
+class _Called(Exception):
+    pass
+
+
+class TestJobsDefault:
+    """``--jobs`` unset falls back to ``REPRO_JOBS``, as the help says."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        seen = {}
+
+        def record(*args, **kwargs):
+            seen.update(kwargs)
+            raise _Called
+
+        from repro.scenarios import calibrate, fuzzer
+
+        monkeypatch.setattr(calibrate, "calibrate_trace", record)
+        monkeypatch.setattr(fuzzer, "run_fuzz", record)
+        return seen
+
+    def test_trace_calibrate(self, seen):
+        with pytest.raises(_Called):
+            main(["trace", "calibrate", "t.trace"])
+        assert seen["jobs"] == 2
+
+    def test_fuzz(self, seen):
+        with pytest.raises(_Called):
+            main(["fuzz"])
+        assert seen["jobs"] == 2
 
 
 class TestSweep:

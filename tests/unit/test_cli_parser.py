@@ -1,8 +1,10 @@
 """Unit tests for CLI argument parsing (no simulation)."""
 
+import argparse
+
 import pytest
 
-from repro.cli import FIGURES, _build_parser
+from repro.cli import FIGURES, _build_parser, main
 
 
 class TestParser:
@@ -184,27 +186,155 @@ class TestFabricSubcommand:
 
 
 class TestLintSubcommand:
-    def test_lint_defaults(self):
-        args = _build_parser().parse_args(["lint"])
-        assert args.paths == []
-        assert not args.check
-        assert not args.json
-        assert args.baseline is None
-        assert not args.update_baseline
-        assert not args.write_registry
+    def test_argv_reaches_the_analyzer_unchanged(self, monkeypatch):
+        # the analyzer's own parser reads lint's flags; they are covered
+        # end to end in tests/integration/test_lint_cli.py
+        from repro.analysislint import runner as lint_runner
 
-    def test_lint_full_flag_set(self):
-        args = _build_parser().parse_args(
-            ["lint", "src/repro/controller", "--check", "--json",
-             "--baseline", "custom.json"]
+        calls = []
+        monkeypatch.setattr(
+            lint_runner, "main",
+            lambda argv, prog: calls.append((argv, prog)) or 7,
         )
-        assert args.paths == ["src/repro/controller"]
-        assert args.check and args.json
-        assert args.baseline == "custom.json"
+        argv = ["src/repro/controller", "--check", "--json", "--baseline",
+                "custom.json", "--output", "r.json", "--update-baseline",
+                "--write-registry"]
+        assert main(["lint", *argv]) == 7
+        assert calls == [(argv, "repro lint")]
 
-    def test_lint_write_registry(self):
-        args = _build_parser().parse_args(["lint", "--write-registry"])
-        assert args.write_registry
+
+#: every subcommand's options as ``(command, option strings, default,
+#: required)``, help flags left out; ``repro lint`` takes the analyzer's
+OPTION_TABLE = [
+    ("run", "-b --benchmark", None, True),
+    ("run", "-c --config", "PMS", False),
+    ("run", "--threads", 1, False),
+    ("run", "--scheduler", "ahb", False),
+    ("run", "--json", False, False),
+    ("run", "-n --accesses", 15000, False),
+    ("run", "--seed", 1, False),
+    ("run", "--trace-events", None, False),
+    ("run", "--probe-interval", None, False),
+    ("compare", "-b --benchmark", None, True),
+    ("compare", "-n --accesses", 15000, False),
+    ("compare", "--seed", 1, False),
+    ("compare", "--trace-events", None, False),
+    ("compare", "--probe-interval", None, False),
+    ("compare", "-j --jobs", None, False),
+    ("compare", "--no-store", False, False),
+    ("suite", "-s --suite", None, True),
+    ("suite", "-n --accesses", 15000, False),
+    ("suite", "--seed", 1, False),
+    ("suite", "-j --jobs", None, False),
+    ("suite", "--no-store", False, False),
+    ("sweep", "-s --suite", None, False),
+    ("sweep", "-b --benchmarks", None, False),
+    ("sweep", "-c --configs", ["NP", "PS", "MS", "PMS"], False),
+    ("sweep", "--timeout", None, False),
+    ("sweep", "--fidelity", "exact", False),
+    ("sweep", "--metrics-port", None, False),
+    ("sweep", "--no-progress", False, False),
+    ("sweep", "--verbose", False, False),
+    ("sweep", "-n --accesses", 15000, False),
+    ("sweep", "--seed", 1, False),
+    ("sweep", "-j --jobs", None, False),
+    ("sweep", "--no-store", False, False),
+    ("figure", "id", None, True),
+    ("trace generate", "-b --benchmark", None, True),
+    ("trace generate", "-o --output", None, True),
+    ("trace generate", "-n --accesses", 15000, False),
+    ("trace generate", "--seed", 1, False),
+    ("trace convert", "source", None, True),
+    ("trace convert", "-o --output", None, True),
+    ("trace convert", "--format", None, False),
+    ("trace convert", "--line-size", 64, False),
+    ("trace convert", "--gap", 20, False),
+    ("trace convert", "--limit", None, False),
+    ("trace calibrate", "file", None, True),
+    ("trace calibrate", "-c --configs", ["NP", "PS", "MS", "PMS"], False),
+    ("trace calibrate", "-n --accesses", None, False),
+    ("trace calibrate", "--seed", 1, False),
+    ("trace calibrate", "-j --jobs", None, False),
+    ("trace calibrate", "--no-store", False, False),
+    ("fuzz", "--budget", 16, False),
+    ("fuzz", "--seed", 0, False),
+    ("fuzz", "--objective", "waste", False),
+    ("fuzz", "--top", 8, False),
+    ("fuzz", "--round-size", 8, False),
+    ("fuzz", "-n --accesses", 4000, False),
+    ("fuzz", "--json", False, False),
+    ("fuzz", "-j --jobs", None, False),
+    ("fuzz", "--no-store", False, False),
+    ("cost", "--threads", (1, 2, 4), False),
+    ("telemetry", "-b --benchmark", None, True),
+    ("telemetry", "-c --config", "PMS", False),
+    ("telemetry", "--probe-interval", 1, False),
+    ("telemetry", "--events", None, False),
+    ("telemetry", "--series-csv", None, False),
+    ("telemetry", "--series-json", None, False),
+    ("telemetry", "--rows", 20, False),
+    ("telemetry", "-n --accesses", 15000, False),
+    ("telemetry", "--seed", 1, False),
+    ("obs serve", "--port", 9123, False),
+    ("obs serve", "--host", "127.0.0.1", False),
+    ("obs serve", "--dir", None, False),
+    ("obs trace export", "--input", None, False),
+    ("obs trace export", "-o --output", "trace.json", False),
+    ("fabric serve", "--host", "127.0.0.1", False),
+    ("fabric serve", "--port", 8765, False),
+    ("fabric serve", "--lease-seconds", 60.0, False),
+    ("fabric serve", "--max-attempts", 3, False),
+    ("fabric serve", "--verbose", False, False),
+    ("fabric work", "--coordinator", None, True),
+    ("fabric work", "--id", None, False),
+    ("fabric work", "--capacity", 2, False),
+    ("fabric work", "--poll", 1.0, False),
+    ("fabric work", "--drain-idle", None, False),
+    ("fabric work", "--verbose", False, False),
+    ("fabric submit", "--coordinator", None, True),
+    ("fabric submit", "-s --suite", None, False),
+    ("fabric submit", "-b --benchmarks", None, False),
+    ("fabric submit", "-c --configs", ["NP", "PS", "MS", "PMS"], False),
+    ("fabric submit", "--priority", 0, False),
+    ("fabric submit", "--fidelity", "exact", False),
+    ("fabric submit", "--watch", False, False),
+    ("fabric submit", "--poll", 0.5, False),
+    ("fabric submit", "-n --accesses", 15000, False),
+    ("fabric submit", "--seed", 1, False),
+    ("fabric status", "--coordinator", None, True),
+    ("fabric status", "--sweep", None, False),
+    ("fabric watch", "--coordinator", None, True),
+    ("fabric watch", "--sweep", None, False),
+    ("fabric watch", "--poll", 2.0, False),
+    ("lint", "paths", None, True),
+    ("lint", "--check", False, False),
+    ("lint", "--json", False, False),
+    ("lint", "--output", None, False),
+    ("lint", "--baseline", None, False),
+    ("lint", "--update-baseline", False, False),
+    ("lint", "--write-registry", False, False),
+]
+
+
+def _option_rows(parser, command=""):
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                rows.extend(_option_rows(sub, f"{command} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            rows.append((command, " ".join(action.option_strings) or action.dest,
+                         action.default, action.required))
+    return rows
+
+
+class TestOptionTable:
+    def test_every_subcommand_keeps_its_options_and_defaults(self):
+        from repro.analysislint.runner import build_parser
+
+        rows = [row for row in _option_rows(_build_parser()) if row[0] != "lint"]
+        rows += _option_rows(build_parser(), "lint")
+        assert rows == OPTION_TABLE
 
 
 class TestFidelityFlags:

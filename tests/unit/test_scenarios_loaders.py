@@ -134,6 +134,15 @@ class TestConvert:
         source = write(tmp_path / "t.csv", "# nothing\n")
         with pytest.raises(ValueError, match="no trace records"):
             convert_trace(source, str(tmp_path / "o.trace"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("name", ["o.trace", "o.trace.gz"])
+    def test_malformed_record_leaves_no_file(self, tmp_path, name):
+        # the bad record comes after good ones were already written out
+        source = write(tmp_path / "t.csv", "0x1000,R\n0x1040,W\nnope,R\n")
+        with pytest.raises(ValueError, match="bad address"):
+            convert_trace(source, str(tmp_path / name))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
     def test_unknown_format_rejected(self, tmp_path):
         source = write(tmp_path / "t.csv", "0x1000,R\n")
