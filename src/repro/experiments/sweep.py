@@ -65,12 +65,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.common.config import SystemConfig
 from repro.experiments import runner, store
 from repro.fastsim.version import JOB_FIDELITIES
-from repro.obs import flightrec
+from repro.obs import bridge, flightrec
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.progress import SweepProgress
 from repro.system.presets import make_config
 from repro.system.results import RunResult
+from repro.system.simulator import default_loop_mode
 
 _log = logging.getLogger("repro.experiments.sweep")
 
@@ -323,14 +324,24 @@ class _SweepObs:
         outcome: str,
         seconds: Optional[float] = None,
         queue_wait: Optional[float] = None,
+        result: Optional[RunResult] = None,
     ) -> None:
-        """One job resolved: count it, time it, advance the progress."""
+        """One job resolved: count it, time it, advance the progress.
+
+        ``result`` is set when this sweep executed the job; its totals
+        feed the per-run counters here in the parent, so jobs run in a
+        pool worker or at the fast tier count too.
+        """
         if self.enabled:
             self._jobs.inc(outcome=outcome)
             if seconds is not None:
                 self._seconds.observe(seconds, mode=outcome)
             if queue_wait is not None:
                 self._queue_wait.observe(queue_wait)
+            if result is not None:
+                fast = result.fidelity_tier == "fast"
+                bridge.publish_run(self.metrics, result,
+                                   "fast" if fast else default_loop_mode())
         if self.progress is not None:
             self.progress.job_done(outcome, seconds)
 
@@ -582,7 +593,7 @@ def _run_one_serial(
                       job.threads, job.fidelity)
     seconds = perf_counter() - t0
     stats.executed_serial += 1
-    obs.job_done("serial", seconds)
+    obs.job_done("serial", seconds, result=result)
     obs.job_span(job, "serial", start_wall, seconds)
     return _finish(item, result, active_store)
 
@@ -630,7 +641,7 @@ def _run_parallel(
                                       active_store)
                 stats.executed_parallel += 1
                 obs.job_done("parallel", timing.get("exec_s"),
-                             timing.get("queue_wait_s"))
+                             timing.get("queue_wait_s"), done[index])
                 obs.job_span(item[1], "parallel",
                              timing.get("started_unix"),
                              timing.get("exec_s"),

@@ -46,9 +46,8 @@ from repro.experiments import store, sweep
 from repro.fabric import protocol
 from repro.fabric.state import DONE, CoordinatorState
 from repro.obs import spans as obs_spans
-from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import SweepProgress, merge_snapshots, render_line
+from repro.obs.progress import SweepProgress, merge_snapshots
 from repro.obs.server import ObsServer
 
 _log = logging.getLogger("repro.fabric.coordinator")
@@ -89,11 +88,10 @@ class Coordinator:
         # Unlike instrumented *sites*, the coordinator collects spans by
         # default: it is the long-lived fleet process whose /spans.json
         # serves the stitched trace (pass a disabled collector to opt
-        # out).  The event bus feeds the /events SSE endpoint.
+        # out).
         self.spans = (
             spans if spans is not None else obs_spans.SpanCollector(enabled=True)
         )
-        self.events = EventBus()
         self.lock = threading.RLock()
         self._progress: Dict[str, SweepProgress] = {}
         self._sweep_spans: Dict[str, obs_spans.Span] = {}
@@ -156,12 +154,6 @@ class Coordinator:
             elif root.enabled:
                 self._sweep_spans[record.id] = root
         self._sweeps.inc()
-        self.events.publish("sweep", {
-            "sweep": record.id,
-            "total": len(record.keys),
-            "deduped": record.deduped,
-            "queued": len(record.keys) - record.deduped,
-        })
         if record.deduped:
             self._jobs.inc(record.deduped, worker="coordinator",
                            outcome="deduped")
@@ -294,19 +286,12 @@ class Coordinator:
             worker=worker, accepted=accepted, duplicates=duplicates,
             errors=errors,
         )
-        self.events.publish("progress", self._progress_event())
         return protocol.envelope(
             "complete_ack",
             accepted=accepted,
             duplicates=duplicates,
             errors=errors,
         )
-
-    def _progress_event(self) -> Dict[str, object]:
-        """The merged fleet snapshot, pre-rendered for SSE consumers."""
-        snapshot = self.fleet_progress()
-        snapshot["line"] = render_line(snapshot)
-        return snapshot
 
     def _advance_progress(
         self, sweep_ids: List[str], outcome: str, seconds
@@ -412,6 +397,18 @@ class Coordinator:
             snapshots = [p.snapshot() for p in self._progress.values()]
         return merge_snapshots(snapshots)
 
+    def sweeps_since(self, count: int) -> Tuple[List[Dict[str, object]], int]:
+        """Submissions accepted after the first ``count`` (``/events``
+        ``sweep`` payloads), and the number accepted so far."""
+        with self.lock:
+            records = list(self.state.sweeps.values())
+        return [
+            {"sweep": record.id, "total": len(record.keys),
+             "deduped": record.deduped,
+             "queued": len(record.keys) - record.deduped}
+            for record in records[count:]
+        ], len(records)
+
 
 class _FleetProgress:
     """Adapter giving :class:`ObsServer` a ``snapshot()`` over the fleet."""
@@ -438,9 +435,13 @@ class CoordinatorServer(ObsServer):
             host=host,
             port=port,
             spans=coordinator.spans,
-            events=coordinator.events,
         )
         self.coordinator = coordinator
+
+    def _sweeps_since(
+        self, count: int
+    ) -> Tuple[List[Dict[str, object]], int]:
+        return self.coordinator.sweeps_since(count)
 
     def health_extra(self) -> Dict[str, object]:
         status = self.coordinator.status()

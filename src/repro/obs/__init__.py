@@ -28,12 +28,9 @@ docs/telemetry.md.
   enable) stitching sweep/fabric work into per-trace trees.
 * :mod:`repro.obs.critpath` — critical-path / straggler / self-time
   analysis over a finished span tree.
-* :mod:`repro.obs.events` — the fan-out bus behind the ``/events``
-  SSE endpoint.
 """
 
 from repro.obs.critpath import analyze, critical_path, render_summary
-from repro.obs.events import EventBus
 from repro.obs.exporters import (
     parse_exposition,
     registry_snapshot,
@@ -71,7 +68,6 @@ __all__ = [
     "NULL_METRICS",
     "NULL_SPANS",
     "Counter",
-    "EventBus",
     "FlightRecorder",
     "Gauge",
     "Histogram",

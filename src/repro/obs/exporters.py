@@ -2,20 +2,19 @@
 
 Two serializations of one :class:`~repro.obs.metrics.MetricsRegistry`:
 
-* :func:`render_exposition` — Prometheus text exposition format 0.0.4
-  (the ``# HELP`` / ``# TYPE`` / sample-line shape every scraper and
-  ``promtool`` understand), served live at ``/metrics`` by
-  :mod:`repro.obs.server`;
 * :func:`registry_snapshot` / :func:`write_snapshot` — a JSON document
-  carrying the same data (plus an optional sweep-progress section),
+  carrying every metric (plus an optional sweep-progress section),
   written per sweep to ``.repro-results/metrics/latest.json`` so a
   finished sweep's counters survive the process and can be re-served
-  later (``repro obs serve --dir``) or archived as a CI artifact.
+  later (``repro obs serve --dir``) or archived as a CI artifact;
+* :func:`render_exposition` — Prometheus text exposition format 0.0.4
+  (the ``# HELP`` / ``# TYPE`` / sample-line shape every scraper and
+  ``promtool`` understand) of one such document, live or loaded from
+  disk, served at ``/metrics`` by :mod:`repro.obs.server`.
 
-:func:`exposition_from_snapshot` renders a stored snapshot back into
-exposition text, and :func:`parse_exposition` parses exposition sample
-lines into a flat dict — the round-trip the obs CI smoke test and the
-endpoint tests assert on.
+:func:`parse_exposition` parses exposition sample lines into a flat
+dict — the round-trip the obs CI smoke test and the endpoint tests
+assert on.
 """
 
 from __future__ import annotations
@@ -87,32 +86,6 @@ def _histogram_lines(
     lines.append(f"{name}_sum{_labels_text(labels)} {_fmt(total)}")
     lines.append(f"{name}_count{_labels_text(labels)} {_fmt(count)}")
     return lines
-
-
-def render_exposition(registry: MetricsRegistry) -> str:
-    """The whole registry in Prometheus text exposition format 0.0.4."""
-    lines: List[str] = []
-    for instrument in registry.collect():
-        samples = instrument.samples()
-        if not samples:
-            continue
-        if instrument.help:
-            lines.append(f"# HELP {instrument.name} {_escape_help(instrument.help)}")
-        lines.append(f"# TYPE {instrument.name} {instrument.kind}")
-        for labels, value in samples:
-            if instrument.kind == "histogram":
-                counts, total, count = value
-                lines.extend(
-                    _histogram_lines(
-                        instrument.name, labels, list(instrument.buckets),
-                        counts, total, count,
-                    )
-                )
-            else:
-                lines.append(
-                    f"{instrument.name}{_labels_text(labels)} {_fmt(value)}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def registry_snapshot(
@@ -208,19 +181,26 @@ def latest_snapshot(directory: Optional[str] = None) -> Optional[Tuple[str, Dict
     return None
 
 
-def exposition_from_snapshot(document: Mapping[str, object]) -> str:
-    """Render a stored JSON snapshot back into exposition text."""
+def render_exposition(document: Mapping[str, object]) -> str:
+    """A snapshot document in Prometheus text exposition format 0.0.4.
+
+    Labels print in the metric's ``labelnames`` order, which a snapshot
+    read back from disk (its keys sorted) would otherwise lose, so a
+    live registry and its written snapshot render byte for byte alike.
+    """
     lines: List[str] = []
     for entry in document.get("metrics", ()):
         samples = entry.get("samples", [])
         if not samples:
             continue
         name = entry["name"]
+        labelnames = entry.get("labelnames", ())
         if entry.get("help"):
             lines.append(f"# HELP {name} {_escape_help(entry['help'])}")
         lines.append(f"# TYPE {name} {entry['type']}")
         for sample in samples:
             labels = sample.get("labels", {})
+            labels = {label: labels[label] for label in labelnames} or labels
             if entry["type"] == "histogram":
                 lines.extend(
                     _histogram_lines(

@@ -70,8 +70,8 @@ class SweepProgress:
     def subscribe(self, listener) -> None:
         """``listener(progress)`` is called after every update.
 
-        Several listeners may coexist (e.g. the TTY printer and the
-        SSE event bus); they are called in subscription order.
+        Several listeners may coexist (the TTY printer is one); they
+        are called in subscription order.
         """
         self._listeners.append(listener)
 

@@ -20,8 +20,9 @@ expose its state without any dependency beyond the standard library:
 * ``GET /spans.json``    — the attached span collector's stored spans
   (:mod:`repro.obs.spans`), 404 when no collector is attached;
 * ``GET /events``        — a Server-Sent-Events stream of progress
-  deltas (``event: progress``) and span completions (``event: span``),
-  so watchers update live instead of polling.
+  changes (``event: progress``) and span completions (``event: span``),
+  so watchers update live instead of polling.  Each stream reads the
+  same records the JSON endpoints serve, every 0.5 s.
 
 Two sources, checked in order: a **live** :class:`MetricsRegistry` (and
 optional ``SweepProgress``) passed at construction — what ``repro sweep
@@ -40,17 +41,15 @@ import html
 import json
 import logging
 import os
-import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import exporters
-from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress, render_line
-from repro.obs.spans import SPANS_VERSION, SpanCollector
+from repro.obs.spans import NULL_SPANS, SPANS_VERSION, SpanCollector
 
 _log = logging.getLogger("repro.obs.server")
 
@@ -97,6 +96,18 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
 """
 
 
+def _sse_frame(kind: str, payload: object) -> str:
+    return f"event: {kind}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
+
+
+def _progress_counts(snapshot: Optional[Dict[str, object]]) -> object:
+    """The part of a progress snapshot that moves only when the sweep does."""
+    if snapshot is None:
+        return None
+    return (snapshot["total"], snapshot["done"], snapshot["finished"],
+            snapshot["outcomes"], snapshot["events"])
+
+
 class ObsServer:
     """Serve metrics/health/progress for one process on a daemon thread."""
 
@@ -113,7 +124,6 @@ class ObsServer:
         port: int = 0,
         stale_after: Optional[float] = DEFAULT_STALE_AFTER,
         spans: Optional[SpanCollector] = None,
-        events: Optional[EventBus] = None,
     ) -> None:
         if registry is None and snapshot_dir is None:
             raise ValueError("ObsServer needs a registry or a snapshot_dir")
@@ -122,11 +132,9 @@ class ObsServer:
         self.snapshot_dir = snapshot_dir
         self.stale_after = stale_after
         self.spans = spans
-        self.events = events if events is not None else EventBus()
         self._started_monotonic = time.monotonic()
         self._thread: Optional[threading.Thread] = None
-        self._closing = False
-        self._wired = False
+        self._closing = threading.Event()
         owner = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -158,7 +166,6 @@ class ObsServer:
 
     def start(self) -> "ObsServer":
         """Begin serving on a daemon thread; returns self."""
-        self._wire_events()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-obs-server",
@@ -176,8 +183,7 @@ class ObsServer:
         or a half-torn-down serve loop) — leaking the port would make
         every later bind on it fail with EADDRINUSE.
         """
-        self._closing = True
-        self.events.close()  # wakes any blocked /events handler thread
+        self._closing.set()  # wakes every /events handler at once
         try:
             self._httpd.shutdown()
         finally:
@@ -185,21 +191,6 @@ class ObsServer:
             if self._thread is not None:
                 self._thread.join(timeout=5)
                 self._thread = None
-
-    def _wire_events(self) -> None:
-        """Feed the SSE bus from the attached progress and span sources."""
-        if self._wired:
-            return
-        self._wired = True
-        if self.progress is not None and hasattr(self.progress, "subscribe"):
-            self.progress.subscribe(self._publish_progress)
-        if self.spans is not None:
-            self.spans.subscribe(lambda doc: self.events.publish("span", doc))
-
-    def _publish_progress(self, progress: SweepProgress) -> None:
-        snapshot = progress.snapshot()
-        snapshot["line"] = render_line(snapshot)
-        self.events.publish("progress", snapshot)
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI use)."""
@@ -216,20 +207,12 @@ class ObsServer:
         path, document = found
         return f"snapshot:{path}", document
 
-    def _metrics_text(self) -> str:
+    def _metrics_document(self) -> Dict[str, object]:
+        """The snapshot document ``/metrics`` renders and ``/metrics.json`` returns."""
         if self.registry is not None:
-            return exporters.render_exposition(self.registry)
-        _, document = self._metrics_source()
-        if document is None:
-            return ""
-        return exporters.exposition_from_snapshot(document)
-
-    def _metrics_json(self) -> Dict[str, object]:
-        if self.registry is not None:
-            progress = (
-                self.progress.snapshot() if self.progress is not None else None
+            return exporters.registry_snapshot(
+                self.registry, progress=self._progress_snapshot()
             )
-            return exporters.registry_snapshot(self.registry, progress=progress)
         _, document = self._metrics_source()
         return document if document is not None else {"metrics": []}
 
@@ -335,10 +318,10 @@ class ObsServer:
             if path == "/metrics":
                 self._respond(
                     handler, 200, exporters.EXPOSITION_CONTENT_TYPE,
-                    self._metrics_text(),
+                    exporters.render_exposition(self._metrics_document()),
                 )
             elif path == "/metrics.json":
-                self._respond_json(handler, 200, self._metrics_json())
+                self._respond_json(handler, 200, self._metrics_document())
             elif path == "/healthz":
                 self._respond_json(handler, 200, self._health())
             elif path == "/progress.json":
@@ -404,50 +387,57 @@ class ObsServer:
         """Subclass hook for POST routes; True = request handled."""
         return False
 
+    def _sweeps_since(self, count: int) -> Tuple[List[Dict[str, object]], int]:
+        """Subclass hook: ``sweep`` payloads of the submissions accepted
+        after the first ``count``, and the new count."""
+        return [], count
+
     # -- the SSE stream ------------------------------------------------
     def _stream_events(self, handler: BaseHTTPRequestHandler) -> None:
         """Serve one ``/events`` client until it disconnects or we close.
 
-        Runs on the request's own thread (ThreadingHTTPServer), blocking
-        on the subscriber queue with a short timeout so keepalive
-        comments flow while nothing happens and shutdown is prompt.
+        Runs on the request's own thread (ThreadingHTTPServer).  Every
+        0.5 s it reads the records the JSON endpoints serve and sends
+        what is new since its last read: a ``sweep`` frame per accepted
+        submission, a ``span`` frame per recorded span, then one
+        ``progress`` frame if the counts moved; a keepalive comment
+        when nothing did.  The cursors are taken before ``hello``, so
+        nothing recorded after the client reads it is missed, and each
+        wake reads progress before spans, so a progress frame follows
+        every span recorded before its snapshot.
         """
-        subscriber = self.events.subscribe()
+        progress = self._progress_snapshot()
+        shown = _progress_counts(progress)
+        spans = self.spans if self.spans is not None else NULL_SPANS
+        _, spans_seen = spans.since(0)
+        _, sweeps_seen = self._sweeps_since(0)
+        chunk = _sse_frame("hello", {
+            "pid": os.getpid(), "progress": progress, "spans": len(spans),
+        })
         try:
             handler.send_response(200)
             handler.send_header("Content-Type", "text/event-stream")
             handler.send_header("Cache-Control", "no-store")
             handler.send_header("Connection", "close")
             handler.end_headers()
-            hello = {
-                "pid": os.getpid(),
-                "progress": self._progress_snapshot(),
-                "spans": len(self.spans) if self.spans is not None else 0,
-            }
-            self._write_sse(handler, "hello", hello)
-            while not self._closing:
-                try:
-                    item = subscriber.get(timeout=0.5)
-                except queue.Empty:
-                    handler.wfile.write(b": keepalive\n\n")
-                    handler.wfile.flush()
-                    continue
-                if item is None:  # close() sentinel
+            while True:
+                handler.wfile.write(chunk.encode("utf-8"))
+                handler.wfile.flush()
+                if self._closing.wait(0.5):
                     break
-                kind, payload = item
-                self._write_sse(handler, kind, payload)
+                progress = self._progress_snapshot()
+                new_spans, spans_seen = spans.since(spans_seen)
+                sweeps, sweeps_seen = self._sweeps_since(sweeps_seen)
+                frames = [_sse_frame("sweep", doc) for doc in sweeps]
+                frames += [_sse_frame("span", doc) for doc in new_spans]
+                counts = _progress_counts(progress)
+                if counts != shown:
+                    shown = counts
+                    progress["line"] = render_line(progress)
+                    frames.append(_sse_frame("progress", progress))
+                chunk = "".join(frames) or ": keepalive\n\n"
         except (BrokenPipeError, ConnectionError, OSError):
             pass  # client went away; nothing to salvage
-        finally:
-            self.events.unsubscribe(subscriber)
-
-    @staticmethod
-    def _write_sse(
-        handler: BaseHTTPRequestHandler, kind: str, payload: object
-    ) -> None:
-        frame = f"event: {kind}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
-        handler.wfile.write(frame.encode("utf-8"))
-        handler.wfile.flush()
 
     @staticmethod
     def _respond(

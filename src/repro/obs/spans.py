@@ -37,13 +37,13 @@ import uuid
 from collections import deque
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     Iterable,
     List,
     Mapping,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -271,7 +271,6 @@ class SpanCollector:
         self._lock = threading.Lock()
         self._spans: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._dropped = 0
-        self._listeners: List[Callable[[Dict[str, Any]], None]] = []
 
     def span(self, name: str, parent: ParentLike = None,
              trace_id: Optional[str] = None, **attributes: Any):
@@ -302,9 +301,6 @@ class SpanCollector:
             if len(self._spans) == self.capacity:
                 self._dropped += 1
             self._spans.append(document)
-            listeners = list(self._listeners)
-        for listener in listeners:  # outside the lock: listeners may block
-            listener(document)
 
     def ingest(self, documents: Iterable[Mapping[str, Any]]) -> int:
         """Validate and record remotely-produced spans; returns the count."""
@@ -321,15 +317,18 @@ class SpanCollector:
         with self._lock:
             return list(self._spans)
 
-    def subscribe(self, listener: Callable[[Dict[str, Any]], None]) -> None:
-        """Call ``listener(encoded_span)`` on every recorded span."""
-        with self._lock:
-            self._listeners.append(listener)
+    def since(self, count: int) -> Tuple[List[Dict[str, Any]], int]:
+        """Spans recorded after the first ``count``, and the new count.
 
-    def clear(self) -> None:
+        The count covers every span ever recorded, evicted ones
+        included, so a reader that keeps it as a cursor sees each later
+        span once, as long as the collector still holds it.
+        """
         with self._lock:
-            self._spans.clear()
-            self._dropped = 0
+            held = len(self._spans)
+            recorded = self._dropped + held
+            new = min(held, recorded - count)
+            return [self._spans[i] for i in range(held - new, held)], recorded
 
     @property
     def dropped(self) -> int:

@@ -326,12 +326,13 @@ class System:
             power=self.power_model.finalize(self.now),
             telemetry=telemetry,
         )
-        # Coarse per-run totals for the fleet-level metrics registry
-        # (repro.obs) — one bridge call per completed run, never per
-        # cycle, and a no-op unless metrics were explicitly enabled.
+        # Main-loop and tracer totals for the fleet-level metrics
+        # registry (repro.obs) — one bridge call per completed run, never
+        # per cycle, and a no-op unless metrics were explicitly enabled.
+        # The result's own totals are folded by the sweep that ran it.
         registry = obs_metrics.default_registry()
         if registry.enabled:
-            bridge.publish_run(registry, result, self.loop_stats)
+            bridge.publish_loop(registry, self.loop_stats)
             if self.tracer.enabled:
                 bridge.publish_tracer(registry, self.tracer)
         return result

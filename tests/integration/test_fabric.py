@@ -233,6 +233,75 @@ class TestHttpRoundTrip:
             server.close()
 
 
+class TestEventStream:
+    """The coordinator's ``/events``, read through ``FabricClient.events()``."""
+
+    @staticmethod
+    def read_until(events, frames, stop):
+        for kind, payload in events:
+            frames.append((kind, payload))
+            if stop(kind, payload):
+                return
+        pytest.fail(f"stream ended early; got {[k for k, _ in frames]}")
+
+    def test_sweep_span_and_progress_frames(self, tmp_path):
+        coordinator = make_coordinator(tmp_path / "coordinator-store")
+        server = CoordinatorServer(coordinator).start()
+        # events() skips keepalives, so a frame that never comes would
+        # block it for good; closing the server ends the stream instead
+        watchdog = threading.Timer(30.0, server.close)
+        watchdog.start()
+        client = FabricClient(server.url)
+        events = client.events(timeout=10.0)
+        frames = []
+        try:
+            assert next(events)[0] == "hello"
+            accepted = client.submit(
+                ["milc"], ["NP", "PS"], accesses=ACCESSES, seed=SEED
+            )
+            self.read_until(events, frames, lambda kind, _: kind == "sweep")
+            assert frames[-1][1] == {"sweep": accepted["sweep"], "total": 2,
+                                     "deduped": 0, "queued": 2}
+            WorkerAgent(
+                server.url, worker_id="w1", capacity=4, poll_seconds=0.05,
+                drain_idle_seconds=0.2,
+                result_store=store.ResultStore(str(tmp_path / "worker-store")),
+            ).run()
+            self.read_until(events, frames, lambda kind, doc: (
+                kind == "progress" and doc["finished"]))
+            finished_at = len(frames)
+            held = {doc["span"] for doc in client.trace()["spans"]}
+
+            def seen():
+                return {doc["span"] for kind, doc in frames if kind == "span"}
+
+            if not held <= seen():  # spans recorded after the last job
+                self.read_until(events, frames, lambda *_: held <= seen())
+        finally:
+            events.close()
+            watchdog.cancel()
+            watchdog.join()
+            server.close()
+
+        kinds = [kind for kind, _ in frames]
+        assert kinds.index("sweep") < kinds.index("span")
+        spans = [doc for kind, doc in frames if kind == "span"]
+        assert sorted(doc["name"] for doc in spans) == [
+            "fabric.execute", "fabric.execute", "fabric.lease",
+            "fabric.report", "fabric.submit", "fabric.sweep",
+        ]
+        assert len({doc["trace"] for doc in spans}) == 1
+        # the root span closes with the sweep's progress, so it is read
+        # no later than the progress frame that reports it finished
+        before = {doc["name"] for kind, doc in frames[:finished_at]
+                  if kind == "span"}
+        assert {"fabric.submit", "fabric.sweep", "fabric.lease"} <= before
+        progress = [doc for kind, doc in frames if kind == "progress"]
+        assert all(doc["line"].startswith("sweep ") for doc in progress)
+        assert progress[-1]["done"] == 2
+        assert progress[-1]["outcomes"]["fabric"] == 2
+
+
 class TestTraceStitching:
     """Protocol v3 acceptance: a two-worker run yields ONE stitched
     trace covering submit -> lease -> execute -> report per job."""

@@ -5,6 +5,8 @@ with urllib from the test process — no external tooling.
 """
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -126,24 +128,33 @@ class TestSpansEndpoint:
             server.close()
 
 
-class TestEventsStream:
-    @staticmethod
-    def read_frames(response, want: int):
-        """Parse SSE frames off a live response until ``want`` arrive."""
-        frames, kind, data = [], None, []
-        while len(frames) < want:
-            line = response.readline().decode("utf-8").rstrip("\n")
-            if line.startswith(":"):
-                continue  # keepalive comment
-            if line.startswith("event:"):
-                kind = line.split(":", 1)[1].strip()
-            elif line.startswith("data:"):
-                data.append(line.split(":", 1)[1].strip())
-            elif line == "" and (kind or data):
-                frames.append((kind, json.loads("\n".join(data))))
-                kind, data = None, []
-        return frames
+def read_frames(response, want: int, deadline_s: float = 10.0):
+    """Parse SSE frames off a live response until ``want`` arrive.
 
+    Keepalives arrive every 0.5 s, so the socket timeout never fires on
+    a stream that is alive but silent; the deadline fails the test
+    instead, naming what did arrive.
+    """
+    frames, kind, data = [], None, []
+    deadline = time.monotonic() + deadline_s
+    while len(frames) < want:
+        if time.monotonic() > deadline:
+            pytest.fail(f"{want} SSE frame(s) not read within {deadline_s}s; "
+                        f"got {[k for k, _ in frames]}")
+        line = response.readline().decode("utf-8").rstrip("\n")
+        if line.startswith(":"):
+            continue  # keepalive comment
+        if line.startswith("event:"):
+            kind = line.split(":", 1)[1].strip()
+        elif line.startswith("data:"):
+            data.append(line.split(":", 1)[1].strip())
+        elif line == "" and (kind or data):
+            frames.append((kind, json.loads("\n".join(data))))
+            kind, data = None, []
+    return frames
+
+
+class TestEventsStream:
     def test_progress_and_span_events_stream(self):
         registry = MetricsRegistry(enabled=True)
         progress = SweepProgress(total=2)
@@ -156,16 +167,48 @@ class TestEventsStream:
                 server.url + "/events", timeout=5
             )
             try:
-                (hello_kind, hello), = self.read_frames(response, 1)
+                (hello_kind, hello), = read_frames(response, 1)
                 assert hello_kind == "hello"
                 assert hello["progress"]["total"] == 2
                 # a finishing job and a finishing span must both fan out
                 progress.job_done("serial", seconds=0.1)
                 collector.add("sweep.job", 5.0, 0.1, benchmark="milc")
-                frames = dict(self.read_frames(response, 2))
+                frames = dict(read_frames(response, 2))
                 assert frames["progress"]["done"] == 1
                 assert "sweep 1/2" in frames["progress"]["line"]
                 assert frames["span"]["name"] == "sweep.job"
+            finally:
+                response.close()
+        finally:
+            server.close()
+
+    def test_stalled_client_blocks_no_writer(self):
+        # the stream reads the records on its own thread; a client that
+        # stops reading must not slow the sweep or the span plane
+        progress = SweepProgress(total=10_000)
+        collector = SpanCollector(enabled=True)
+        server = ObsServer(
+            registry=MetricsRegistry(enabled=True), progress=progress,
+            spans=collector,
+        ).start()
+        try:
+            response = urllib.request.urlopen(
+                server.url + "/events", timeout=5
+            )
+            try:
+                read_frames(response, 1)  # hello, then never read again
+
+                def write():
+                    for i in range(10_000):
+                        progress.job_done("serial", seconds=0.001)
+                        collector.add("sweep.job", float(i), 0.001)
+
+                writer = threading.Thread(target=write)
+                writer.start()
+                writer.join(timeout=30)
+                assert not writer.is_alive()
+                assert progress.snapshot()["done"] == 10_000
+                assert collector.since(0)[1] == 10_000
             finally:
                 response.close()
         finally:
@@ -177,7 +220,7 @@ class TestEventsStream:
             server.url + "/events", timeout=5
         )
         try:
-            self.read_frames(response, 1)  # hello
+            read_frames(response, 1)  # hello
             server.close()
             # the handler stops writing; the stream drains to EOF
             deadline = 200
@@ -243,6 +286,29 @@ class TestSnapshotDirServing:
             assert json.loads(progress)["done"] == 9
         finally:
             server.close()
+
+    def test_live_and_snapshot_dir_metrics_are_byte_identical(self, tmp_path):
+        registry = MetricsRegistry(enabled=True)
+        registry.counter("repro_c_total", "", ("path",)).inc(path='a"b\nc')
+        registry.counter("repro_fleet_total", "Two labels.",
+                         ("worker", "outcome")).inc(3, worker="w1",
+                                                    outcome="executed")
+        registry.counter("repro_never_total", "Never incremented.")
+        registry.gauge("repro_depth", "Depth.").set(7)
+        registry.gauge("repro_ratio", "Ratio.").set(0.125)
+        registry.histogram("repro_h_seconds", "Seconds.",
+                           buckets=(0.5, 2.0)).observe(0.7)
+        exporters.write_snapshot(registry, directory=str(tmp_path))
+        live = ObsServer(registry=registry).start()
+        stored = ObsServer(snapshot_dir=str(tmp_path)).start()
+        try:
+            _, _, live_text = get(live.url + "/metrics")
+            _, _, stored_text = get(stored.url + "/metrics")
+        finally:
+            live.close()
+            stored.close()
+        assert 'repro_fleet_total{worker="w1",outcome="executed"} 3' in live_text
+        assert live_text == stored_text
 
     def test_empty_dir_serves_empty_exposition(self, tmp_path):
         server = ObsServer(snapshot_dir=str(tmp_path)).start()

@@ -17,6 +17,7 @@ from repro.obs import flightrec
 from repro.obs import metrics as obs_metrics
 from repro.obs.paths import postmortem_dir
 from repro.obs.progress import SweepProgress
+from repro.system.simulator import default_loop_mode
 
 ACCESSES = 900
 
@@ -65,11 +66,41 @@ class TestMetricsFlow:
         assert reads.value(result="miss") == 1.0
         assert registry.counter("repro_store_writes_total").value() == 1.0
         assert registry.counter("repro_store_bytes_written_total").value() > 0
-        # the simulator bridge fired once for the in-parent simulation
+        # the sweep folded the one executed job's totals
         completed = registry.counter("repro_runs_completed_total",
                                      labelnames=("config", "loop_mode"))
         assert sum(v for _, v in completed.samples()) == 1.0
         assert registry.counter("repro_run_cycles_total").value() > 0
+
+    @pytest.mark.parametrize("jobs, fidelity", [
+        (1, "exact"), (2, "exact"), (1, "fast"),
+    ])
+    def test_run_counters_see_every_executed_job(self, jobs, fidelity):
+        # folded in the parent from each RunResult, so pool workers
+        # (whose registries are discarded copies) and the fast tier
+        # (which never reaches System._collect) count too; wired like
+        # `repro sweep`, so a serial job counted twice would show
+        registry = obs_metrics.MetricsRegistry(enabled=True)
+        obs_metrics.set_default_registry(registry)
+        specs = sweep.expand_grid(("milc", "lbm"), ("NP", "PMS"),
+                                  accesses=ACCESSES, fidelity=fidelity)
+        out = sweep.run_jobs(specs, jobs=jobs, metrics=registry)
+        completed = registry.counter("repro_runs_completed_total",
+                                     labelnames=("config", "loop_mode"))
+        mode = "fast" if fidelity == "fast" else default_loop_mode()
+        assert completed.samples() == [
+            ({"config": "NP", "loop_mode": mode}, 2.0),
+            ({"config": "PMS", "loop_mode": mode}, 2.0),
+        ]
+        assert registry.counter("repro_run_cycles_total").value() == sum(
+            result.cycles for result in out.results
+        )
+        assert registry.counter("repro_run_instructions_total").value() == sum(
+            result.instructions for result in out.results
+        )
+        # a store hit executes nothing, so it counts nothing
+        sweep.run_jobs(specs, jobs=jobs, metrics=registry)
+        assert sum(value for _, value in completed.samples()) == 4.0
 
     def test_parallel_sweep_reports_queue_wait_and_exec_time(self):
         registry = obs_metrics.MetricsRegistry(enabled=True)

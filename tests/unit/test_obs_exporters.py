@@ -23,22 +23,26 @@ def populated_registry() -> MetricsRegistry:
     return reg
 
 
+def exposition(reg: MetricsRegistry) -> str:
+    return exporters.render_exposition(exporters.registry_snapshot(reg))
+
+
 class TestExposition:
     def test_help_and_type_lines(self):
-        text = exporters.render_exposition(populated_registry())
+        text = exposition(populated_registry())
         assert "# HELP repro_sweep_jobs_total Jobs by outcome." in text
         assert "# TYPE repro_sweep_jobs_total counter" in text
         assert "# TYPE repro_queue_depth gauge" in text
         assert "# TYPE repro_job_seconds histogram" in text
 
     def test_sample_lines(self):
-        text = exporters.render_exposition(populated_registry())
+        text = exposition(populated_registry())
         assert 'repro_sweep_jobs_total{outcome="serial"} 3' in text
         assert 'repro_sweep_jobs_total{outcome="store"} 1' in text
         assert "repro_queue_depth 7" in text
 
     def test_histogram_lines_are_cumulative(self):
-        text = exporters.render_exposition(populated_registry())
+        text = exposition(populated_registry())
         assert 'repro_job_seconds_bucket{le="0.1"} 1' in text
         assert 'repro_job_seconds_bucket{le="1"} 2' in text
         assert 'repro_job_seconds_bucket{le="10"} 2' in text
@@ -46,17 +50,17 @@ class TestExposition:
         assert "repro_job_seconds_count 3" in text
 
     def test_empty_registry_renders_empty(self):
-        assert exporters.render_exposition(MetricsRegistry()) == ""
+        assert exposition(MetricsRegistry()) == ""
 
     def test_unused_instruments_are_omitted(self):
         reg = MetricsRegistry()
         reg.counter("repro_never_incremented_total", "x")
-        assert exporters.render_exposition(reg) == ""
+        assert exposition(reg) == ""
 
     def test_label_values_are_escaped(self):
         reg = MetricsRegistry()
         reg.counter("repro_c_total", "", ("path",)).inc(path='a"b\\c\nd')
-        text = exporters.render_exposition(reg)
+        text = exposition(reg)
         assert 'path="a\\"b\\\\c\\nd"' in text
         parsed = exporters.parse_exposition(text)
         assert parsed[("repro_c_total", (("path", 'a"b\\c\nd'),))] == 1.0
@@ -65,7 +69,7 @@ class TestExposition:
 class TestParse:
     def test_round_trip_equals_rendered(self):
         reg = populated_registry()
-        parsed = exporters.parse_exposition(exporters.render_exposition(reg))
+        parsed = exporters.parse_exposition(exposition(reg))
         assert parsed[("repro_sweep_jobs_total", (("outcome", "serial"),))] == 3.0
         assert parsed[("repro_queue_depth", ())] == 7.0
         assert parsed[
@@ -84,7 +88,7 @@ class TestParse:
     def test_empty_registry_round_trips_to_empty_dict(self):
         # the CI smoke's degenerate case: nothing rendered, nothing parsed
         assert exporters.parse_exposition(
-            exporters.render_exposition(MetricsRegistry())
+            exposition(MetricsRegistry())
         ) == {}
 
     def test_escaped_label_values_round_trip(self):
@@ -95,7 +99,7 @@ class TestParse:
         reg.counter("repro_c_total", "", ("path", "kind")).inc(
             2, path=hostile, kind="plain"
         )
-        parsed = exporters.parse_exposition(exporters.render_exposition(reg))
+        parsed = exporters.parse_exposition(exposition(reg))
         assert parsed[
             ("repro_c_total", (("kind", "plain"), ("path", hostile)))
         ] == 2.0
@@ -103,7 +107,7 @@ class TestParse:
     def test_trailing_backslash_label_value(self):
         reg = MetricsRegistry()
         reg.counter("repro_c_total", "", ("p",)).inc(p="ends\\")
-        parsed = exporters.parse_exposition(exporters.render_exposition(reg))
+        parsed = exporters.parse_exposition(exposition(reg))
         assert parsed[("repro_c_total", (("p", "ends\\"),))] == 1.0
 
     def test_histogram_inf_sum_count_round_trip(self):
@@ -112,7 +116,7 @@ class TestParse:
                              labelnames=("stage",))
         hist.observe(0.1, stage="lease")
         hist.observe(9.0, stage="lease")
-        parsed = exporters.parse_exposition(exporters.render_exposition(reg))
+        parsed = exporters.parse_exposition(exposition(reg))
         stage = ("stage", "lease")
         assert parsed[("repro_h_seconds_bucket", (("le", "0.5"), stage))] == 1.0
         assert parsed[("repro_h_seconds_bucket", (("le", "+Inf"), stage))] == 2.0
@@ -126,13 +130,19 @@ class TestParse:
 
 
 class TestSnapshot:
-    def test_snapshot_round_trips_to_identical_exposition(self):
+    def test_snapshot_round_trips_to_identical_exposition(self, tmp_path):
         reg = populated_registry()
+        # label names out of sorted order: the file's keys come back
+        # sorted, the exposition must not
+        reg.counter("repro_fleet_total", "", ("worker", "outcome")).inc(
+            2, worker="w1", outcome="executed"
+        )
         document = exporters.registry_snapshot(reg)
         assert document["version"] == exporters.SNAPSHOT_VERSION
-        assert exporters.exposition_from_snapshot(document) == (
-            exporters.render_exposition(reg)
-        )
+        path = exporters.write_snapshot(reg, directory=str(tmp_path))
+        text = exporters.render_exposition(exporters.load_snapshot(path))
+        assert text == exporters.render_exposition(document)
+        assert 'repro_fleet_total{worker="w1",outcome="executed"} 2' in text
 
     def test_progress_section_is_embedded(self):
         document = exporters.registry_snapshot(

@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs.spans and repro.obs.events.
+"""Unit tests for repro.obs.spans.
 
 Pins the disabled-by-default contract (NULL_SPANS / NULL_SPAN mirrors
 NULL_METRICS), the encoded-span schema the fabric ships on the wire,
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.obs import spans as obs_spans
-from repro.obs.events import EventBus
 from repro.obs.spans import (
     NULL_SPAN,
     NULL_SPANS,
@@ -185,13 +184,22 @@ class TestLiveSpans:
         with pytest.raises(SpanError):
             collector.ingest([{"name": "bad"}])
 
-    def test_listeners_see_every_record(self):
-        collector = SpanCollector(enabled=True)
-        seen = []
-        collector.subscribe(seen.append)
-        collector.add("x", 0.0, 1.0)
+    def test_since_reads_each_later_span_once(self):
+        # the /events cursor: a count of every span ever recorded, so
+        # evicted spans still advance it and held ones are read once
+        collector = SpanCollector(enabled=True, capacity=3)
+        assert collector.since(0) == ([], 0)
+        for i in range(5):
+            collector.add("x", float(i), 0.1)
+        spans, count = collector.since(0)
+        assert [d["start_unix"] for d in spans] == [2.0, 3.0, 4.0]
+        assert count == 5
+        spans, count = collector.since(4)
+        assert [d["start_unix"] for d in spans] == [4.0]
+        assert collector.since(count) == ([], 5)
         collector.span("y").finish()
-        assert [d["name"] for d in seen] == ["x", "y"]
+        spans, count = collector.since(count)
+        assert [d["name"] for d in spans] == ["y"] and count == 6
 
 
 class TestSnapshots:
@@ -240,36 +248,3 @@ class TestChromeTraceExport:
 
     def test_empty_input(self):
         assert to_chrome_trace([])["traceEvents"] == []
-
-
-class TestEventBus:
-    def test_publish_reaches_every_subscriber(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
-        assert bus.publish("progress", {"done": 1}) == 2
-        assert a.get_nowait() == ("progress", {"done": 1})
-        assert b.get_nowait() == ("progress", {"done": 1})
-
-    def test_slow_subscriber_drops_its_own_oldest(self):
-        bus = EventBus(capacity=2)
-        q = bus.subscribe()
-        for i in range(4):
-            bus.publish("n", i)
-        assert bus.dropped == 2
-        assert [q.get_nowait()[1] for _ in range(2)] == [2, 3]
-
-    def test_close_wakes_subscribers_with_sentinel(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.close()
-        assert q.get_nowait() is None
-        assert bus.publish("n", 1) == 0
-        # late subscribers learn of the shutdown immediately
-        assert bus.subscribe().get_nowait() is None
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.unsubscribe(q)
-        assert bus.subscribers == 0
-        bus.unsubscribe(q)  # double-unsubscribe is a no-op

@@ -9,7 +9,9 @@ the full acceptance path:
    ``<store>/metrics/latest.json`` and ``<store>/spans/latest.json``;
 2. ``GET /metrics`` returns Prometheus text exposition that
    :func:`repro.obs.exporters.parse_exposition` accepts, containing the
-   sweep job counters and the store read/write counters;
+   sweep job counters, the store read/write counters, and
+   ``repro_runs_completed_total`` counting the 4 jobs the sweep
+   executed in its pool workers;
 3. ``GET /healthz`` answers ``status: ok`` and states the wire
    ``protocol`` version and the ``obs`` span-plane block;
 4. ``GET /progress.json`` reflects the finished sweep;
@@ -37,6 +39,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 import urllib.request
 
 
@@ -47,10 +50,21 @@ def fetch(url: str) -> str:
         return response.read().decode("utf-8")
 
 
-def read_sse_frames(response, want: int):
-    """Parse ``want`` SSE frames off a live ``/events`` response."""
+def read_sse_frames(response, want: int, deadline_s: float = 10.0):
+    """Parse ``want`` SSE frames off a live ``/events`` response.
+
+    Keepalives arrive every 0.5 s, so the socket timeout never fires on
+    a stream that is alive but silent; the deadline fails the smoke
+    instead, naming what did arrive.
+    """
     frames, kind, data = [], None, []
+    deadline = time.monotonic() + deadline_s
     while len(frames) < want:
+        if time.monotonic() > deadline:
+            raise SystemExit(
+                f"obs_smoke: {want} SSE frame(s) not read within "
+                f"{deadline_s}s; got {[k for k, _ in frames]}"
+            )
         line = response.readline().decode("utf-8").rstrip("\n")
         if line.startswith(":"):
             continue  # keepalive comment
@@ -177,6 +191,12 @@ def main(argv=None) -> int:
                    if name == "repro_sweep_jobs_total")
         if jobs != 4:
             raise SystemExit(f"obs_smoke: expected 4 sweep jobs, saw {jobs}")
+        runs = sum(value for (name, _), value in parsed.items()
+                   if name == "repro_runs_completed_total")
+        if runs != 4:
+            raise SystemExit(
+                f"obs_smoke: expected 4 executed runs, saw {runs}"
+            )
 
         health = json.loads(fetch(server.url + "/healthz"))
         if health.get("status") != "ok":
