@@ -359,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fwatch.add_argument("--coordinator", required=True, metavar="URL")
     fwatch.add_argument("--sweep", default=None, metavar="ID",
-                        help="exit once this sweep finishes "
-                             "(default: stream until Ctrl-C)")
+                        help="exit once this sweep settles "
+                             "(default: once the fleet is idle)")
     fwatch.add_argument("--poll", type=float, default=2.0, metavar="SECONDS",
                         help="fallback poll interval when the SSE stream "
                              "is unavailable (default 2.0)")
@@ -794,22 +794,22 @@ def _cmd_fabric(args) -> int:
 
 
 def _fabric_watch(client, args) -> int:
-    """``repro fabric watch``: live SSE progress, polling fallback."""
+    """``repro fabric watch``: live SSE progress, polling fallback.
+
+    Exits 0 once ``--sweep`` settles or, without it, on the first
+    progress that reads finished with jobs in it (the fleet is idle).
+    """
     import time as _time
 
     from repro.fabric.client import CoordinatorUnavailable
     from repro.obs.progress import render_line
 
-    def _finished(snapshot) -> bool:
+    def _update(progress) -> bool:
+        """Print one progress line; True once the watch is over."""
+        print(render_line(progress))
         if args.sweep is None:
-            return False
-        try:
-            status = client.sweep_status(args.sweep)
-        except Exception:
-            return False
-        counts = status.get("counts", {})
-        settled = counts.get("done", 0) + counts.get("failed", 0)
-        return settled >= status.get("total", 0)
+            return progress["finished"] and progress["total"] > 0
+        return client.sweep_status(args.sweep)["progress"]["finished"]
 
     print(f"watching {client.url} "
           + (f"(sweep {args.sweep}, " if args.sweep else "(")
@@ -818,27 +818,23 @@ def _fabric_watch(client, args) -> int:
         while True:
             try:
                 for kind, payload in client.events(timeout=30.0):
+                    if kind == "hello" and isinstance(payload, dict):
+                        kind, payload = "progress", payload.get("progress")
                     if kind == "progress" and isinstance(payload, dict):
-                        line = payload.get("line") or str(payload)
-                        print(line)
-                        if payload.get("finished") and _finished(payload):
+                        if _update(payload):
                             return 0
                     elif kind == "sweep" and isinstance(payload, dict):
                         print(f"sweep {payload.get('sweep')}: "
                               f"{payload.get('queued')} queued, "
                               f"{payload.get('deduped')} deduped")
-                    elif kind == "hello":
-                        continue
                 # Server closed the stream; fall through to polling.
             except CoordinatorUnavailable:
                 pass
             # SSE unavailable (old server, proxy): poll instead.
             try:
-                snapshot = client.progress()
-                print(render_line(snapshot))
-                if snapshot.get("finished") and _finished(snapshot):
+                if _update(client.progress()):
                     return 0
-            except (CoordinatorUnavailable, KeyError):
+            except CoordinatorUnavailable:
                 print("coordinator unreachable; retrying", file=sys.stderr)
             _time.sleep(args.poll)
     except KeyboardInterrupt:

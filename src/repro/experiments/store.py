@@ -44,6 +44,7 @@ from repro.common.config import SystemConfig
 from repro.common.files import durable_write
 from repro.dram.power import PowerReport
 from repro.obs.metrics import default_registry
+from repro.obs.paths import obs_root as store_root
 from repro.system.results import RunResult
 
 #: Bumped whenever the stored payload or key layout changes; part of
@@ -52,9 +53,6 @@ from repro.system.results import RunResult
 #: cycles, so occupancy averages from version-1 entries don't compare.
 STORE_VERSION = 2
 
-#: Default store location, relative to the working directory.
-DEFAULT_ROOT = ".repro-results"
-
 #: Orphaned ``.tmp-*`` files younger than this are presumed to belong
 #: to a live writer and are left alone (see ResultStore.sweep_orphans).
 ORPHAN_MIN_AGE_SECONDS = 3600.0
@@ -62,11 +60,6 @@ ORPHAN_MIN_AGE_SECONDS = 3600.0
 #: Most results a :class:`MemoryStore` keeps (~4 KiB each, so ~16 MiB):
 #: ten times the 340 distinct cells of the experiments report.
 MEMORY_STORE_ENTRIES = 4096
-
-
-def store_root() -> str:
-    """Store directory: ``REPRO_STORE_DIR`` or ``.repro-results``."""
-    return os.environ.get("REPRO_STORE_DIR") or DEFAULT_ROOT
 
 
 def store_enabled() -> bool:

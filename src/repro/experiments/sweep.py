@@ -34,9 +34,10 @@ rule established in :mod:`repro.telemetry` (see docs/telemetry.md).
 Observability (:mod:`repro.obs`, docs/observability.md): every call to
 :func:`run_jobs` reports serving outcomes, per-job wall times, queue
 waits, and robustness events into the process metrics registry (a
-no-op unless metrics are enabled), can drive a live
-:class:`~repro.obs.progress.SweepProgress`, and keeps a flight
-recorder whose ring is dumped as a post-mortem JSON under
+no-op unless metrics are enabled) and can drive a live
+:class:`~repro.obs.progress.SweepProgress`.  While jobs run in a
+process pool, a flight recorder keeps the recent events and log
+records, and dumps them as a post-mortem JSON under
 ``.repro-results/postmortem/`` whenever a job times out or exhausts
 its crash-retry budget.  The silent paths of the robustness machinery
 log through the ``repro.experiments.sweep`` logger.
@@ -274,10 +275,10 @@ class _SweepObs:
     """Observability fan-out for one :func:`run_jobs` call.
 
     Bundles the metric instruments, the optional live
-    :class:`~repro.obs.progress.SweepProgress`, and the flight
-    recorder, so the execution paths below report through one object.
-    Every method is a near-no-op when metrics are disabled and no
-    progress/recorder is attached.
+    :class:`~repro.obs.progress.SweepProgress`, and the flight recorder
+    of the pool phase, so the execution paths below report through one
+    object.  Every method is a near-no-op when metrics are disabled and
+    no progress is attached.
     """
 
     __slots__ = ("metrics", "progress", "recorder", "enabled",
@@ -288,14 +289,15 @@ class _SweepObs:
         self,
         metrics: obs_metrics.MetricsRegistry,
         progress: Optional[SweepProgress],
-        recorder: flightrec.FlightRecorder,
-        spans: Optional[obs_spans.SpanCollector] = None,
-        sweep_ctx: Optional[Mapping[str, str]] = None,
+        spans: obs_spans.SpanCollector,
+        sweep_ctx: Optional[Mapping[str, str]],
     ) -> None:
         self.metrics = metrics
         self.progress = progress
-        self.recorder = recorder
-        self.spans = spans if spans is not None else obs_spans.NULL_SPANS
+        #: attached by run_jobs for the pool phase, which alone notes
+        #: events and writes post-mortems
+        self.recorder: Optional[flightrec.FlightRecorder] = None
+        self.spans = spans
         self.sweep_ctx = sweep_ctx
         self.enabled = metrics.enabled
         if self.enabled:
@@ -480,8 +482,6 @@ def run_jobs(
     worker: Optional[Callable[[Dict[str, object], SystemConfig], Dict[str, object]]] = None,
     progress: Optional[SweepProgress] = None,
     metrics: Optional[obs_metrics.MetricsRegistry] = None,
-    recorder: Optional[flightrec.FlightRecorder] = None,
-    spans: Optional[obs_spans.SpanCollector] = None,
     trace_parent: Optional[Mapping[str, str]] = None,
 ) -> SweepOutcome:
     """Execute a list of :class:`Job` specs, fanning out when asked.
@@ -495,13 +495,12 @@ def run_jobs(
 
     Observability: ``progress`` is a live
     :class:`~repro.obs.progress.SweepProgress` updated as jobs resolve;
-    ``metrics`` overrides the process default registry; ``recorder``
-    overrides the per-call flight recorder.  ``spans`` overrides the
-    default span collector and ``trace_parent`` (a ``{"trace","span"}``
-    context) parents the ``sweep.run_jobs`` span, letting a caller —
-    ``run_suite``, a fabric agent — stitch this call into a wider
-    trace.  All default to the ambient/no-op behaviour described in
-    the module docstring.
+    ``metrics`` overrides the process default registry.
+    ``trace_parent`` (a ``{"trace","span"}`` context) parents the
+    ``sweep.run_jobs`` span in the default span collector, letting a
+    caller — ``run_suite``, a fabric agent — stitch this call into a
+    wider trace.  All default to the ambient/no-op behaviour described
+    in the module docstring.
 
     Returns a :class:`SweepOutcome` whose ``results`` align one-to-one
     with ``specs``.
@@ -510,19 +509,15 @@ def run_jobs(
     results: List[Optional[RunResult]] = [None] * len(specs)
     active_store = store.active_store(use_store)
     metrics = obs_metrics.default_registry() if metrics is None else metrics
-    if recorder is None:
-        recorder = flightrec.FlightRecorder(metrics=metrics)
-    span_collector = obs_spans.default_collector() if spans is None else spans
+    span_collector = obs_spans.default_collector()
     sweep_span = span_collector.span(
         "sweep.run_jobs", parent=trace_parent,
         total=len(specs), workers=max(1, jobs),
     )
-    obs = _SweepObs(metrics, progress, recorder, span_collector,
-                    sweep_span.context())
+    obs = _SweepObs(metrics, progress, span_collector, sweep_span.context())
     if progress is not None:
         progress.begin(total=len(specs), workers=max(1, jobs))
     store_before = active_store.stats.as_dict()
-    recorder.attach("repro")
     try:
         pending: List[_Pending] = []
         for index, job in enumerate(specs):
@@ -546,6 +541,8 @@ def run_jobs(
                         item, active_store, stats, obs
                     )
             else:
+                obs.recorder = flightrec.FlightRecorder(metrics=metrics)
+                obs.recorder.attach("repro")
                 executed = _run_parallel(
                     pending, jobs, timeout, retries, active_store, stats,
                     worker or _execute_job, obs,
@@ -553,7 +550,8 @@ def run_jobs(
                 for index, result in executed.items():
                     results[index] = result
     finally:
-        recorder.detach()
+        if obs.recorder is not None:
+            obs.recorder.detach()
         if sweep_span.enabled:
             sweep_span.set_attr(
                 store=stats.from_store,

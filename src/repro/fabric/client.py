@@ -212,7 +212,7 @@ class FabricClient:
         timeout: Optional[float] = None,
         on_update: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> Dict[str, object]:
-        """Poll until the sweep finishes (all jobs done or failed).
+        """Poll until the sweep settles (every job done or failed).
 
         Transient coordinator outages are retried until ``timeout``
         (None = wait forever); raises :class:`TimeoutError` past it.
@@ -226,9 +226,7 @@ class FabricClient:
             if status is not None:
                 if on_update is not None:
                     on_update(status)
-                counts = status.get("counts", {})
-                settled = counts.get("done", 0) + counts.get("failed", 0)
-                if settled >= status.get("total", 0):
+                if status["progress"]["finished"]:
                     return status
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(

@@ -15,9 +15,9 @@ unfinished jobs re-queue.
 :class:`CoordinatorServer` is the HTTP surface: it subclasses
 :class:`~repro.obs.server.ObsServer`, so the whole fleet is observable
 through the same ``/metrics`` (Prometheus), ``/healthz`` (plus worker
-liveness), and ``/progress`` (all active sweeps merged via
-:func:`~repro.obs.progress.merge_snapshots`) endpoints a local sweep
-serves, and adds the ``/v1/*`` job-submission API:
+liveness), and ``/progress`` (the sweeps accepted since the fleet was
+last idle, derived from the job table) endpoints a local sweep serves,
+and adds the ``/v1/*`` job-submission API:
 
 * ``POST /v1/sweeps``      — submit a grid; answers sweep id + counts
 * ``GET  /v1/sweeps/<id>`` — sweep status (``?results=1`` embeds the
@@ -44,10 +44,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import store, sweep
 from repro.fabric import protocol
-from repro.fabric.state import DONE, CoordinatorState
+from repro.fabric.state import DONE, FAILED, CoordinatorState, SweepRecord
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import SweepProgress, merge_snapshots
 from repro.obs.server import ObsServer
 
 _log = logging.getLogger("repro.fabric.coordinator")
@@ -83,7 +82,8 @@ class Coordinator:
         )
         kwargs = {} if clock is None else {"clock": clock}
         self.state = CoordinatorState(
-            lease_seconds=lease_seconds, max_attempts=max_attempts, **kwargs
+            lease_seconds=lease_seconds, max_attempts=max_attempts,
+            on_settle=self._settled, **kwargs
         )
         # Unlike instrumented *sites*, the coordinator collects spans by
         # default: it is the long-lived fleet process whose /spans.json
@@ -93,9 +93,8 @@ class Coordinator:
             spans if spans is not None else obs_spans.SpanCollector(enabled=True)
         )
         self.lock = threading.RLock()
-        self._progress: Dict[str, SweepProgress] = {}
+        #: root spans of the sweeps that have not settled yet
         self._sweep_spans: Dict[str, obs_spans.Span] = {}
-        self._lease_traces: Dict[str, Optional[Dict[str, str]]] = {}
         self._sweeps = self.registry.counter(
             "repro_fabric_sweeps_total", "Sweep submissions accepted."
         )
@@ -129,17 +128,9 @@ class Coordinator:
                 found = self.store.get(spec) is not None
                 entries.append((store.job_key(spec), job, spec, found))
             record = self.state.submit(entries, priority=priority)
-            progress = SweepProgress(
-                total=len(record.keys), workers=len(self.state.workers) or 1
-            )
-            for _ in range(record.deduped):
-                progress.job_done("store")
-            if record.deduped == len(record.keys):
-                progress.finish()
-            self._progress[record.id] = progress
             # One root span per sweep, parented under the submitter's
-            # context when it sent one; stays open until the last job
-            # lands (finished in _advance_progress).
+            # context when it sent one; stays open until the sweep
+            # settles (finished in _settled).
             root = self.spans.span(
                 "fabric.sweep", parent=submitter_ctx, sweep=record.id,
                 total=len(record.keys), deduped=record.deduped,
@@ -149,10 +140,10 @@ class Coordinator:
                 parent=root if root.enabled else None,
                 sweep=record.id, jobs=len(record.keys),
             )
-            if record.deduped == len(record.keys):
-                root.finish()
-            elif root.enabled:
+            if root.enabled:
                 self._sweep_spans[record.id] = root
+            if record.settled is not None:  # every job was done or failed
+                self._settled(record)
         self._sweeps.inc()
         if record.deduped:
             self._jobs.inc(record.deduped, worker="coordinator",
@@ -195,18 +186,15 @@ class Coordinator:
                 "fabric.lease", t0, time.time() - t0, parent=sweep_ctx,
                 worker=worker, lease=lease.id, jobs=len(entries),
             )
-            lease_ctx = (
-                {"trace": lease_doc["trace"], "span": lease_doc["span"]}
-                if lease_doc is not None and sweep_ctx is not None
-                else None
-            )
-            self._lease_traces[lease.id] = lease_ctx
-            jobs = [(key, job, lease_ctx) for key, job, _sweeps in entries]
+            if lease_doc is not None and sweep_ctx is not None:
+                lease.trace = {"trace": lease_doc["trace"],
+                               "span": lease_doc["span"]}
+            jobs = [(key, job, lease.trace) for key, job, _sweeps in entries]
         self._lease_events.inc(event="granted")
         _log.debug("granted %s to %s: %d job(s)",
                    lease.id, worker, len(jobs))
         return protocol.lease_grant(lease.id, jobs, self.state.lease_seconds,
-                                    trace=lease_ctx)
+                                    trace=lease.trace)
 
     def _sweep_ctx_locked(
         self, sweep_ids: List[str]
@@ -232,6 +220,10 @@ class Coordinator:
         worker, lease_id, items, metrics, worker_spans = (
             protocol.parse_complete_report(document)
         )
+        # Read now: detaching a lease's last key deletes the lease.
+        with self.lock:
+            lease = self.state.leases.get(lease_id)
+            lease_ctx = lease.trace if lease is not None else None
         accepted = duplicates = errors = 0
         for item in items:
             key = item["key"]
@@ -258,18 +250,17 @@ class Coordinator:
                 # Persist first: state is rebuilt from the store after a
                 # coordinator restart, so the store must never lag it.
                 self.store.put(entry.spec, result)
-                verdict = self.state.complete(key, worker)
+                outcome = item.get("outcome")
+                outcome = "store" if outcome == "store" else "executed"
+                seconds = item.get("seconds")
+                if not isinstance(seconds, (int, float)):
+                    seconds = None
+                verdict = self.state.complete(key, worker, outcome, seconds)
                 if verdict == "first":
                     accepted += 1
-                    outcome = item.get("outcome") or "executed"
-                    self._jobs.inc(
-                        worker=worker,
-                        outcome="store" if outcome == "store" else "executed",
-                    )
-                    seconds = item.get("seconds")
-                    if isinstance(seconds, (int, float)):
+                    self._jobs.inc(worker=worker, outcome=outcome)
+                    if seconds is not None:
                         self._job_seconds.observe(float(seconds), worker=worker)
-                    self._advance_progress(entry.sweeps, outcome, seconds)
                 else:
                     duplicates += 1
                     self._jobs.inc(worker=worker, outcome="duplicate")
@@ -277,10 +268,6 @@ class Coordinator:
             self._fold_worker_metrics(worker, metrics)
         if worker_spans:
             self.spans.ingest(worker_spans)
-        lease_ctx = (
-            self._lease_traces.pop(lease_id, None)
-            if lease_id is not None else None
-        )
         self.spans.add(
             "fabric.report", t0, time.time() - t0, parent=lease_ctx,
             worker=worker, accepted=accepted, duplicates=duplicates,
@@ -293,26 +280,12 @@ class Coordinator:
             errors=errors,
         )
 
-    def _advance_progress(
-        self, sweep_ids: List[str], outcome: str, seconds
-    ) -> None:
-        """Tick every sweep a finished job belongs to (dedupe overlap)."""
-        for sweep_id in sweep_ids:
-            progress = self._progress.get(sweep_id)
-            if progress is None:
-                continue
-            progress.job_done(
-                "store" if outcome == "store" else "fabric",
-                seconds if isinstance(seconds, (int, float)) else None,
-            )
-            record = self.state.sweeps.get(sweep_id)
-            if record is not None and self.state.counts(record.keys)[DONE] == len(
-                record.keys
-            ):
-                progress.finish()
-                root = self._sweep_spans.pop(sweep_id, None)
-                if root is not None:
-                    root.finish()
+    def _settled(self, record: SweepRecord) -> None:
+        """Finish a settled sweep's root span, ``error`` if a job failed."""
+        root = self._sweep_spans.pop(record.id, None)
+        if root is not None:
+            failed = self.state.counts(record.keys)[FAILED]
+            root.finish("error" if failed else None)
 
     def _fold_worker_metrics(
         self, worker: str, metrics: Dict[str, float]
@@ -332,14 +305,6 @@ class Coordinator:
             self._lease_events.inc(len(requeued), event="expired")
             _log.warning("%d job(s) re-queued from expired lease(s)",
                          len(requeued))
-            # Drop trace contexts of leases the expiry reaped so the
-            # map stays bounded by the live-lease count.
-            live = set(self.state.leases)
-            self._lease_traces = {
-                lease_id: ctx
-                for lease_id, ctx in self._lease_traces.items()
-                if lease_id in live
-            }
 
     # -- views ----------------------------------------------------------
     def status(self) -> Dict[str, object]:
@@ -363,9 +328,9 @@ class Coordinator:
             status = self.state.sweep_status(sweep_id)
             if status is None:
                 return None
-            progress = self._progress.get(sweep_id)
-            if progress is not None:
-                status["progress"] = progress.snapshot()
+            status["progress"] = self.state.progress(
+                [self.state.sweeps[sweep_id]]
+            )
             if include_results:
                 status["results"] = self._results_locked(sweep_id)
         return status
@@ -392,10 +357,11 @@ class Coordinator:
         return rows
 
     def fleet_progress(self) -> Dict[str, object]:
-        """All active sweeps merged into one snapshot (``/progress``)."""
+        """Progress of the sweeps accepted since the fleet was last idle
+        (``/progress``): counts sum, finished once every one settled."""
         with self.lock:
-            snapshots = [p.snapshot() for p in self._progress.values()]
-        return merge_snapshots(snapshots)
+            self._expire_locked()
+            return self.state.progress(self.state.window)
 
     def sweeps_since(self, count: int) -> Tuple[List[Dict[str, object]], int]:
         """Submissions accepted after the first ``count`` (``/events``
@@ -410,16 +376,6 @@ class Coordinator:
         ], len(records)
 
 
-class _FleetProgress:
-    """Adapter giving :class:`ObsServer` a ``snapshot()`` over the fleet."""
-
-    def __init__(self, coordinator: Coordinator) -> None:
-        self._coordinator = coordinator
-
-    def snapshot(self) -> Dict[str, object]:
-        return self._coordinator.fleet_progress()
-
-
 class CoordinatorServer(ObsServer):
     """HTTP front end: obs endpoints + the ``/v1`` submission API."""
 
@@ -431,12 +387,14 @@ class CoordinatorServer(ObsServer):
     ) -> None:
         super().__init__(
             registry=coordinator.registry,
-            progress=_FleetProgress(coordinator),
             host=host,
             port=port,
             spans=coordinator.spans,
         )
         self.coordinator = coordinator
+
+    def _progress_snapshot(self) -> Dict[str, object]:
+        return self.coordinator.fleet_progress()
 
     def _sweeps_since(
         self, count: int

@@ -16,6 +16,11 @@ coordinator before :meth:`CoordinatorState.complete` records it, so a
 restarted coordinator rebuilds exactly this state by re-running
 submissions through the store read-through (finished jobs dedupe away,
 unfinished ones re-queue).
+
+The table is also the only record of progress: a sweep *settles* once
+every job is done or failed, and :meth:`CoordinatorState.progress`
+derives the view of one sweep, or of the sweeps accepted since the
+fleet was last idle, from the jobs themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import sweep
+from repro.obs.progress import OUTCOMES, make_snapshot
 
 #: Job life-cycle states.
 QUEUED = "queued"
@@ -44,11 +50,16 @@ class JobEntry:
     spec: Dict[str, object]
     priority: int = 0
     status: str = QUEUED
+    #: sweeps that attached while the job was open; a sweep that finds
+    #: it done counts it as deduped instead
     sweeps: List[str] = field(default_factory=list)
     attempts: int = 0
     worker: Optional[str] = None
     lease_id: Optional[str] = None
     error: Optional[str] = None
+    #: the worker's report: "executed" or "store", and its seconds
+    outcome: Optional[str] = None
+    seconds: Optional[float] = None
 
 
 @dataclass
@@ -59,6 +70,8 @@ class Lease:
     worker: str
     keys: List[str]
     expires: float
+    #: span context the batch executes under (None when untraced)
+    trace: Optional[Dict[str, str]] = None
 
 
 @dataclass
@@ -68,6 +81,8 @@ class SweepRecord:
     id: str
     keys: List[str]
     deduped: int  # jobs already satisfied by the store at submit time
+    submitted: float  # clock at submission
+    settled: Optional[float] = None  # clock when every job closed
 
 
 @dataclass
@@ -89,7 +104,8 @@ class CoordinatorState:
     grant/renewal.  A job whose lease expires re-queues at the front of
     its priority class until it has been attempted ``max_attempts``
     times, then fails — a job that kills every worker that touches it
-    must not poison the queue forever.
+    must not poison the queue forever.  ``on_settle(record)`` is called
+    once per sweep, when it settles.
     """
 
     def __init__(
@@ -97,12 +113,16 @@ class CoordinatorState:
         clock: Callable[[], float] = time.monotonic,
         lease_seconds: float = 60.0,
         max_attempts: int = 3,
+        on_settle: Callable[[SweepRecord], None] = lambda record: None,
     ) -> None:
         self.clock = clock
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
+        self.on_settle = on_settle
         self.jobs: Dict[str, JobEntry] = {}
         self.sweeps: Dict[str, SweepRecord] = {}
+        #: the sweeps accepted since the fleet was last idle
+        self.window: List[SweepRecord] = []
         self.leases: Dict[str, Lease] = {}
         self.workers: Dict[str, WorkerInfo] = {}
         #: (-priority, seq, key): higher priority first, FIFO within.
@@ -123,10 +143,14 @@ class CoordinatorState:
         grid cell — ``already_done`` meaning the coordinator's store
         read-through satisfied it at submit time.  Duplicate keys
         (within the grid or against in-flight jobs) attach rather than
-        re-queue.
+        re-queue.  A submission that finds every earlier sweep settled
+        starts a new window.
         """
+        if all(record.settled is not None for record in self.window):
+            self.window = []
         sweep_id = f"sweep-{next(self._sweep_ids)}"
-        record = SweepRecord(id=sweep_id, keys=[], deduped=0)
+        record = SweepRecord(id=sweep_id, keys=[], deduped=0,
+                             submitted=self.clock())
         for key, job, spec, already_done in entries:
             record.keys.append(key)
             entry = self.jobs.get(key)
@@ -138,11 +162,13 @@ class CoordinatorState:
                 self.jobs[key] = entry
                 if not already_done:
                     self._push(entry)
-            if sweep_id not in entry.sweeps:
-                entry.sweeps.append(sweep_id)
             if entry.status == DONE:
                 record.deduped += 1
+            elif sweep_id not in entry.sweeps:
+                entry.sweeps.append(sweep_id)
         self.sweeps[sweep_id] = record
+        self.window.append(record)
+        self._settle(record)
         return record
 
     def _push(self, entry: JobEntry) -> None:
@@ -222,6 +248,7 @@ class CoordinatorState:
                         f"lease expired after {entry.attempts} attempt(s); "
                         "worker presumed dead"
                     )
+                    self._settle_sweeps_of(entry)
                 else:
                     entry.status = QUEUED
                     self._push(entry)
@@ -229,13 +256,15 @@ class CoordinatorState:
         return requeued
 
     # -- completion -----------------------------------------------------
-    def complete(self, key: str, worker: str) -> str:
+    def complete(self, key: str, worker: str, outcome: str = "executed",
+                 seconds: Optional[float] = None) -> str:
         """Record one finished job; returns ``first``/``duplicate``/
         ``unknown``.
 
-        A worker whose lease expired may still return a correct result
-        (the simulator is deterministic) — accept it unless someone else
-        finished first.
+        ``outcome`` and ``seconds`` are the worker's report of how it
+        served the job.  A worker whose lease expired may still return a
+        correct result (the simulator is deterministic) — accept it
+        unless someone else finished first.
         """
         self._touch(worker)
         entry = self.jobs.get(key)
@@ -247,7 +276,10 @@ class CoordinatorState:
         entry.status = DONE
         entry.worker = worker
         entry.error = None
+        entry.outcome = outcome
+        entry.seconds = seconds
         self.workers[worker].completed += 1
+        self._settle_sweeps_of(entry)
         return "first"
 
     def fail(self, key: str, worker: str, error: str) -> str:
@@ -265,6 +297,7 @@ class CoordinatorState:
         if entry.attempts >= self.max_attempts:
             entry.status = FAILED
             entry.error = error
+            self._settle_sweeps_of(entry)
             return "failed"
         entry.status = QUEUED
         entry.error = error
@@ -281,6 +314,18 @@ class CoordinatorState:
             if not lease.keys:
                 del self.leases[lease.id]
         entry.lease_id = None
+
+    def _settle_sweeps_of(self, entry: JobEntry) -> None:
+        for sweep_id in entry.sweeps:
+            self._settle(self.sweeps[sweep_id])
+
+    def _settle(self, record: SweepRecord) -> None:
+        """The one place a sweep settles: once, when every job closed."""
+        if record.settled is None and all(
+            self.jobs[key].status in (DONE, FAILED) for key in record.keys
+        ):
+            record.settled = self.clock()
+            self.on_settle(record)
 
     def _touch(self, worker: str) -> None:
         info = self.workers.get(worker)
@@ -319,6 +364,43 @@ class CoordinatorState:
             "done": counts[DONE] == len(record.keys),
             "failed": failed,
         }
+
+    def progress(self, records: Sequence[SweepRecord]) -> Dict[str, object]:
+        """The progress snapshot of ``records`` (one sweep, or the window).
+
+        Counts sum over the sweeps, and a failed job counts as done and
+        as a ``failed`` event.  A done job is a ``store`` hit if a store
+        served it or it was done before the sweep attached, else
+        ``fabric``.  Finished once every sweep has settled.
+        """
+        outcomes = dict.fromkeys(OUTCOMES, 0)
+        failed = 0
+        times: List[float] = []
+        for record in records:
+            for key in record.keys:
+                entry = self.jobs[key]
+                if entry.status == FAILED:
+                    failed += 1
+                elif entry.status == DONE:
+                    deduped = record.id not in entry.sweeps
+                    if deduped or entry.outcome == "store":
+                        outcomes["store"] += 1
+                    else:
+                        outcomes["fabric"] += 1
+                        if entry.seconds is not None:
+                            times.append(entry.seconds)
+        now = self.clock()
+        settled = [record.settled for record in records]
+        finished = None not in settled
+        end = max(settled, default=now) if finished else now
+        return make_snapshot(
+            sum(len(record.keys) for record in records),
+            failed + outcomes["store"] + outcomes["fabric"],
+            outcomes, {"failed": failed} if failed else {},
+            end - (records[0].submitted if records else now),
+            sum(times) / len(times) if times else None,
+            len(self.workers), finished,
+        )
 
     def workers_view(self) -> Dict[str, Dict[str, object]]:
         now = self.clock()

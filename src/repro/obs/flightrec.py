@@ -5,8 +5,9 @@ A sweep that dies — worker crash, per-job timeout, broken pool — used
 to leave nothing behind but a stack trace in a terminal.  The
 :class:`FlightRecorder` keeps the recent past in memory at all times:
 
-* **structured notes** the sweep engine files at every lifecycle event
-  (submits, retries, timeouts, pool breaks), and
+* **structured notes** the sweep engine files at every robustness
+  event of its process-pool phase (pool breaks, retries, timeouts,
+  serial fallbacks), and
 * **log records**: the recorder is a :class:`logging.Handler`, so
   attaching it to the ``repro`` logger captures everything the
   structured-logging satellite emits, ring-buffered, regardless of the
@@ -19,8 +20,9 @@ a metrics snapshot — to ``.repro-results/postmortem/<job-key>.json``
 (:func:`repro.obs.paths.postmortem_dir`), so the failure is debuggable
 after the process is gone.
 
-The ring costs a few hundred small dicts of memory and is always on in
-the sweep engine; nothing is written to disk unless something fails.
+The ring costs a few hundred small dicts of memory and is on while a
+sweep runs jobs in a process pool; nothing is written to disk unless
+something fails.
 
 The post-mortem directory itself is bounded: after every successful
 dump the oldest documents beyond :data:`DEFAULT_POSTMORTEM_CAP` files

@@ -11,18 +11,18 @@ Everything obs writes lives under the same root as the result store
   collector (:mod:`repro.obs.spans`), exportable with
   ``repro obs trace export``.
 
-The root is resolved with the exact rule :func:`repro.experiments.store.
-store_root` uses, duplicated here (two lines) so that ``repro.obs``
-stays importable by the simulator core without pulling in the
-experiments layer; ``tests/unit/test_obs_flightrec.py`` pins the two
-implementations together.
+:func:`obs_root` is the one definition of that root: the result store
+imports it as :func:`repro.experiments.store.store_root`, so
+``repro.obs`` stays importable by the simulator core without pulling in
+the experiments layer.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Default artifact root, shared with the result store.
+#: Default artifact and result-store root, relative to the working
+#: directory.
 DEFAULT_ROOT = ".repro-results"
 
 

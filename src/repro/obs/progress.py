@@ -4,6 +4,9 @@
 is this sweep": the sweep engine updates it as jobs resolve, the HTTP
 ``/progress`` endpoint reads it from its serving thread, and
 :class:`ProgressPrinter` renders it as a terminal status line.
+:func:`make_snapshot` holds the view's arithmetic (percent, ETA, hit
+rate); the fabric coordinator builds its progress with it from its job
+table.
 
 The ETA comes from the per-job wall-time measurements the sweep engine
 feeds in (the same observations that land in the
@@ -25,7 +28,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Dict, Iterable, Mapping, Optional, TextIO
+from typing import Dict, Optional, TextIO
 
 #: Serving-outcome names, in display order (mirrors SweepStats; the
 #: "fabric" outcome counts jobs executed by remote fabric workers).
@@ -105,116 +108,53 @@ class SweepProgress:
 
     # -- reading -------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready view: totals, outcomes, rates, ETA.
-
-        ``eta_seconds`` is None until it can be estimated; ``hit_rate``
-        is the fraction of resolved jobs served without simulating
-        (from the result store).
-        """
+        """JSON-ready view of the counters (see :func:`make_snapshot`)."""
         with self._lock:
             end = self._finished
-            elapsed = (end if end is not None else time.monotonic()) - self._started
-            done = self.done
-            total = self.total
-            outcomes = dict(self.outcomes)
-            events = dict(self.events)
-            mean_job = (
-                self._job_seconds_sum / self._job_seconds_count
-                if self._job_seconds_count
-                else None
+            count = self._job_seconds_count
+            return make_snapshot(
+                self.total, self.done, dict(self.outcomes), dict(self.events),
+                (end if end is not None else time.monotonic()) - self._started,
+                self._job_seconds_sum / count if count else None,
+                self.workers, end is not None,
             )
-            workers = self.workers
-            finished = end is not None
-        remaining = max(0, total - done)
-        eta: Optional[float] = None
-        if finished or remaining == 0:
-            eta = 0.0
-        elif mean_job is not None:
-            eta = remaining * mean_job / workers
-        elif done and elapsed > 0:
-            eta = remaining / (done / elapsed)
-        served = outcomes.get("store", 0)
-        return {
-            "total": total,
-            "done": done,
-            "remaining": remaining,
-            "percent": (100.0 * done / total) if total else 0.0,
-            "outcomes": outcomes,
-            "events": events,
-            "elapsed_seconds": elapsed,
-            "mean_job_seconds": mean_job,
-            "eta_seconds": eta,
-            "hit_rate": (served / done) if done else None,
-            "workers": workers,
-            "finished": finished,
-        }
 
 
-def merge_snapshots(
-    snapshots: Iterable[Mapping[str, object]],
+def make_snapshot(
+    total: int, done: int, outcomes: Dict[str, int], events: Dict[str, int],
+    elapsed: float, mean_job: Optional[float], workers: int, finished: bool,
 ) -> Dict[str, object]:
-    """Aggregate several progress snapshots into one fleet-wide view.
+    """The progress view of one sweep or several: totals, rates, ETA.
 
-    Used by the fabric coordinator, whose ``/progress`` endpoint spans
-    every active sweep (one :class:`SweepProgress` each): counts sum,
-    the elapsed clock is the longest of the sources (they overlap in
-    wall time), the ETA is the slowest outstanding estimate, and the
-    merged view is ``finished`` only when every source is.  An empty
-    input merges to an all-zero finished snapshot.
+    :meth:`SweepProgress.snapshot` and the fabric coordinator's job
+    table both read through here.  ``eta_seconds`` is None until it can
+    be estimated; ``hit_rate`` is the fraction of resolved jobs served
+    without simulating (from the result store).
     """
-    merged: Dict[str, object] = {
-        "total": 0,
-        "done": 0,
-        "remaining": 0,
-        "percent": 0.0,
-        "outcomes": {},
-        "events": {},
-        "elapsed_seconds": 0.0,
-        "mean_job_seconds": None,
-        "eta_seconds": None,
-        "hit_rate": None,
-        "workers": 0,
-        "finished": True,
-        "sources": 0,
-    }
-    outcomes: Dict[str, int] = {}
-    events: Dict[str, int] = {}
-    means = []
-    etas = []
-    for snapshot in snapshots:
-        merged["sources"] += 1
-        merged["total"] += int(snapshot.get("total", 0))
-        merged["done"] += int(snapshot.get("done", 0))
-        merged["workers"] += int(snapshot.get("workers", 0))
-        merged["elapsed_seconds"] = max(
-            merged["elapsed_seconds"], float(snapshot.get("elapsed_seconds", 0.0))
-        )
-        merged["finished"] = merged["finished"] and bool(
-            snapshot.get("finished", False)
-        )
-        for name, count in dict(snapshot.get("outcomes", {})).items():
-            outcomes[name] = outcomes.get(name, 0) + int(count)
-        for name, count in dict(snapshot.get("events", {})).items():
-            events[name] = events.get(name, 0) + int(count)
-        if snapshot.get("mean_job_seconds") is not None:
-            means.append(float(snapshot["mean_job_seconds"]))
-        if not snapshot.get("finished") and snapshot.get("eta_seconds") is not None:
-            etas.append(float(snapshot["eta_seconds"]))
-    merged["outcomes"] = outcomes
-    merged["events"] = events
-    merged["remaining"] = max(0, merged["total"] - merged["done"])
-    if merged["total"]:
-        merged["percent"] = 100.0 * merged["done"] / merged["total"]
-    if means:
-        merged["mean_job_seconds"] = sum(means) / len(means)
-    if merged["finished"] or merged["remaining"] == 0:
-        merged["eta_seconds"] = 0.0
-    elif etas:
-        merged["eta_seconds"] = max(etas)
+    workers = max(1, workers)
+    remaining = max(0, total - done)
+    eta: Optional[float] = None
+    if finished or remaining == 0:
+        eta = 0.0
+    elif mean_job is not None:
+        eta = remaining * mean_job / workers
+    elif done and elapsed > 0:
+        eta = remaining / (done / elapsed)
     served = outcomes.get("store", 0)
-    if merged["done"]:
-        merged["hit_rate"] = served / merged["done"]
-    return merged
+    return {
+        "total": total,
+        "done": done,
+        "remaining": remaining,
+        "percent": (100.0 * done / total) if total else 0.0,
+        "outcomes": outcomes,
+        "events": events,
+        "elapsed_seconds": elapsed,
+        "mean_job_seconds": mean_job,
+        "eta_seconds": eta,
+        "hit_rate": (served / done) if done else None,
+        "workers": workers,
+        "finished": finished,
+    }
 
 
 def _fmt_duration(seconds: float) -> str:

@@ -1,9 +1,7 @@
 """Unit tests for repro.obs.flightrec and repro.obs.paths.
 
 Includes the pin that keeps ``paths.obs_root()`` and the result
-store's ``store_root()`` resolving identically — the two-line rule is
-duplicated (to keep obs import-light) and this is the contract that
-keeps the copies honest.
+store's ``store_root()`` resolving identically.
 """
 
 import logging

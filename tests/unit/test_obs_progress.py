@@ -2,12 +2,7 @@
 
 import io
 
-from repro.obs.progress import (
-    ProgressPrinter,
-    SweepProgress,
-    merge_snapshots,
-    render_line,
-)
+from repro.obs.progress import ProgressPrinter, SweepProgress, render_line
 
 
 class TestSnapshot:
@@ -75,64 +70,6 @@ class TestSnapshot:
         progress.job_done("store")
         progress.finish()
         assert calls == [1, 1]
-
-
-class TestMergeSnapshots:
-    def test_empty_input_is_all_zero_and_finished(self):
-        merged = merge_snapshots([])
-        assert merged["total"] == 0
-        assert merged["done"] == 0
-        assert merged["finished"] is True
-        assert merged["eta_seconds"] == 0.0
-        assert merged["sources"] == 0
-
-    def test_counts_sum_across_sources(self):
-        first = SweepProgress(total=4, workers=2)
-        first.job_done("fabric", seconds=2.0)
-        first.job_done("store")
-        second = SweepProgress(total=6, workers=1)
-        second.job_done("store")
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["total"] == 10
-        assert merged["done"] == 3
-        assert merged["remaining"] == 7
-        assert merged["workers"] == 3
-        assert merged["percent"] == 30.0
-        counted = {k: v for k, v in merged["outcomes"].items() if v}
-        assert counted == {"store": 2, "fabric": 1}
-        assert merged["hit_rate"] == 2 / 3
-        assert merged["sources"] == 2
-
-    def test_finished_only_when_every_source_is(self):
-        done = SweepProgress(total=1)
-        done.job_done("store")
-        done.finish()
-        pending = SweepProgress(total=2)
-        merged = merge_snapshots([done.snapshot(), pending.snapshot()])
-        assert merged["finished"] is False
-        pending.job_done("serial")
-        pending.job_done("serial")
-        pending.finish()
-        merged = merge_snapshots([done.snapshot(), pending.snapshot()])
-        assert merged["finished"] is True
-        assert merged["eta_seconds"] == 0.0
-
-    def test_eta_is_the_slowest_outstanding_source(self):
-        fast = SweepProgress(total=2, workers=1)
-        fast.job_done("serial", seconds=1.0)  # eta 1s
-        slow = SweepProgress(total=11, workers=1)
-        slow.job_done("serial", seconds=4.0)  # eta 40s
-        merged = merge_snapshots([fast.snapshot(), slow.snapshot()])
-        assert merged["eta_seconds"] == 40.0
-
-    def test_events_sum(self):
-        first = SweepProgress(total=1)
-        first.note_event("timeout")
-        second = SweepProgress(total=1)
-        second.note_event("timeout")
-        second.note_event("retry")
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["events"] == {"timeout": 2, "retry": 1}
 
 
 class TestRenderLine:

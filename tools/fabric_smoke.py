@@ -15,7 +15,12 @@ end to end:
    canonically, so file bytes compare);
 3. the fleet ``/metrics`` endpoint reports per-worker job counts that
    sum to the grid size;
-4. ``/healthz`` answers with coordinator role + worker liveness.
+4. ``/healthz`` answers with coordinator role + worker liveness;
+5. resubmitting the finished grid queues nothing, and
+   ``/progress.json`` (the sweeps accepted since the fleet was last
+   idle) then reads ``done == total == GRID``, not the two sweeps;
+6. ``repro fabric watch`` without ``--sweep`` exits 0 on the idle
+   fleet within 30 s.
 
 Exits non-zero with a message on the first failed assertion.
 
@@ -126,16 +131,20 @@ def main(argv=None) -> int:
         ]
         processes += workers
 
-        submit = spawn(
-            ["fabric", "submit", "--coordinator", url,
-             "-b", *BENCHMARKS, "-c", *CONFIGS,
-             "-n", str(ACCESSES), "--seed", str(SEED)],
-            os.path.join(root, "client-store"),
-        )
-        out, _ = submit.communicate(timeout=60)
-        if submit.returncode != 0:
-            raise SystemExit(f"fabric_smoke: submit failed:\n{out}")
-        print(out.strip())
+        def submit_grid():
+            submit = spawn(
+                ["fabric", "submit", "--coordinator", url,
+                 "-b", *BENCHMARKS, "-c", *CONFIGS,
+                 "-n", str(ACCESSES), "--seed", str(SEED)],
+                os.path.join(root, "client-store"),
+            )
+            out, _ = submit.communicate(timeout=60)
+            if submit.returncode != 0:
+                raise SystemExit(f"fabric_smoke: submit failed:\n{out}")
+            print(out.strip())
+            return out
+
+        out = submit_grid()
         if f"{GRID} jobs" not in out or f"{GRID} queued" not in out:
             raise SystemExit(
                 f"fabric_smoke: expected a fresh {GRID}-job submission, "
@@ -169,6 +178,35 @@ def main(argv=None) -> int:
         health = json.loads(fetch(url + "/healthz"))
         if health.get("role") != "fabric-coordinator" or not health.get("workers"):
             raise SystemExit(f"fabric_smoke: bad /healthz: {health}")
+
+        # -- a finished grid resubmitted: a new progress window ---------
+        out = submit_grid()
+        if "0 queued" not in out:
+            raise SystemExit(
+                f"fabric_smoke: resubmission queued jobs:\n{out}"
+            )
+        progress = json.loads(fetch(url + "/progress.json"))
+        if not progress["done"] == progress["total"] == GRID:
+            raise SystemExit(
+                f"fabric_smoke: /progress.json after the resubmission reads "
+                f"done {progress['done']} / total {progress['total']}, "
+                f"expected {GRID} / {GRID}"
+            )
+        print(f"resubmitted: /progress.json reads {GRID}/{GRID}")
+
+        watch = spawn(["fabric", "watch", "--coordinator", url],
+                      os.path.join(root, "client-store"))
+        processes.append(watch)
+        try:
+            out, _ = watch.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            raise SystemExit(
+                "fabric_smoke: fabric watch did not exit on the idle fleet "
+                "within 30 s"
+            ) from None
+        if watch.returncode != 0:
+            raise SystemExit(f"fabric_smoke: fabric watch failed:\n{out}")
+        print(f"fabric watch exited 0: {out.strip().splitlines()[-1]}")
     finally:
         for process in processes:
             if process.poll() is None:
