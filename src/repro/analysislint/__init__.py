@@ -18,10 +18,10 @@ a near-miss) showed the hot-path refactors can silently violate:
   into the ``ticks``/``occ_*`` counters (directly or by delegating to
   an accounting method) or carry an explicit ``# lint: no-integral``
   waiver.
-* ``REG*`` — **stats-key registry**: every statically-extractable key
-  passed to ``Stats.bump``/``set`` or indexed through ``Stats.raw()``
-  must appear in the generated ``repro/common/stat_keys.py`` registry;
-  reads of keys no writer produces are flagged as typos.
+* ``REG*`` — **stat keys**: a write whose key is statically opaque
+  needs a waiver, and a read of a key that no ``Stats.bump``/``set``
+  or ``Stats.raw()`` writer produces is flagged as a typo; the writers
+  are scanned fresh on every run.
 * ``CONC003`` — no blocking call while a fleet lock is held.
 * ``ATO001`` — durable writes go through write-tmp-then-``os.replace``.
 
@@ -31,8 +31,10 @@ metric naming contract (``MetricsRegistry`` refuses bad names), and
 leaked files, sockets and threads (the pytest warning filter and the
 thread check in ``tests/conftest.py``).
 
-See ``docs/linting.md`` for the rule catalogue, the waiver comment
-syntax, the baseline workflow, and registry regeneration.
+The code is the only configuration: the package scopes and the
+wall-clock allowlist are constants in :mod:`repro.analysislint.rules`,
+and a finding is fixed or waived in place with a ``# lint:`` comment.
+See ``docs/linting.md`` for the rule catalogue and the waiver syntax.
 """
 
 from repro.analysislint.core import Finding, SourceFile, SourceTree

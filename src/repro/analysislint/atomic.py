@@ -14,7 +14,7 @@ the target, a write-mode open of the temp file, ``os.replace`` onto
 the target (the lighter ``tmp = path + ".tmp"`` variant passes too).
 ATO001 flags any
 write-mode ``open``/``os.fdopen``/``open_text``/``gzip.open`` in the
-configured ``atomic_packages`` whose target does not flow into an
+``ATOMIC_PACKAGES`` whose target does not flow into an
 ``os.replace``/``os.rename`` in the same function.  Append-mode opens
 are exempt — append streams (JSONL logs) are their own idiom, not
 store writes.
@@ -27,7 +27,7 @@ from typing import List, Optional, Set
 
 from repro.analysislint.concurrency import walk_own
 from repro.analysislint.core import Finding, SourceFile, SourceTree, call_name
-from repro.analysislint.rules import Rule
+from repro.analysislint.rules import ATOMIC_PACKAGES, Rule
 
 #: openers whose result is a writable handle when the mode says so
 _OPENERS = frozenset({"open", "fdopen", "open_text"})
@@ -60,7 +60,7 @@ class AtomicWriteRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in tree.in_packages(set(self.config.atomic_packages)):
+        for sf in tree.in_packages(ATOMIC_PACKAGES):
             for func in sf.functions():
                 findings.extend(self._check_function(sf, func))
         return findings

@@ -24,7 +24,7 @@ from repro.analysislint.core import (
     call_name,
     dotted_name,
 )
-from repro.analysislint.rules import Rule
+from repro.analysislint.rules import FLEET_PACKAGES, Rule
 
 #: call-name last segments that block the calling thread
 BLOCKING_CALLS = frozenset(
@@ -65,7 +65,7 @@ class LockBlockingRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in tree.in_packages(set(self.config.fleet_packages)):
+        for sf in tree.in_packages(FLEET_PACKAGES):
             for stmt in ast.walk(sf.tree):
                 if not isinstance(stmt, (ast.With, ast.AsyncWith)):
                     continue

@@ -16,7 +16,7 @@ Pragmas declare facts the AST cannot express::
 
     # lint: stat-prefixes(lat_sum_, lat_cnt_)
 
-registers dynamic stat-key prefixes with the REG rule's registry.
+declares the dynamic stat-key prefixes a file writes, for the REG rules.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.analysislint.statsmodel import StatsUsage
 
 #: ``# lint: token`` — token may be a bare word, ``waive=RULE``, or a
 #: ``name(arg, arg)`` pragma.  Anchored to the *start* of the comment
@@ -65,8 +68,8 @@ class Finding:
     """One rule violation, structured for both reporters.
 
     ``symbol`` is the enclosing class/function qualname (or the module
-    itself) — it anchors the baseline fingerprint, so findings survive
-    unrelated line drift in the file.
+    itself) — it anchors the fingerprint, so a finding keeps its
+    identity through unrelated line drift in the file.
     """
 
     rule: str
@@ -77,13 +80,12 @@ class Finding:
     waiver_hint: str = ""
 
     def fingerprint(self) -> str:
-        """Line- and path-free identity used by the baseline file.
+        """Line- and path-free identity, carried in the JSON report.
 
-        Deliberately excludes ``path`` as well as ``line``: a pure file
-        move (rename, package shuffle) must not invalidate a baseline
-        entry.  ``symbol`` (class/function qualname) plus the message
-        text is unique enough in practice — a same-named symbol with
-        the same defect in two files is the same debt either way.
+        Excludes ``path`` as well as ``line``, so two reports compare
+        across unrelated edits and file moves.  ``symbol``
+        (class/function qualname) plus the message text is unique
+        enough in practice.
         """
         return f"{self.rule}::{self.symbol}::{self.message}"
 
@@ -119,6 +121,9 @@ class SourceFile:
         #: ``(line, token)`` of every waiver that suppressed something
         #: this run — the complement feeds stale-waiver reporting.
         self.used_waivers: Set[Tuple[int, str]] = set()
+        #: the file's Stats key uses, scanned once per file by
+        #: :func:`~repro.analysislint.statsmodel.scan_stats_usage`
+        self.stats_usage: Optional["StatsUsage"] = None
         self._collect_comments(text)
         #: child AST node -> parent, for symbol/qualname resolution
         self._parents: Dict[ast.AST, ast.AST] = {}
@@ -250,16 +255,20 @@ class SourceTree:
         return out
 
 
-def load_tree(root: str, paths: Optional[Iterable[str]] = None) -> SourceTree:
-    """Parse every ``.py`` file under ``paths`` (default ``src/repro``).
+def load_tree(
+    root: str,
+    paths: Optional[Iterable[str]] = None,
+    skip: Iterable[str] = (),
+) -> SourceTree:
+    """Parse every ``.py`` file under ``paths`` (default ``src/repro``)
+    except the absolute paths in ``skip``.
 
-    Files are visited in sorted order so every downstream artifact
-    (reports, the generated registry) is deterministic.
+    Files are visited in sorted order so every report is deterministic.
     """
     if paths is None:
         paths = [os.path.join(root, "src", "repro")]
     tree = SourceTree(root=root)
-    seen: Set[str] = set()
+    seen: Set[str] = set(skip)
     for path in paths:
         path = os.path.abspath(path)
         if os.path.isfile(path):

@@ -35,7 +35,7 @@ import ast
 from typing import Dict, List, Set
 
 from repro.analysislint.core import Finding, SourceFile, SourceTree
-from repro.analysislint.rules import Rule
+from repro.analysislint.rules import SIM_PACKAGES, Rule
 from repro.analysislint.statsmodel import scan_stats_usage
 
 #: Store targets treated as simulation clocks.
@@ -86,7 +86,7 @@ class CycleAccountingRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in tree.in_packages(set(self.config.sim_packages)):
+        for sf in tree.in_packages(SIM_PACKAGES):
             findings.extend(self._check_file(sf))
         return findings
 

@@ -6,14 +6,14 @@ Two runs with the same config and traces must produce bit-identical
 golden loop-equivalence tests diff whole stats dicts, and CI reruns
 everything on three interpreters).  Wall-clock reads, unseeded
 randomness, and set-iteration order are the three ways Python code
-silently breaks that, so inside ``repro.{controller,dram,cpu,cache,
-prefetch,system}`` they are banned outright:
+silently breaks that, so inside the simulated machine
+(``rules.SIM_PACKAGES``) they are banned outright:
 
 * ``DET001`` — wall-clock/monotonic reads (``time.time``,
   ``time.perf_counter``, ``time.monotonic``, ``time.time_ns``, ...)
-  and ``datetime.now()``-style calls.  ``repro.telemetry`` and
-  ``repro.perf`` are allowlisted: tracer self-measurement is *about*
-  wall-clock time.
+  and ``datetime.now()``-style calls.  The paths in
+  ``rules.WALLCLOCK_ALLOWLIST`` are exempt: tracer self-measurement is
+  *about* wall-clock time.
 * ``DET002`` — module-level ``random.*`` calls and bare seeded-nowhere
   helpers (``random()``, ``randint``...).  Seeded ``random.Random(seed)``
   instances are fine — the workloads package builds its traces from
@@ -30,9 +30,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
-from repro.analysislint.config import LintConfig
 from repro.analysislint.core import Finding, SourceFile, SourceTree, call_name
-from repro.analysislint.rules import Rule
+from repro.analysislint.rules import SIM_PACKAGES, WALLCLOCK_ALLOWLIST, Rule
 
 _WALLCLOCK_CALLS = {
     "time.time",
@@ -74,13 +73,9 @@ _RANDOM_FUNCS = {
 _ENTROPY_CALLS = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}
 
 
-def _allowlisted(sf: SourceFile, config: LintConfig) -> bool:
-    return any(marker in sf.relpath for marker in config.wallclock_allowlist)
-
-
-def _sim_files(tree: SourceTree, config: LintConfig) -> Iterable[SourceFile]:
-    for sf in tree.in_packages(set(config.sim_packages)):
-        if not _allowlisted(sf, config):
+def _sim_files(tree: SourceTree) -> Iterable[SourceFile]:
+    for sf in tree.in_packages(SIM_PACKAGES):
+        if not any(marker in sf.relpath for marker in WALLCLOCK_ALLOWLIST):
             yield sf
 
 
@@ -92,7 +87,7 @@ class WallClockRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree, self.config):
+        for sf in _sim_files(tree):
             for node in ast.walk(sf.tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -120,7 +115,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree, self.config):
+        for sf in _sim_files(tree):
             # names imported from the random module in this file
             imported: Set[str] = set()
             for node in ast.walk(sf.tree):
@@ -160,7 +155,7 @@ class UrandomRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree, self.config):
+        for sf in _sim_files(tree):
             for node in ast.walk(sf.tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -188,7 +183,7 @@ class SetIterationRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree, self.config):
+        for sf in _sim_files(tree):
             set_names = self._set_bindings(sf)
             for node in ast.walk(sf.tree):
                 if not isinstance(node, (ast.For, ast.comprehension)):

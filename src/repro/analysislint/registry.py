@@ -1,245 +1,76 @@
-"""REG rules — the stats-key registry and counter-typo detection.
+"""REG rules — stat-key extraction and counter-typo detection.
 
 ``Stats`` is a stringly-typed counter bag: ``bump("pb_hits_caq")`` and
 ``bump("pb_hit_caq")`` both run fine, and the typo surfaces — if ever —
-as a silently-zero column in some figure.  The registry closes that
-hole at lint time:
+as a silently-zero column in some figure.  The key vocabulary is
+whatever the writers produce, scanned fresh on every run: every
+statically-knowable counter key (including Provenance-expanded
+f-strings and ``# lint: stat-prefixes(...)`` pragma prefixes).  A new
+counter is one reviewable ``bump(...)`` line in its diff.
 
-* ``--write-registry`` scans every ``src/repro`` module, extracts every
-  statically-knowable counter key (including Provenance-expanded
-  f-strings and ``# lint: stat-prefixes(...)`` pragma prefixes), and
-  emits ``repro/common/stat_keys.py``.  The file is committed; CI
-  regenerates it and fails on any diff, so every new counter shows up
-  as a reviewable registry line.
-* ``REG001`` — the committed registry must match a fresh scan
-  (stale/unregistered keys are listed by name).
 * ``REG002`` — a write whose key expression is statically opaque must
   carry a ``# lint: stats-dynamic`` waiver (pair it with a
   ``stat-prefixes`` pragma declaring what the site produces).
 * ``REG003`` — a *read* of a literal key that no writer produces is
   flagged as a probable typo.  Reads are checked after stripping the
   ``Stats.merge`` namespace prefixes (``mc.``, ``dram.``, ...) the
-  system applies when folding per-block stats into a RunResult.
+  system applies when folding per-block stats into a RunResult.  The
+  writers are every module under ``<root>/src/repro`` plus the scanned
+  files, so a narrowed run reports the reads in its own files only,
+  against the same vocabulary as a full run.
 """
 
 from __future__ import annotations
 
-import ast
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterable, List, Set
 
-from repro.analysislint.core import Finding, SourceTree
+from repro.analysislint.core import Finding, SourceFile, SourceTree, load_tree
 from repro.analysislint.rules import Rule
 from repro.analysislint.statsmodel import KeyUse, scan_stats_usage
 
-#: Repo-relative path of the generated registry module.
-REGISTRY_RELPATH = "src/repro/common/stat_keys.py"
-
-#: Pragma that registers dynamic-key prefixes with the registry.
+#: Pragma that declares dynamic-key prefixes.
 PREFIX_PRAGMA = "stat-prefixes"
-
-_HEADER = '''\
-"""Registry of every Stats counter key the simulator can produce.
-
-GENERATED by ``tools/lint.py --write-registry`` — do not edit by hand.
-CI regenerates this file and fails on any diff, so every new counter
-key lands as an explicit, reviewable line here (and every typo'd key
-shows up as an unexplained addition).
-
-``STAT_KEYS`` holds exact keys.  ``STAT_KEY_PREFIXES`` covers key
-families built at runtime (latency histograms, per-policy epoch
-counters) — a key belongs to the registry when it is in ``STAT_KEYS``
-or extends one of the prefixes.  ``MERGE_PREFIXES`` are the namespaces
-``System._collect`` applies when folding block stats into a RunResult.
-"""
-
-from __future__ import annotations
-'''
 
 
 @dataclass
 class RegistryModel:
-    """The extracted registry plus the use sites behind it."""
+    """The key vocabulary the writers of some files produce."""
 
     keys: Set[str] = field(default_factory=set)
     prefixes: Set[str] = field(default_factory=set)
     merge_prefixes: Set[str] = field(default_factory=set)
-    write_uses: List[KeyUse] = field(default_factory=list)
-    read_uses: List[KeyUse] = field(default_factory=list)
     dynamic_writes: List[KeyUse] = field(default_factory=list)
 
+    def produces(self, key: str) -> bool:
+        """Does some writer produce ``key`` (after merge-prefix stripping)?"""
 
-def build_registry(tree: SourceTree) -> RegistryModel:
-    """Scan the whole tree into a :class:`RegistryModel`."""
+        def known(k: str) -> bool:
+            return k in self.keys or any(k.startswith(p) for p in self.prefixes)
+
+        return known(key) or any(
+            key.startswith(merge) and known(key[len(merge):])
+            for merge in self.merge_prefixes
+        )
+
+
+def build_registry(files: Iterable[SourceFile]) -> RegistryModel:
+    """The vocabulary of every writer in ``files`` (a tree or a list)."""
     model = RegistryModel()
-    for sf in tree:
+    for sf in files:
         usage = scan_stats_usage(sf)
         model.merge_prefixes.update(usage.merge_prefixes)
         for pragma in sf.pragmas:
             if pragma.name == PREFIX_PRAGMA:
                 model.prefixes.update(pragma.args)
-        for use in usage.uses:
-            if use.access == "write":
-                model.write_uses.append(use)
-                if use.kind == "literal":
-                    model.keys.update(use.keys)
-                elif use.kind == "prefix" and use.prefix:
-                    model.prefixes.add(use.prefix)
-                elif use.kind == "dynamic":
-                    model.dynamic_writes.append(use)
-            else:
-                model.read_uses.append(use)
+        for use in usage.writes():
+            if use.kind == "literal":
+                model.keys.update(use.keys)
+            elif use.kind == "prefix" and use.prefix:
+                model.prefixes.add(use.prefix)
+            elif use.kind == "dynamic":
+                model.dynamic_writes.append(use)
     return model
-
-
-def render_registry(model: RegistryModel) -> str:
-    """Deterministic source text of the registry module."""
-
-    def block(name: str, values: Set[str], container: str) -> str:
-        items = "".join(f'    "{v}",\n' for v in sorted(values))
-        if container == "frozenset":
-            return f"{name} = frozenset({{\n{items}}})\n"
-        return f"{name} = (\n{items})\n"
-
-    parts = [
-        _HEADER,
-        "\n",
-        block("STAT_KEYS", model.keys, "frozenset"),
-        "\n",
-        block("STAT_KEY_PREFIXES", model.prefixes, "tuple"),
-        "\n",
-        block("MERGE_PREFIXES", model.merge_prefixes, "tuple"),
-        "\n\n",
-        "def is_known_stat_key(key: str) -> bool:\n"
-        '    """Is ``key`` produced by some writer (merge prefixes ok)?"""\n'
-        "    for merge in MERGE_PREFIXES:\n"
-        "        if key.startswith(merge):\n"
-        "            key = key[len(merge):]\n"
-        "            break\n"
-        "    return key in STAT_KEYS or key.startswith(STAT_KEY_PREFIXES)\n",
-    ]
-    return "".join(parts)
-
-
-def write_registry(tree: SourceTree, root: str) -> str:
-    """Regenerate the committed registry file; returns its path."""
-    path = os.path.join(root, REGISTRY_RELPATH)
-    text = render_registry(build_registry(tree))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return path
-
-
-def load_committed(root: str) -> Optional[Tuple[Set[str], Set[str], Set[str]]]:
-    """(keys, prefixes, merge_prefixes) from the committed registry.
-
-    Parsed from source rather than imported, so a stale interpreter
-    cache can never mask a stale file.  Returns None when missing.
-    """
-    path = os.path.join(root, REGISTRY_RELPATH)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    out: Dict[str, Set[str]] = {}
-    for node in tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        values: Set[str] = set()
-        for sub in ast.walk(node.value):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                values.add(sub.value)
-        out[target.id] = values
-    return (
-        out.get("STAT_KEYS", set()),
-        out.get("STAT_KEY_PREFIXES", set()),
-        out.get("MERGE_PREFIXES", set()),
-    )
-
-
-def _resolve_read(
-    key: str, keys: Set[str], prefixes: Set[str], merges: Set[str]
-) -> bool:
-    """Does some writer produce ``key`` (after merge-prefix stripping)?"""
-
-    def known(k: str) -> bool:
-        return k in keys or any(k.startswith(p) for p in prefixes)
-
-    if known(key):
-        return True
-    for merge in merges:
-        if key.startswith(merge) and known(key[len(merge):]):
-            return True
-    return False
-
-
-class RegistryRule(Rule):
-    """REG001: the committed ``stat_keys.py`` matches a fresh scan."""
-
-    id = "REG001"
-    title = "the committed stat-key registry must match a fresh scan"
-
-    def check(self, tree: SourceTree) -> List[Finding]:
-        model = build_registry(tree)
-        committed = load_committed(tree.root)
-        if committed is None:
-            return [
-                self.finding(
-                    REGISTRY_RELPATH,
-                    1,
-                    "registry missing — run tools/lint.py --write-registry",
-                    "",
-                )
-            ]
-        keys, prefixes, merges = committed
-        findings: List[Finding] = []
-        missing = sorted(model.keys - keys)
-        stale = sorted(keys - model.keys)
-        if missing:
-            findings.append(
-                self.finding(
-                    REGISTRY_RELPATH,
-                    1,
-                    "unregistered stat keys (regenerate with "
-                    f"--write-registry): {', '.join(missing)}",
-                    "STAT_KEYS",
-                )
-            )
-        if stale:
-            findings.append(
-                self.finding(
-                    REGISTRY_RELPATH,
-                    1,
-                    "stale registry keys no writer produces any more "
-                    f"(regenerate with --write-registry): {', '.join(stale)}",
-                    "STAT_KEYS",
-                )
-            )
-        if model.prefixes != prefixes:
-            findings.append(
-                self.finding(
-                    REGISTRY_RELPATH,
-                    1,
-                    "registry prefixes out of date (regenerate with "
-                    "--write-registry)",
-                    "STAT_KEY_PREFIXES",
-                )
-            )
-        if model.merge_prefixes != merges:
-            findings.append(
-                self.finding(
-                    REGISTRY_RELPATH,
-                    1,
-                    "registry merge prefixes out of date (regenerate with "
-                    "--write-registry)",
-                    "MERGE_PREFIXES",
-                )
-            )
-        return findings
 
 
 class DynamicKeyRule(Rule):
@@ -251,8 +82,7 @@ class DynamicKeyRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        model = build_registry(tree)
-        for use in model.dynamic_writes:
+        for use in build_registry(tree).dynamic_writes:
             sf = tree.get(use.relpath)
             if sf is not None and sf.waived(use.line, self.id, self.shorthand):
                 continue
@@ -277,33 +107,23 @@ class UnwrittenReadRule(Rule):
     shorthand = "stats-read-ok"
 
     def check(self, tree: SourceTree) -> List[Finding]:
+        rest = load_tree(tree.root, skip=[sf.path for sf in tree])
+        writers = build_registry([*tree, *rest])
         findings: List[Finding] = []
-        model = build_registry(tree)
-        keys, prefixes, merges = (
-            model.keys,
-            model.prefixes,
-            model.merge_prefixes,
-        )
-        for use in model.read_uses:
-            if use.kind != "literal":
-                continue
-            bad = [
-                key
-                for key in use.keys
-                if not _resolve_read(key, keys, prefixes, merges)
-            ]
-            if not bad:
-                continue
-            sf = tree.get(use.relpath)
-            if sf is not None and sf.waived(use.line, self.id, self.shorthand):
-                continue
-            findings.append(
-                self.finding(
-                    use.relpath,
-                    use.line,
-                    f"reads counter key(s) no writer produces: "
-                    f"{', '.join(sorted(bad))} — probable typo",
-                    use.symbol,
+        for sf in tree:
+            for use in scan_stats_usage(sf).reads():
+                if use.kind != "literal":
+                    continue
+                bad = sorted(key for key in use.keys if not writers.produces(key))
+                if not bad or sf.waived(use.line, self.id, self.shorthand):
+                    continue
+                findings.append(
+                    self.finding(
+                        use.relpath,
+                        use.line,
+                        f"reads counter key(s) no writer produces: "
+                        f"{', '.join(bad)} — probable typo",
+                        use.symbol,
+                    )
                 )
-            )
         return findings

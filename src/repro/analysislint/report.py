@@ -3,19 +3,16 @@
 Both render the same :class:`~repro.analysislint.runner.LintResult`;
 the text form is what CI prints on failure, the JSON form is for
 tooling (and for the unit tests, which assert on structure instead of
-scraping text).  Beyond the new/baselined/stale-baseline split, both
-carry two report-only sections that never affect the exit code:
-``warnings`` (findings from rules configured ``severity = "warn"``)
-and ``stale_waivers`` (``# lint:`` comments that suppressed nothing —
-suppressions must not rot silently).
+scraping text).  Besides the findings, both carry ``stale_waivers``
+(``# lint:`` comments that suppressed nothing — suppressions must not
+rot silently), which never affect the exit code.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.analysislint.baseline import BaselineSplit
 from repro.analysislint.core import Finding
 
 #: (relpath, line, waiver token) of one stale ``# lint:`` comment.
@@ -27,35 +24,12 @@ def _sorted(findings: List[Finding]) -> List[Finding]:
 
 
 def render_text(
-    split: BaselineSplit,
+    findings: List[Finding],
     checked_files: int,
-    warnings: Optional[List[Finding]] = None,
-    stale_waivers: Optional[List[StaleWaiver]] = None,
+    stale_waivers: Sequence[StaleWaiver],
 ) -> str:
-    """The human report: new findings first, then baseline noise."""
-    warnings = warnings or []
-    stale_waivers = stale_waivers or []
-    lines: List[str] = []
-    for finding in _sorted(split.new):
-        lines.append(finding.render())
-    if warnings:
-        lines.append("")
-        lines.append(f"warnings (severity=warn, never fail --check): {len(warnings)}")
-        for finding in _sorted(warnings):
-            lines.append(f"  {finding.render()}")
-    if split.baselined:
-        lines.append("")
-        lines.append(f"baselined (tolerated) findings: {len(split.baselined)}")
-        for finding in _sorted(split.baselined):
-            lines.append(f"  {finding.render()}")
-    if split.stale:
-        lines.append("")
-        lines.append(
-            "stale baseline entries (fixed or renamed — prune with "
-            "--update-baseline):"
-        )
-        for fp in split.stale:
-            lines.append(f"  {fp}")
+    """The human report: findings, then stale waivers, then a summary."""
+    lines = [finding.render() for finding in _sorted(findings)]
     if stale_waivers:
         lines.append("")
         lines.append(
@@ -66,31 +40,24 @@ def render_text(
     lines.append("")
     lines.append(
         f"analysislint: {checked_files} files, "
-        f"{len(split.new)} new finding(s), "
-        f"{len(split.baselined)} baselined, "
-        f"{len(split.stale)} stale baseline entr(y/ies), "
-        f"{len(warnings)} warning(s), "
+        f"{len(findings)} new finding(s), "
         f"{len(stale_waivers)} stale waiver(s)"
     )
     return "\n".join(lines)
 
 
 def render_json(
-    split: BaselineSplit,
+    findings: List[Finding],
     checked_files: int,
-    warnings: Optional[List[Finding]] = None,
-    stale_waivers: Optional[List[StaleWaiver]] = None,
+    stale_waivers: Sequence[StaleWaiver],
 ) -> str:
-    """Machine-readable report: files scanned, new/baselined/stale."""
+    """Machine-readable report: files scanned, findings, stale waivers."""
     payload = {
         "files": checked_files,
-        "new": [f.as_dict() for f in _sorted(split.new)],
-        "baselined": [f.as_dict() for f in _sorted(split.baselined)],
-        "stale_baseline": split.stale,
-        "warnings": [f.as_dict() for f in _sorted(warnings or [])],
+        "new": [f.as_dict() for f in _sorted(findings)],
         "stale_waivers": [
             {"path": relpath, "line": line, "token": token}
-            for relpath, line, token in sorted(stale_waivers or [])
+            for relpath, line, token in sorted(stale_waivers)
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

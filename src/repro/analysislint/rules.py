@@ -1,11 +1,15 @@
-"""Rule framework: the base class and the rule catalogue.
+"""Rule framework: the base class, the package scopes, the catalogue.
 
 A rule is a stateless object with a stable ``id``, a one-line
 ``title``, an optional waiver ``shorthand`` (the bare token accepted in
 a ``# lint:`` comment in place of ``waive=<id>``), and a ``check``
 method that maps a :class:`~repro.analysislint.core.SourceTree` to
-findings.  Rules receive the whole tree — cross-file rules (the
-registry) and single-file rules (everything else) use the same shape.
+findings.  Rules receive the whole tree — cross-file rules (the stat
+keys) and single-file rules (everything else) use the same shape.
+
+The package scopes below are the analyzer's only settings; a package
+is the first path segment under ``src/repro/``
+(:meth:`~repro.analysislint.core.SourceTree.in_packages`).
 
 :func:`all_rules` builds the ordered catalogue the runner executes;
 order is cosmetic (findings are re-sorted by location) but kept stable
@@ -14,10 +18,27 @@ for predictable reports.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.analysislint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysislint.core import Finding, SourceTree
+
+#: the simulated machine: the DET rules and CYC001
+SIM_PACKAGES = frozenset(
+    {"cache", "controller", "cpu", "dram", "fastsim", "prefetch",
+     "scenarios", "system"}
+)
+#: the code that holds locks: CONC003
+FLEET_PACKAGES = frozenset({"fabric", "obs"})
+#: the writers of durable artifacts other processes read back: ATO001
+ATOMIC_PACKAGES = frozenset(
+    {"common", "experiments", "fabric", "obs", "scenarios"}
+)
+#: path substrings where wall-clock reads are legitimate (DET001): the
+#: tracer self-measures, the perf harness times the host, obs/fabric
+#: timestamp fleet-level records and lease timers
+WALLCLOCK_ALLOWLIST = (
+    "repro/telemetry/", "repro/perf.py", "repro/obs/", "repro/fabric/",
+)
 
 
 class Rule:
@@ -26,10 +47,6 @@ class Rule:
     id: str = ""
     title: str = ""
     shorthand: str = ""  # bare waiver token ('' = waive=<id> only)
-    #: effective options; ``all_rules(config=...)`` overrides per
-    #: instance, the class default keeps directly-constructed rules
-    #: (tests, narrowed runs) on the committed behavior
-    config: LintConfig = DEFAULT_CONFIG
 
     def check(self, tree: SourceTree) -> List[Finding]:
         raise NotImplementedError
@@ -48,13 +65,8 @@ class Rule:
         )
 
 
-def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
-    """Fresh instances of the full catalogue (import-cycle free).
-
-    ``config`` (usually :func:`~repro.analysislint.config.load_config`
-    of the repo root) is attached to every instance; ``None`` keeps the
-    committed defaults.
-    """
+def all_rules() -> Sequence[Rule]:
+    """Fresh instances of the full catalogue (import-cycle free)."""
     from repro.analysislint.atomic import AtomicWriteRule
     from repro.analysislint.concurrency import LockBlockingRule
     from repro.analysislint.cycles import CycleAccountingRule
@@ -69,13 +81,9 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         EventParityRule,
         StatsParityRule,
     )
-    from repro.analysislint.registry import (
-        DynamicKeyRule,
-        RegistryRule,
-        UnwrittenReadRule,
-    )
+    from repro.analysislint.registry import DynamicKeyRule, UnwrittenReadRule
 
-    rules = (
+    return (
         WallClockRule(),
         UnseededRandomRule(),
         UrandomRule(),
@@ -84,16 +92,11 @@ def all_rules(config: Optional[LintConfig] = None) -> Sequence[Rule]:
         EventParityRule(),
         BulkTickParityRule(),
         CycleAccountingRule(),
-        RegistryRule(),
         DynamicKeyRule(),
         UnwrittenReadRule(),
         LockBlockingRule(),
         AtomicWriteRule(),
     )
-    if config is not None:
-        for rule in rules:
-            rule.config = config
-    return rules
 
 
 def rule_titles() -> dict:

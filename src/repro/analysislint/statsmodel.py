@@ -1,7 +1,7 @@
 """Static extraction of ``Stats`` counter-key usage.
 
 The simulator bumps counters three ways, and all three must be visible
-to the registry and parity rules:
+to the REG, PAR and CYC rules:
 
 * through the API — ``self.stats.bump("key")`` / ``stats.set("key", v)``
   (including locally aliased bound methods, ``bump = self.stats.bump``);
@@ -209,7 +209,7 @@ class _FileScan(ast.NodeVisitor):
     def _record(self, key_node: ast.AST, access: str, site: ast.AST) -> None:
         kind, keys, prefix = self._classify_key(key_node)
         if kind == "dynamic" and access == "read":
-            # opaque reads cannot corrupt the registry; only opaque
+            # opaque reads cannot corrupt the key vocabulary; only opaque
             # writes demand a waiver + pragma
             return
         self.usage.uses.append(
@@ -277,22 +277,11 @@ class _FileScan(ast.NodeVisitor):
 
 
 def scan_stats_usage(sf: SourceFile) -> StatsUsage:
-    """Extract every Stats counter-key use site from one file."""
-    scan = _FileScan(sf)
-    scan.prescan()
-    scan.visit(sf.tree)
-    return scan.usage
-
-
-# ---------------------------------------------------------------------
-# per-function views, used by the parity rule
-# ---------------------------------------------------------------------
-def function_key_writes(sf: SourceFile, func: ast.FunctionDef) -> Set[str]:
-    """Literal counter keys written directly inside ``func``'s body."""
-    usage = scan_stats_usage(sf)
-    qual = sf.qualname(func)
-    keys: Set[str] = set()
-    for use in usage.writes():
-        if use.symbol == qual and use.kind == "literal":
-            keys.update(use.keys)
-    return keys
+    """Every Stats counter-key use site in one file, scanned once and
+    shared by every rule that reads it."""
+    if sf.stats_usage is None:
+        scan = _FileScan(sf)
+        scan.prescan()
+        scan.visit(sf.tree)
+        sf.stats_usage = scan.usage
+    return sf.stats_usage

@@ -32,8 +32,8 @@ Commands:
   the fleet (with a critical-path summary of the stitched trace),
   ``fabric watch`` streams live progress over SSE
 * ``lint``      — simulator-invariant static analysis (determinism,
-  dual-path parity, cycle accounting, stat-key registry, lock
-  discipline, atomic writes; see docs/linting.md)
+  dual-path parity, cycle accounting, stat keys, lock discipline,
+  atomic writes; see docs/linting.md)
 
 ``run`` and ``compare`` accept ``--trace-events PATH`` (JSONL event
 log) and ``--probe-interval N`` (sample epoch series every N epochs);

@@ -402,13 +402,15 @@ class CoordinatorServer(ObsServer):
         return self.coordinator.sweeps_since(count)
 
     def health_extra(self) -> Dict[str, object]:
-        status = self.coordinator.status()
-        return {
-            "role": "fabric-coordinator",
-            "workers": status["workers"],
-            "jobs": status["jobs"],
-            "sweeps": len(status["sweeps"]),
-        }
+        coordinator = self.coordinator
+        with coordinator.lock:
+            coordinator._expire_locked()
+            return {
+                "role": "fabric-coordinator",
+                "workers": coordinator.state.workers_view(),
+                "jobs": coordinator.state.counts(),
+                "sweeps": len(coordinator.state.sweeps),
+            }
 
     # -- routing --------------------------------------------------------
     _POST_ROUTES = {

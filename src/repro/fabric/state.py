@@ -143,8 +143,12 @@ class CoordinatorState:
         grid cell — ``already_done`` meaning the coordinator's store
         read-through satisfied it at submit time.  Duplicate keys
         (within the grid or against in-flight jobs) attach rather than
-        re-queue.  A submission that finds every earlier sweep settled
-        starts a new window.
+        re-queue.  A failed job given again runs again, with a fresh
+        attempt budget: its new entry attaches to this sweep and to any
+        earlier sweep still open (which would otherwise never settle).
+        A settled sweep keeps its settle stamp, though its counts now
+        read the new entry.  A submission that finds every earlier
+        sweep settled starts a new window.
         """
         if all(record.settled is not None for record in self.window):
             self.window = []
@@ -154,10 +158,14 @@ class CoordinatorState:
         for key, job, spec, already_done in entries:
             record.keys.append(key)
             entry = self.jobs.get(key)
-            if entry is None:
+            if entry is None or entry.status == FAILED:
                 entry = JobEntry(
                     key=key, job=job, spec=dict(spec), priority=priority,
                     status=DONE if already_done else QUEUED,
+                    sweeps=[] if entry is None else [
+                        earlier for earlier in entry.sweeps
+                        if self.sweeps[earlier].settled is None
+                    ],
                 )
                 self.jobs[key] = entry
                 if not already_done:

@@ -10,7 +10,9 @@ table, and a sweep settles once, when every job is done or failed:
   settles, counts the failure and records an ``error`` root span;
 * ``repro fabric watch`` exits on its own, with and without
   ``--sweep`` (run as a subprocess: a watch that never exits would
-  hang a thread-based test).
+  hang a thread-based test);
+* a failed job submitted again runs again, for the new sweep only;
+* ``/healthz`` counts sweeps without building their status.
 """
 
 import os
@@ -20,6 +22,7 @@ import sys
 from repro.fabric import protocol
 from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import CoordinatorServer
+from repro.fabric.state import CoordinatorState
 from repro.obs.progress import render_line
 from tests.integration.test_fabric import (
     FakeClock,
@@ -175,3 +178,59 @@ class TestFabricWatchExits:
             server.close()
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "1 failed" in proc.stdout
+
+
+class TestFailedJobResubmitted:
+    def test_resubmission_runs_the_failed_job_again(self, tmp_path):
+        coordinator = make_coordinator(tmp_path / "store", max_attempts=1)
+        request = grid_request(configs=("NP",))
+        first = coordinator.submit(request)["sweep"]
+        fail(coordinator)
+        settled = coordinator.state.sweeps[first].settled
+        assert settled is not None
+
+        accepted = coordinator.submit(request)
+        assert accepted["queued"] == 1
+        [key] = coordinator.state.sweeps[accepted["sweep"]].keys
+        entry = coordinator.state.jobs[key]
+        assert (entry.status, entry.attempts, entry.error) == ("queued", 0, None)
+        assert entry.sweeps == [accepted["sweep"]]
+
+        lease_id, jobs = lease(coordinator)
+        assert [job_key for job_key, _job, _ctx in jobs] == [key]
+        coordinator.complete(protocol.complete_report(
+            "w1", lease_id, [executed_item(key, jobs[0][1])]
+        ))
+        status = coordinator.sweep_status(accepted["sweep"])
+        assert status["counts"]["done"] == 1 and status["failed"] == []
+        assert counts(status["progress"]) == (1, 1, True)
+        assert status["progress"]["events"] == {}
+        # the earlier sweep keeps its verdict
+        assert coordinator.state.sweeps[first].settled == settled
+        roots = {doc["attrs"]["sweep"]: doc["status"]
+                 for doc in coordinator.spans.spans()
+                 if doc["name"] == "fabric.sweep"}
+        assert roots == {first: "error", accepted["sweep"]: "ok"}
+
+
+class TestHealth:
+    def test_healthz_builds_no_sweep_status(self, tmp_path, monkeypatch):
+        coordinator = make_coordinator(tmp_path / "store")
+        request = grid_request(configs=("NP", "PS"))
+        coordinator.submit(request)
+        coordinator.submit(request)
+        lease(coordinator, capacity=1)
+
+        def no_sweep_status(self, sweep_id):
+            raise AssertionError("/healthz built a sweep status")
+
+        monkeypatch.setattr(CoordinatorState, "sweep_status", no_sweep_status)
+        server = CoordinatorServer(coordinator).start()
+        try:
+            health = FabricClient(server.url).health()
+        finally:
+            server.close()
+        assert health["sweeps"] == 2
+        assert health["jobs"] == {"queued": 1, "leased": 1, "done": 0,
+                                  "failed": 0}
+        assert "w1" in health["workers"]

@@ -40,28 +40,6 @@ class TestToolsLint:
         assert data["new"] == []
         assert data["files"] > 50
 
-    def test_write_registry_is_a_no_op(self, tmp_path):
-        """Regenerating the committed registry must not change it — the
-        same invariant CI enforces with git diff --exit-code.  The
-        original bytes are restored either way, so a stale registry
-        fails every run until the regenerated file is committed."""
-        registry = os.path.join(
-            REPO_ROOT, "src", "repro", "common", "stat_keys.py"
-        )
-        with open(registry, "rb") as handle:
-            before = handle.read()
-        try:
-            proc = _run("tools/lint.py", "--write-registry")
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            assert proc.stdout.split() == [
-                "wrote", os.path.join("src", "repro", "common", "stat_keys.py")
-            ]
-            with open(registry, "rb") as handle:
-                assert handle.read() == before, registry
-        finally:
-            with open(registry, "wb") as handle:
-                handle.write(before)
-
     def test_output_writes_json_artifact(self, tmp_path):
         """--output writes the JSON report to a file (the CI artifact)
         while stdout keeps the human-readable report."""
@@ -85,15 +63,36 @@ class TestToolsLint:
         )
         with open(fixture, "r", encoding="utf-8") as handle:
             (bad_root / "leaky.py").write_text(handle.read())
-        proc = _run(
-            "tools/lint.py",
-            "--check",
-            "--baseline",
-            str(tmp_path / "empty-baseline.json"),
-            str(tmp_path / "src" / "repro"),
-        )
+        proc = _run("tools/lint.py", "--check", str(tmp_path / "src" / "repro"))
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "DET001" in proc.stdout
+
+
+class TestNarrowedRuns:
+    """A run narrowed to some paths reports only what is wrong in them:
+    REG003 checks their reads against every writer in the repo."""
+
+    def test_narrowed_packages_are_clean(self):
+        for package in ("system", "controller"):
+            proc = _run("tools/lint.py", "--check", f"src/repro/{package}")
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            assert "0 new finding(s)" in proc.stdout
+
+    def test_seeded_typo_read_in_a_narrowed_file_is_reported(self, tmp_path):
+        results = os.path.join(REPO_ROOT, "src", "repro", "system", "results.py")
+        with open(results, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        assert '"mc.delayed_regular"' in text
+        seeded = tmp_path / "src" / "repro" / "system" / "results.py"
+        seeded.parent.mkdir(parents=True)
+        seeded.write_text(
+            text.replace('"mc.delayed_regular"', '"mc.delayed_regualr"')
+        )
+        proc = _run("tools/lint.py", "--check", str(seeded.parent))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        [finding] = [line for line in proc.stdout.splitlines() if ": REG" in line]
+        assert "REG003" in finding and "mc.delayed_regualr" in finding
+        assert "1 new finding(s)" in proc.stdout
 
 
 class TestReproLintSubcommand:

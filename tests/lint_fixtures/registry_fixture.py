@@ -1,4 +1,4 @@
-"""Stats-registry fixtures for REG001/REG002/REG003."""
+"""Stat-key fixtures for REG002/REG003."""
 
 
 class KeyedBlock:

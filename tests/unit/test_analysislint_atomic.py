@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysislint.atomic import AtomicWriteRule
+from repro.analysislint.rules import ATOMIC_PACKAGES
 from tests.unit._lint_util import mount, mount_text, real_tree
 
 FIXTURE = ("ato_violations.py", "src/repro/experiments/ato_violations.py")
@@ -65,9 +66,8 @@ class TestRealTreeClean:
         from repro.analysislint.core import call_name
         import ast
 
-        rule = AtomicWriteRule()
         writes = 0
-        for sf in real_tree().in_packages(set(rule.config.atomic_packages)):
+        for sf in real_tree().in_packages(ATOMIC_PACKAGES):
             for func in sf.functions():
                 for node in walk_own(func):
                     if (

@@ -1,13 +1,8 @@
-"""Walker core, waivers/pragmas, baseline, and reporters."""
+"""Walker core, waivers/pragmas, and reporters."""
 
 import json
 import textwrap
 
-from repro.analysislint.baseline import (
-    load_baseline,
-    save_baseline,
-    split_against_baseline,
-)
 from repro.analysislint.core import Finding, SourceFile
 from repro.analysislint.report import render_json, render_text
 from repro.analysislint.rules import all_rules, rule_titles
@@ -76,43 +71,32 @@ class TestFinding:
         assert "# lint: no-integral" in f.render()
 
 
-class TestBaseline:
-    def test_round_trip_and_split(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        old = Finding("DET001", "a.py", 1, "old finding", "f")
-        gone = Finding("DET002", "b.py", 2, "since fixed", "g")
-        save_baseline(path, [old, gone])
-        assert set(load_baseline(path)) == {old.fingerprint(), gone.fingerprint()}
-
-        new = Finding("DET003", "c.py", 3, "fresh", "h")
-        split = split_against_baseline([old, new], load_baseline(path))
-        assert split.new == [new]
-        assert split.baselined == [old]
-        assert split.stale == [gone.fingerprint()]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == []
-
-
 class TestReporters:
-    def _split(self):
-        new = Finding("DET001", "a.py", 1, "new one", "f")
-        old = Finding("DET002", "b.py", 2, "old one", "g")
-        return split_against_baseline([new, old], {old.fingerprint(), "ghost"})
+    FINDINGS = [
+        Finding("DET002", "b.py", 2, "second one", "g"),
+        Finding("DET001", "a.py", 1, "first one", "f"),
+    ]
+    STALE = [("c.py", 3, "resource-ok")]
 
     def test_text_report_sections(self):
-        text = render_text(self._split(), checked_files=5)
-        assert "new one" in text
-        assert "old one" in text
-        assert "1 new finding" in text
+        text = render_text(self.FINDINGS, checked_files=5,
+                           stale_waivers=self.STALE)
+        lines = text.splitlines()
+        assert "first one" in lines[0] and "second one" in lines[1]
+        assert "  c.py:3: # lint: resource-ok" in lines
+        assert lines[-1] == (
+            "analysislint: 5 files, 2 new finding(s), 1 stale waiver(s)"
+        )
 
     def test_json_report_parses(self):
-        data = json.loads(render_json(self._split(), checked_files=5))
+        data = json.loads(render_json(self.FINDINGS, checked_files=5,
+                                      stale_waivers=self.STALE))
+        assert sorted(data) == ["files", "new", "stale_waivers"]
         assert data["files"] == 5
-        assert len(data["new"]) == 1
-        assert data["new"][0]["rule"] == "DET001"
-        assert len(data["baselined"]) == 1
-        assert data["stale_baseline"] == ["ghost"]
+        assert [f["rule"] for f in data["new"]] == ["DET001", "DET002"]
+        assert data["stale_waivers"] == [
+            {"path": "c.py", "line": 3, "token": "resource-ok"}
+        ]
 
 
 class TestCatalogue:

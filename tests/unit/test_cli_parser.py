@@ -196,9 +196,8 @@ class TestLintSubcommand:
             lint_runner, "main",
             lambda argv, prog: calls.append((argv, prog)) or 7,
         )
-        argv = ["src/repro/controller", "--check", "--json", "--baseline",
-                "custom.json", "--output", "r.json", "--update-baseline",
-                "--write-registry"]
+        argv = ["src/repro/controller", "--check", "--json", "--output",
+                "r.json"]
         assert main(["lint", *argv]) == 7
         assert calls == [(argv, "repro lint")]
 
@@ -310,9 +309,6 @@ OPTION_TABLE = [
     ("lint", "--check", False, False),
     ("lint", "--json", False, False),
     ("lint", "--output", None, False),
-    ("lint", "--baseline", None, False),
-    ("lint", "--update-baseline", False, False),
-    ("lint", "--write-registry", False, False),
 ]
 
 

@@ -67,6 +67,20 @@ class TestSubmit:
         assert record.deduped == 1
         assert state.sweep_status(record.id)["done"] is True
 
+    def test_failed_job_given_again_keeps_an_open_sweep_attached(self):
+        state, _ = make_state(max_attempts=1)
+        first = state.submit([entry("k1"), entry("k2", config="PS")])
+        state.lease("w1", 1)
+        state.fail("k1", "w1", "boom")
+        second = state.submit([entry("k1")])
+        # the first sweep still waits on k2, so it waits on k1's rerun too
+        assert state.jobs["k1"].sweeps == [first.id, second.id]
+        assert sorted(state.lease("w1", 2).keys) == ["k1", "k2"]
+        state.complete("k2", "w1")
+        assert first.settled is None
+        state.complete("k1", "w1")
+        assert first.settled is not None and second.settled is not None
+
 
 class TestLeasing:
     def test_capacity_bounds_the_grant(self):

@@ -3,14 +3,14 @@
 
 Usage (from the repo root, with ``PYTHONPATH=src``)::
 
-    python tools/lint.py                  # report findings
-    python tools/lint.py --check         # CI gate: nonzero on new findings
-    python tools/lint.py --json          # machine-readable report
-    python tools/lint.py --write-registry  # regenerate stat_keys.py
-    python tools/lint.py --update-baseline # grandfather current findings
+    python tools/lint.py                      # report findings
+    python tools/lint.py --check              # CI gate: nonzero on any finding
+    python tools/lint.py --json               # machine-readable report
+    python tools/lint.py --check --output r.json  # text to stdout, JSON to r.json
+    python tools/lint.py --check src/repro/system # narrow the run to some paths
 
 The same engine is exposed as ``python -m repro lint``.  Rule
-catalogue, waiver syntax, and the baseline workflow: docs/linting.md.
+catalogue and waiver syntax: docs/linting.md.
 """
 
 import os
