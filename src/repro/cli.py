@@ -750,11 +750,7 @@ def _cmd_fabric(args) -> int:
             return 0
         status = client.watch(sweep_id, poll_seconds=args.poll)
         failed = status.get("failed", [])
-        if args.fidelity == "exact":
-            by_bench = client.fetch_suite(sweep_id)
-            record = None
-        else:
-            by_bench, record = client.fetch_calibrated_suite(sweep_id)
+        by_bench, record = client.fetch_calibrated_suite(sweep_id)
         if all(c in by_bench.get(b, {}) for b in benchmarks for c in configs):
             print(
                 _grid_table(

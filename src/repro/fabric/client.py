@@ -4,7 +4,11 @@
 urllib (no dependencies) and the wire codec from
 :mod:`repro.fabric.protocol`.  The worker agent reuses the same
 transport for leasing and completion, so every process talks to the
-coordinator through one code path.
+coordinator through one code path.  The fast tier's evidence is not
+decided here: a submission sends the fidelity orchestrator's
+:func:`~repro.fastsim.orchestrator.validation_plan`, and a fetch
+calibrates through its :func:`~repro.fastsim.orchestrator.
+calibrate_plan`, so a fleet sweep returns what a local one does.
 
 Error model: a 4xx answer (protocol violation, unknown sweep) raises
 :class:`~repro.fabric.protocol.ProtocolError`; anything that looks like
@@ -15,7 +19,6 @@ retryable — the agent backs off and retries, ``watch`` keeps polling.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import urllib.error
@@ -24,6 +27,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import store, sweep
 from repro.fabric import protocol
+from repro.fastsim.gate import CalibrationRecord
+from repro.fastsim.orchestrator import calibrate_plan, validation_plan
 from repro.obs import spans as obs_spans
 from repro.system.results import RunResult
 
@@ -106,10 +111,11 @@ class FabricClient:
 
         The jobs resolve here, on the submitting host, so env-backed
         defaults (``REPRO_TRACE_ACCESSES``, ``REPRO_SEED``) are this
-        host's.  Fast jobs travel with the FidelityGate's deterministic
-        exact validation sample over them, so the completed sweep holds
-        everything :meth:`fetch_calibrated_suite` needs to attach error
-        bars.
+        host's.  What travels is their
+        :func:`~repro.fastsim.orchestrator.validation_plan`: fast jobs
+        bring the exact twins a local sweep would run, so the completed
+        sweep holds everything :meth:`fetch_calibrated_suite` needs to
+        attach error bars.
 
         When the process has a live span collector, the submission
         opens a ``fabric.submit`` span and sends its context with the
@@ -120,18 +126,9 @@ class FabricClient:
             "fabric.submit", coordinator=self.url,
         )
         try:
-            jobs = [job.resolve() for job in jobs]
-            fast = [job for job in jobs if job.fidelity == "fast"]
-            if fast:
-                from repro.fastsim.gate import FidelityGate
-
-                keys = [store.job_key(sweep.prepare(job)[1]) for job in fast]
-                jobs += [
-                    dataclasses.replace(fast[i], fidelity="exact")
-                    for i in FidelityGate().select(keys)
-                ]
+            plan = validation_plan([job.resolve() for job in jobs])
             reply = self._call("/v1/sweeps", protocol.sweep_request(
-                jobs, priority=priority, trace=span.context(),
+                plan, priority=priority, trace=span.context(),
             ))
             protocol.check_envelope(reply, "sweep_accepted")
         except Exception:
@@ -234,77 +231,35 @@ class FabricClient:
                 )
             time.sleep(poll_seconds)
 
-    def fetch_results(
-        self, sweep_id: str
-    ) -> List[Tuple[str, str, Optional[RunResult]]]:
-        """``(benchmark, config, result)`` per job, submission order.
-
-        Results decode through the store codec — field-for-field what a
-        local run would have produced.  Failed jobs yield None.
-        """
-        status = self.sweep_status(sweep_id, include_results=True)
-        rows = []
-        for row in status.get("results", []):
-            payload = row.get("result")
-            rows.append(
-                (
-                    row["benchmark"],
-                    row["config"],
-                    store.decode_result(payload) if payload else None,
-                )
-            )
-        return rows
-
-    def fetch_suite(
-        self, sweep_id: str
-    ) -> Dict[str, Dict[str, RunResult]]:
-        """Results shaped like :func:`repro.experiments.runner.run_suite`.
-
-        When a cell resolved at both tiers (a fast sweep's validation
-        sample) the exact result wins — later rows of the same cell
-        overwrite earlier ones, and validation jobs are submitted after
-        the fast grid.
-        """
-        suite: Dict[str, Dict[str, RunResult]] = {}
-        for benchmark, config, result in self.fetch_results(sweep_id):
-            if result is not None:
-                suite.setdefault(benchmark, {})[config] = result
-        return suite
-
     def fetch_calibrated_suite(
         self, sweep_id: str
-    ) -> Tuple[Dict[str, Dict[str, RunResult]], Optional[object]]:
-        """A fast sweep's suite with validated error bars attached.
+    ) -> Tuple[Dict[str, Dict[str, RunResult]], Optional[CalibrationRecord]]:
+        """A settled sweep's ``(suite, record)``.
 
-        Splits the sweep's rows by fidelity tier, calibrates a
-        :class:`~repro.fastsim.gate.CalibrationRecord` from every
-        (fast, exact) pair of the same cell, stamps the record's error
-        bars onto all fast results, and returns ``(suite, record)``
-        with exact results preferred per cell.  A sweep with no fast
-        rows (or no validation pairs) returns ``record=None``.
+        ``suite`` is shaped like :func:`repro.experiments.runner.
+        run_suite`.  The rows pair through
+        :func:`~repro.fastsim.orchestrator.calibrate_plan` and each cell
+        holds its job's own result, so a fast sweep returns the record
+        and stamped results a local ``run_fidelity_sweep(..., "fast")``
+        does: the exact twins only calibrate.  An exact sweep's record
+        is None.  Results decode through the store codec; a cell whose
+        jobs all failed is left out.
         """
-        from repro.fastsim.gate import FidelityGate
-
-        fast_rows: Dict[Tuple[str, str], RunResult] = {}
-        exact_rows: Dict[Tuple[str, str], RunResult] = {}
-        for benchmark, config, result in self.fetch_results(sweep_id):
-            if result is None:
-                continue
-            tier = fast_rows if result.fidelity is not None else exact_rows
-            tier[(benchmark, config)] = result
-        pairs = [
-            (fast_rows[cell], exact_rows[cell])
-            for cell in sorted(fast_rows)
-            if cell in exact_rows
+        rows = self.sweep_status(sweep_id, include_results=True)["results"]
+        jobs = [protocol.decode_job(row["job"]) for row in rows]
+        results = [
+            store.decode_result(row["result"]) if row.get("result") else None
+            for row in rows
         ]
-        record = None
-        if pairs:
-            record = FidelityGate().calibrate(pairs)
-            for result in fast_rows.values():
-                FidelityGate.attach(result, record)
+        record = calibrate_plan(jobs, results)
         suite: Dict[str, Dict[str, RunResult]] = {}
-        for cell, result in list(fast_rows.items()) + list(exact_rows.items()):
-            suite.setdefault(cell[0], {})[cell[1]] = result
+        for job, result in zip(jobs, results):
+            # rows keep plan order, where the twins follow the jobs: the
+            # first result of a cell is its job's own
+            if result is not None:
+                suite.setdefault(job.benchmark, {}).setdefault(
+                    job.config_name, result
+                )
         return suite, record
 
     # -- worker transport (used by the agent) --------------------------

@@ -284,8 +284,7 @@ class Coordinator:
         """Finish a settled sweep's root span, ``error`` if a job failed."""
         root = self._sweep_spans.pop(record.id, None)
         if root is not None:
-            failed = self.state.counts(record.keys)[FAILED]
-            root.finish("error" if failed else None)
+            root.finish("error" if record.tally.counts[FAILED] else None)
 
     def _fold_worker_metrics(
         self, worker: str, metrics: Dict[str, float]
@@ -336,13 +335,15 @@ class Coordinator:
         return status
 
     def _results_locked(self, sweep_id: str) -> List[Dict[str, object]]:
-        """Per-job rows for a sweep, with stored payloads where done."""
+        """Per-job rows for a sweep, submission order: each job's wire
+        form, with its stored payload where done."""
         record = self.state.sweeps[sweep_id]
         rows: List[Dict[str, object]] = []
         for key in record.keys:
             entry = self.state.jobs[key]
             row: Dict[str, object] = {
                 "key": key,
+                "job": protocol.encode_job(entry.job),
                 "benchmark": entry.job.benchmark,
                 "config": entry.job.config_name,
                 "status": entry.status,

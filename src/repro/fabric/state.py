@@ -20,7 +20,9 @@ unfinished ones re-queue).
 The table is also the only record of progress: a sweep *settles* once
 every job is done or failed, and :meth:`CoordinatorState.progress`
 derives the view of one sweep, or of the sweeps accepted since the
-fleet was last idle, from the jobs themselves.
+fleet was last idle, from the jobs themselves.  A settled sweep keeps
+the :class:`SweepTally` it settled with, since a failed job submitted
+again gets a fresh table entry that belongs to the new sweep.
 """
 
 from __future__ import annotations
@@ -75,6 +77,18 @@ class Lease:
 
 
 @dataclass
+class SweepTally:
+    """What a sweep's jobs say about it: counts by status, the failed
+    jobs with their errors, how the done ones were served (progress
+    outcomes) and the seconds of those a worker executed."""
+
+    counts: Dict[str, int]
+    failed: List[Dict[str, Optional[str]]]
+    outcomes: Dict[str, int]
+    seconds: List[float]
+
+
+@dataclass
 class SweepRecord:
     """One accepted submission and the job keys it resolved to."""
 
@@ -83,6 +97,7 @@ class SweepRecord:
     deduped: int  # jobs already satisfied by the store at submit time
     submitted: float  # clock at submission
     settled: Optional[float] = None  # clock when every job closed
+    tally: Optional[SweepTally] = None  # the view it settled with
 
 
 @dataclass
@@ -328,11 +343,13 @@ class CoordinatorState:
             self._settle(self.sweeps[sweep_id])
 
     def _settle(self, record: SweepRecord) -> None:
-        """The one place a sweep settles: once, when every job closed."""
+        """The one place a sweep settles: once, when every job closed,
+        keeping the tally it closed with."""
         if record.settled is None and all(
             self.jobs[key].status in (DONE, FAILED) for key in record.keys
         ):
             record.settled = self.clock()
+            record.tally = self.tally(record)
             self.on_settle(record)
 
     def _touch(self, worker: str) -> None:
@@ -342,61 +359,69 @@ class CoordinatorState:
         info.last_seen = self.clock()
 
     # -- views ----------------------------------------------------------
-    def counts(self, keys: Optional[Sequence[str]] = None) -> Dict[str, int]:
-        """Job counts by status, overall or for one sweep's keys."""
+    def counts(self) -> Dict[str, int]:
+        """Job counts by status over the whole table."""
         counts = {QUEUED: 0, LEASED: 0, DONE: 0, FAILED: 0}
-        entries = (
-            [self.jobs[k] for k in keys if k in self.jobs]
-            if keys is not None
-            else self.jobs.values()
-        )
-        for entry in entries:
+        for entry in self.jobs.values():
             counts[entry.status] += 1
         return counts
+
+    def tally(self, record: SweepRecord) -> SweepTally:
+        """One sweep's tally: the one it settled with, else the table's.
+
+        A done job is a ``store`` hit if a store served it or it was
+        done before the sweep attached, else ``fabric``.
+        """
+        if record.tally is not None:
+            return record.tally
+        tally = SweepTally(
+            counts={QUEUED: 0, LEASED: 0, DONE: 0, FAILED: 0}, failed=[],
+            outcomes=dict.fromkeys(OUTCOMES, 0), seconds=[],
+        )
+        for key in record.keys:
+            entry = self.jobs[key]
+            tally.counts[entry.status] += 1
+            if entry.status == FAILED:
+                tally.failed.append({"key": key, "error": entry.error})
+            elif entry.status == DONE:
+                if record.id not in entry.sweeps or entry.outcome == "store":
+                    tally.outcomes["store"] += 1
+                else:
+                    tally.outcomes["fabric"] += 1
+                    if entry.seconds is not None:
+                        tally.seconds.append(entry.seconds)
+        return tally
 
     def sweep_status(self, sweep_id: str) -> Optional[Dict[str, object]]:
         record = self.sweeps.get(sweep_id)
         if record is None:
             return None
-        counts = self.counts(record.keys)
-        failed = [
-            {"key": key, "error": self.jobs[key].error}
-            for key in record.keys
-            if key in self.jobs and self.jobs[key].status == FAILED
-        ]
+        tally = self.tally(record)
         return {
             "sweep": record.id,
             "total": len(record.keys),
             "deduped": record.deduped,
-            "counts": counts,
-            "done": counts[DONE] == len(record.keys),
-            "failed": failed,
+            "counts": dict(tally.counts),
+            "done": tally.counts[DONE] == len(record.keys),
+            "failed": list(tally.failed),
         }
 
     def progress(self, records: Sequence[SweepRecord]) -> Dict[str, object]:
         """The progress snapshot of ``records`` (one sweep, or the window).
 
-        Counts sum over the sweeps, and a failed job counts as done and
-        as a ``failed`` event.  A done job is a ``store`` hit if a store
-        served it or it was done before the sweep attached, else
-        ``fabric``.  Finished once every sweep has settled.
+        Counts sum over the sweeps' tallies, and a failed job counts as
+        done and as a ``failed`` event.  Finished once every sweep has
+        settled.
         """
         outcomes = dict.fromkeys(OUTCOMES, 0)
         failed = 0
         times: List[float] = []
         for record in records:
-            for key in record.keys:
-                entry = self.jobs[key]
-                if entry.status == FAILED:
-                    failed += 1
-                elif entry.status == DONE:
-                    deduped = record.id not in entry.sweeps
-                    if deduped or entry.outcome == "store":
-                        outcomes["store"] += 1
-                    else:
-                        outcomes["fabric"] += 1
-                        if entry.seconds is not None:
-                            times.append(entry.seconds)
+            tally = self.tally(record)
+            failed += tally.counts[FAILED]
+            for name, count in tally.outcomes.items():
+                outcomes[name] += count
+            times += tally.seconds
         now = self.clock()
         settled = [record.settled for record in records]
         finished = None not in settled

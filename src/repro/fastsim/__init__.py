@@ -10,7 +10,8 @@ The package has four layers (docs/fidelity.md walks the hierarchy):
   model's error against the exact simulator and turns it into
   per-metric error bars;
 * :mod:`~repro.fastsim.orchestrator` — the ``exact | fast | auto``
-  sweep policies built from the two tiers.
+  sweep policies built from the two tiers, and the validation plan
+  that local sweeps and the fabric client both run.
 """
 
 # Only the leaf version module is imported eagerly: the sweep engine

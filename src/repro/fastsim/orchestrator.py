@@ -1,9 +1,10 @@
 """Two-fidelity sweep orchestration: fast everywhere, exact where it counts.
 
 This module is the policy layer above :func:`repro.experiments.sweep.
-run_jobs`.  The sweep engine executes *per-job* tiers ("exact" or
-"fast"); the orchestrator lowers the user-facing *sweep* fidelity into
-per-job tiers:
+run_jobs`, and the only code that decides the fast tier's evidence.
+The sweep engine executes *per-job* tiers ("exact" or "fast"); the
+orchestrator lowers the user-facing *sweep* fidelity into per-job
+tiers:
 
 ``exact``
     Every job runs the cycle-accurate simulator (the historical path —
@@ -22,8 +23,18 @@ per-job tiers:
     baseline config lies inside the calibrated error band re-runs
     exact too (see :func:`repro.fastsim.gate.near_decision_boundary`).
     A job with ``overrides`` runs exact: the fast model takes presets
-    only.  It stays out of the fast sub-sweep, the gate's sample and
-    escalation.  (Under ``fast`` such a job raises ``ValueError``.)
+    only.  It is an exact job in the plan with no twin, outside the
+    gate's sample and escalation.  (Under ``fast`` such a job raises
+    ``ValueError``.)
+
+Two functions hold the policy, and both execution planes call them:
+:func:`validation_plan` lists the jobs to run (the sweep, then the
+exact twin of each fast job the gate samples), and
+:func:`calibrate_plan` pairs the finished plan's results into the
+sweep's :class:`~repro.fastsim.gate.CalibrationRecord`.  A local
+``fast`` sweep is one :func:`run_jobs` call over the plan; the fabric
+client submits the same plan and calibrates the rows it fetches back,
+so a fleet ``fast`` sweep returns what a local one does.
 
 All tiers flow through the same store + observability path;
 fast results are persisted *with* their error bars, so a later session
@@ -60,29 +71,56 @@ class FidelityOutcome:
     escalated_indices: List[int] = dataclasses.field(default_factory=list)
 
 
-def _job_keys(specs: Sequence[Job]) -> List[str]:
-    """The store job key of every spec (the gate's sampling domain)."""
-    return [store.job_key(prepare(job)[1]) for job in specs]
+def _twin(job: Job) -> Job:
+    """The job's exact twin: the same job with its tier set to exact."""
+    return replace(job, fidelity="exact")
 
 
-def _attach_and_persist(
-    specs: Sequence[Job],
-    results: Sequence[RunResult],
-    record: CalibrationRecord,
-    use_store: Optional[bool],
-) -> None:
-    """Stamp calibrated error bars onto fast results and store them.
+def validation_plan(
+    jobs: Sequence[Job], gate: Optional[FidelityGate] = None
+) -> List[Job]:
+    """The jobs, then the exact twin of each fast job the gate samples.
 
-    The sweep persisted the fast results *before* calibration existed;
-    re-putting the stamped results keeps the stored entries carrying
-    their error bars for later reads and sessions.
+    The gate samples by store job key, so every process that plans the
+    same jobs agrees on the twins.
     """
-    active_store = store.active_store(use_store)
-    for job, result in zip(specs, results):
-        if result.fidelity is None:
-            continue
+    fast = [job for job in jobs if job.fidelity == "fast"]
+    keys = [store.job_key(prepare(job)[1]) for job in fast]
+    sample = (gate or FidelityGate()).select(keys)
+    return list(jobs) + [_twin(fast[i]) for i in sample]
+
+
+def calibrate_plan(
+    jobs: Sequence[Job],
+    results: Sequence[Optional[RunResult]],
+    gate: Optional[FidelityGate] = None,
+) -> Optional[CalibrationRecord]:
+    """Calibrate a finished plan and stamp its fast results.
+
+    ``results`` align with ``jobs`` (None for a job that failed).  Each
+    fast result pairs with the exact result of its twin, found by job
+    identity; the pairs keep plan order.  Returns None when nothing
+    pairs.
+    """
+    exact = {
+        job: result for job, result in zip(jobs, results)
+        # a twin is a preset: fast jobs take no overrides
+        if job.fidelity == "exact" and not job.overrides and result is not None
+    }
+    fast = [
+        (job, result) for job, result in zip(jobs, results)
+        if job.fidelity == "fast" and result is not None
+    ]
+    pairs = [
+        (result, exact[_twin(job)]) for job, result in fast
+        if _twin(job) in exact
+    ]
+    if not pairs:
+        return None
+    record = (gate or FidelityGate()).calibrate(pairs)
+    for _job, result in fast:
         FidelityGate.attach(result, record)
-        active_store.put(prepare(job)[1], result)
+    return record
 
 
 def run_fidelity_sweep(
@@ -99,7 +137,8 @@ def run_fidelity_sweep(
     ``specs`` are sweep jobs in any tier (their per-job ``fidelity``
     is overridden by the sweep policy).  ``run_kwargs`` pass through to
     :func:`~repro.experiments.sweep.run_jobs` (timeout, retries,
-    progress, metrics, recorder).
+    progress, metrics, recorder).  A ``fast`` sweep is one ``run_jobs``
+    call; ``auto`` adds a second for the escalated points.
     """
     if fidelity not in SWEEP_FIDELITIES:
         raise ValueError(
@@ -113,49 +152,45 @@ def run_fidelity_sweep(
         )
         return FidelityOutcome(results=outcome.results, stats=outcome.stats)
 
-    if fidelity == "auto" and any(job.overrides for job in specs):
-        return _run_variants_exact(
-            specs, jobs, gate, baseline_config, use_store, **run_kwargs
-        )
-
     gate = gate or FidelityGate()
-    fast_specs = [replace(job, fidelity="fast") for job in specs]
-    fast = run_jobs(fast_specs, jobs=jobs, use_store=use_store, **run_kwargs)
-    stats = fast.stats
-    if not specs:
-        return FidelityOutcome(results=[], stats=stats)
-
-    # -- exact cross-validation on the deterministic sample ------------
-    validated = gate.select(_job_keys(fast_specs))
-    exact_specs = [replace(fast_specs[i], fidelity="exact") for i in validated]
-    exact = run_jobs(exact_specs, jobs=jobs, use_store=use_store, **run_kwargs)
-    stats.merge(exact.stats)
-    pairs: List[Tuple[RunResult, RunResult]] = [
-        (fast.results[i], exact.results[pos])
-        for pos, i in enumerate(validated)
+    tiered = [
+        replace(job, fidelity="exact" if fidelity == "auto" and job.overrides
+                else "fast")
+        for job in specs
     ]
-    record = gate.calibrate(pairs)
+    plan = validation_plan(tiered, gate)
+    outcome = run_jobs(plan, jobs=jobs, use_store=use_store, **run_kwargs)
+    stats = outcome.stats
+    record = calibrate_plan(plan, outcome.results, gate)
+    if record is not None:
+        # The sweep persisted the fast results before calibration
+        # existed; re-put them stamped so stored entries carry the bars.
+        active_store = store.active_store(use_store)
+        for job, result in zip(plan, outcome.results):
+            if result.fidelity is not None:
+                active_store.put(prepare(job)[1], result)
+
+    results = outcome.results[:len(tiered)]
+    twins = dict(zip(plan[len(tiered):], outcome.results[len(tiered):]))
+    validated = [
+        i for i, job in enumerate(tiered)
+        if job.fidelity == "fast" and _twin(job) in twins
+    ]
     stats.validated = len(validated)
 
-    _attach_and_persist(fast_specs, fast.results, record, use_store)
-    results = list(fast.results)
-
     escalated: List[int] = []
-    if fidelity == "auto":
+    if fidelity == "auto" and record is not None:
         # The validation sample's exact results are already paid for —
         # serve them instead of their fast twins.
-        for pos, i in enumerate(validated):
-            results[i] = exact.results[pos]
+        for i in validated:
+            results[i] = twins[_twin(tiered[i])]
         escalated = _escalate_boundary_points(
-            fast_specs, results, record, baseline_config,
-            exclude=set(validated),
+            tiered, results, record, baseline_config
         )
         if escalated:
-            rerun_specs = [
-                replace(fast_specs[i], fidelity="exact") for i in escalated
-            ]
             rerun = run_jobs(
-                rerun_specs, jobs=jobs, use_store=use_store, **run_kwargs
+                [_twin(tiered[i]) for i in escalated],
+                jobs=jobs, use_store=use_store, **run_kwargs,
             )
             stats.merge(rerun.stats)
             for pos, i in enumerate(escalated):
@@ -170,47 +205,11 @@ def run_fidelity_sweep(
     )
 
 
-def _run_variants_exact(
-    specs: Sequence[Job],
-    jobs: int,
-    gate: Optional[FidelityGate],
-    baseline_config: str,
-    use_store: Optional[bool],
-    **run_kwargs: object,
-) -> FidelityOutcome:
-    """An ``auto`` sweep whose jobs with overrides run exact, each result
-    in its own slot; the preset jobs take the usual ``auto`` path."""
-    presets = [i for i, job in enumerate(specs) if not job.overrides]
-    variants = [i for i, job in enumerate(specs) if job.overrides]
-    outcome = run_fidelity_sweep(
-        [specs[i] for i in presets], "auto", jobs=jobs, gate=gate,
-        baseline_config=baseline_config, use_store=use_store, **run_kwargs,
-    )
-    exact = run_jobs(
-        [replace(specs[i], fidelity="exact") for i in variants],
-        jobs=jobs, use_store=use_store, **run_kwargs,
-    )
-    outcome.stats.merge(exact.stats)
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    for pos, i in enumerate(presets):
-        results[i] = outcome.results[pos]
-    for pos, i in enumerate(variants):
-        results[i] = exact.results[pos]
-    return FidelityOutcome(
-        results=results,
-        stats=outcome.stats,
-        record=outcome.record,
-        validated_indices=[presets[p] for p in outcome.validated_indices],
-        escalated_indices=[presets[p] for p in outcome.escalated_indices],
-    )
-
-
 def _escalate_boundary_points(
     specs: Sequence[Job],
     results: Sequence[RunResult],
     record: CalibrationRecord,
     baseline_config: str,
-    exclude: set,
 ) -> List[int]:
     """Indices of fast points too close to the gain decision boundary.
 
@@ -218,25 +217,24 @@ def _escalate_boundary_points(
     own baseline run (same benchmark/trace shape, ``baseline_config``)
     is smaller than the calibrated cycle-error band — the fast model
     cannot even sign the comparison there, so ``auto`` buys the exact
-    answer.  Sweeps without a baseline config escalate nothing.
+    answer.  Only fast-tier jobs take part: an exact job (a variant) is
+    neither a point nor a baseline, and a validated slot already holds
+    its exact result.  Sweeps without a baseline config escalate
+    nothing.
     """
-    baselines: Dict[Tuple[str, int, int, int], RunResult] = {}
-    for job, result in zip(specs, results):
-        if job.config_name == baseline_config:
-            baselines[(job.benchmark, job.accesses, job.seed, job.threads)] = (
-                result
-            )
-    escalated: List[int] = []
-    for index, (job, result) in enumerate(zip(specs, results)):
-        if index in exclude or job.config_name == baseline_config:
-            continue
-        if result.fidelity is None:  # already exact (validated slot)
-            continue
-        baseline = baselines.get(
-            (job.benchmark, job.accesses, job.seed, job.threads)
-        )
-        if baseline is None:
-            continue
-        if near_decision_boundary(result, baseline, record):
-            escalated.append(index)
-    return escalated
+    def cell(job: Job) -> Tuple[str, Optional[int], Optional[int], int]:
+        return (job.benchmark, job.accesses, job.seed, job.threads)
+
+    fast = [i for i, job in enumerate(specs) if job.fidelity == "fast"]
+    baselines: Dict[Tuple, RunResult] = {
+        cell(specs[i]): results[i] for i in fast
+        if specs[i].config_name == baseline_config
+    }
+    return [
+        i for i in fast
+        if specs[i].config_name != baseline_config
+        and results[i].fidelity is not None
+        and cell(specs[i]) in baselines
+        and near_decision_boundary(results[i], baselines[cell(specs[i])],
+                                   record)
+    ]

@@ -53,20 +53,17 @@ class SweepProgress:
 
     # -- wiring --------------------------------------------------------
     def begin(self, total: int, workers: int = 1) -> None:
-        """(Re)arm for a sweep of ``total`` jobs on ``workers`` workers.
+        """Count ``total`` more jobs, run on ``workers`` workers.
 
-        Resets every counter, so one progress object can be reused
-        across consecutive sweeps.
+        Every :func:`~repro.experiments.sweep.run_jobs` call given this
+        object adds its jobs here, so a sweep made of several calls (an
+        ``auto`` sweep's escalation pass) reads as one: the counters,
+        the start clock and the job-time mean carry on, and only the
+        finished stamp clears.
         """
         with self._lock:
-            self.total = total
+            self.total += total
             self.workers = max(1, workers)
-            self.done = 0
-            self.outcomes = {name: 0 for name in OUTCOMES}
-            self.events = {}
-            self._job_seconds_sum = 0.0
-            self._job_seconds_count = 0
-            self._started = time.monotonic()
             self._finished = None
         self._notify()
 

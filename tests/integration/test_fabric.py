@@ -204,11 +204,12 @@ class TestHttpRoundTrip:
 
             status = client.sweep_status(accepted["sweep"])
             assert status["counts"]["done"] == 2
-            suite = client.fetch_suite(accepted["sweep"])
+            suite, record = client.fetch_calibrated_suite(accepted["sweep"])
             serial = runner.run_suite(
                 ["milc"], ["NP", "PS"], accesses=ACCESSES, seed=SEED
             )
             assert suite == serial
+            assert record is None  # an exact sweep has nothing to calibrate
 
             progress = client.progress()
             assert progress["done"] == 2

@@ -11,7 +11,8 @@ table, and a sweep settles once, when every job is done or failed:
 * ``repro fabric watch`` exits on its own, with and without
   ``--sweep`` (run as a subprocess: a watch that never exits would
   hang a thread-based test);
-* a failed job submitted again runs again, for the new sweep only;
+* a failed job submitted again runs again, for the new sweep only,
+  and the settled sweep keeps the status it settled with;
 * ``/healthz`` counts sweeps without building their status.
 """
 
@@ -211,6 +212,25 @@ class TestFailedJobResubmitted:
                  for doc in coordinator.spans.spans()
                  if doc["name"] == "fabric.sweep"}
         assert roots == {first: "error", accepted["sweep"]: "ok"}
+
+    def test_settled_sweep_keeps_the_status_it_settled_with(self, tmp_path):
+        coordinator = make_coordinator(tmp_path / "store", max_attempts=1)
+        request = grid_request(configs=("NP",))
+        first = coordinator.submit(request)["sweep"]
+        fail(coordinator)
+        before = coordinator.sweep_status(first)
+
+        second = coordinator.submit(request)["sweep"]
+        execute(coordinator)
+        after = coordinator.sweep_status(first)
+        assert after == before
+        assert after["counts"]["failed"] == 1 and after["counts"]["done"] == 0
+        assert [failure["error"] for failure in after["failed"]] == ["injected"]
+        assert after["progress"]["events"] == {"failed": 1}
+        assert after["progress"]["outcomes"]["store"] == 0
+        status = coordinator.sweep_status(second)
+        assert status["counts"]["done"] == 1 and status["failed"] == []
+        assert status["progress"]["outcomes"]["fabric"] == 1
 
 
 class TestHealth:

@@ -129,13 +129,14 @@ class TestMetricsFlow:
         spec = [sweep.Job("tonto", "NP", accesses=ACCESSES)]
         sweep.run_jobs(spec, progress=progress)
         assert progress.snapshot()["outcomes"]["serial"] == 1
-        sweep.run_jobs(spec, progress=progress)  # begin() re-arms
+        assert progress.snapshot()["finished"] is True
+        sweep.run_jobs(spec, progress=progress)  # begin() counts on
         snap = progress.snapshot()
-        assert snap["total"] == 1
-        assert snap["done"] == 1
+        assert snap["total"] == 2
+        assert snap["done"] == 2
         assert snap["finished"] is True
         assert snap["outcomes"]["store"] == 1
-        assert snap["outcomes"]["serial"] == 0
+        assert snap["outcomes"]["serial"] == 1
 
     def test_run_suite_serial_path_drives_progress(self):
         progress = SweepProgress()

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -152,10 +153,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", metavar="DIR", default=None,
                         help="store root to use (kept afterwards); "
-                             "default: a fresh temp dir")
+                             "default: a fresh temp dir, removed afterwards")
     args = parser.parse_args(argv)
 
     root = args.keep or tempfile.mkdtemp(prefix="repro-obs-smoke-")
+    try:
+        return run(root)
+    finally:
+        if not args.keep:
+            shutil.rmtree(root, ignore_errors=True)
+
+
+def run(root: str) -> int:
+    """The smoke itself, with its store under ``root``."""
     os.environ["REPRO_STORE_DIR"] = root
 
     from repro.cli import main as repro_main
