@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-The benchmarks regenerate every table and figure of the paper.  Trace
-length defaults to 12000 accesses per benchmark here (enough for the
-qualitative shapes; ~20 min for the full suite on a laptop).  Export
+``test_claims.py`` regenerates every table and figure of the paper and
+checks its claims.  Trace length defaults to 12000 accesses per
+benchmark here (enough for the qualitative shapes).  Export
 ``REPRO_TRACE_ACCESSES`` to override — e.g. 20000 reproduces the
 numbers recorded in EXPERIMENTS.md.
 
@@ -42,8 +42,3 @@ def pytest_sessionfinish(session, exitstatus):
         stats = store.get_store().stats
         line += f", store hits/puts {stats.hits}/{stats.puts}"
     print(f"\n{line}")
-
-
-def once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

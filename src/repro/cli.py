@@ -65,31 +65,6 @@ from repro.analysis.report import format_table
 from repro.system.presets import ABLATION_CONFIGS, CONFIG_NAMES
 from repro.workloads.profiles import SUITES
 
-#: figure/table id -> (module, entry function, render function) names
-FIGURES = {
-    "fig2": ("repro.experiments.slh_figures", "fig3_slh_phases", None),
-    "fig3": ("repro.experiments.slh_figures", "fig3_slh_phases", None),
-    "fig5": ("repro.experiments.performance", "fig5_spec", "render"),
-    "fig6": ("repro.experiments.performance", "fig6_nas", "render"),
-    "fig7": ("repro.experiments.performance", "fig7_commercial", "render"),
-    "fig8": ("repro.experiments.power", "fig8_power_spec", "render"),
-    "fig9": ("repro.experiments.power", "fig9_power_nas", "render"),
-    "fig10": ("repro.experiments.power", "fig10_power_commercial", "render"),
-    "fig11": ("repro.experiments.ablation", "fig11_ablation", "render"),
-    "fig12": ("repro.experiments.stream_lengths", "fig12_stream_lengths", "render"),
-    "fig13": ("repro.experiments.efficiency", "fig13_efficiency", "render"),
-    "fig14": ("repro.experiments.sensitivity", "fig14_buffer_size", "render"),
-    "fig15": ("repro.experiments.sensitivity", "fig15_filter_size", "render"),
-    "fig16": ("repro.experiments.slh_figures", "fig16_slh_accuracy", None),
-    "hardware": ("repro.experiments.hardware_cost", "tab_hardware_cost", "render"),
-    "smt": ("repro.experiments.smt", "tab_smt", "render"),
-    "scheduler": (
-        "repro.experiments.scheduler_interaction",
-        "tab_scheduler_interaction",
-        "render",
-    ),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -177,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
              jobs_help="worker processes (default REPRO_JOBS or all CPUs)")
 
     figure = sub.add_parser("figure", help="regenerate one paper artifact")
-    figure.add_argument("id", choices=sorted(FIGURES))
+    figure.add_argument("id", help="artifact id, e.g. fig5 (an unknown id "
+                        "lists them all)")
 
     trace = sub.add_parser(
         "trace", help="trace tooling: generate / convert / calibrate"
@@ -838,16 +814,14 @@ def _fabric_watch(client, args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    import importlib
+    from repro.experiments.figures import FIGURES
 
-    module_name, func_name, render_name = FIGURES[args.id]
-    module = importlib.import_module(module_name)
-    if render_name is None:
-        module.main()
-        return 0
-    figure = getattr(module, func_name)()
-    print(getattr(module, render_name)(figure))
-    return 0
+    for figure in FIGURES:
+        if args.id in figure.ids:
+            print(figure.render(figure.compute()))
+            return 0
+    ids = ", ".join(fid for figure in FIGURES for fid in figure.ids)
+    raise SystemExit(f"repro figure: unknown id {args.id!r} (one of {ids})")
 
 
 def _cmd_trace(args) -> int:

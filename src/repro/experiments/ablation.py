@@ -101,12 +101,3 @@ def render(figure: AblationFigure) -> str:
         f"\nnext-line vs P5-style:         {figure.nextline_vs_p5():+.1f}%"
     )
     return table + extras
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(fig11_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

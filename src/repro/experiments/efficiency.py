@@ -82,12 +82,3 @@ def render(figure: EfficiencyFigure) -> str:
         title="Prefetch effectiveness (PMS)   "
         "[paper: useful 82-91%, coverage 19-34%, delayed 1-3%]",
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(fig13_efficiency()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -108,14 +108,3 @@ def render_asd_only(result: ASDOnlyResult) -> str:
         rows,
         title="Single-prefetcher machines (gain over NP, %)",
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render_degree(degree_sweep()))
-    print()
-    print(render_asd_only(asd_only()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

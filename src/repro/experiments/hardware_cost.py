@@ -72,12 +72,3 @@ def render(table: HardwareCostTable) -> str:
             "chip area +0.098%, chip power +0.06%]"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(tab_hardware_cost()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -81,14 +81,3 @@ def render(result: SuiteResult) -> str:
     return format_table(
         ["benchmark", "PMS vs NP", "MS vs NP", "PMS vs PS"], rows, title=title
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    for figure in (fig5_spec, fig6_nas, fig7_commercial):
-        print(render(figure()))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

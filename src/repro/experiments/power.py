@@ -93,14 +93,3 @@ def render(figure: PowerFigure) -> str:
     return format_table(
         ["benchmark", "power increase %", "energy reduction %"], rows, title=title
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    for figure in (fig8_power_spec, fig9_power_nas, fig10_power_commercial):
-        print(render(figure()))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

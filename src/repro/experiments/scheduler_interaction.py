@@ -77,12 +77,3 @@ def render(result: SchedulerInteraction) -> str:
         f"{result.reduction_vs_ahb('memoryless'):+.1f} points (paper ~1), "
         f"in-order {result.reduction_vs_ahb('in_order'):+.1f} points (paper ~5)"
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(tab_scheduler_interaction()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -108,14 +108,3 @@ def render(figure: SweepFigure) -> str:
     return format_table(
         headers, rows, title=f"PMS speedup over NP vs {figure.parameter}"
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(fig14_buffer_size()))
-    print()
-    print(render(fig15_filter_size()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -164,16 +164,3 @@ def fig16_slh_accuracy(
         actual=exact_slh(window),
         approximation=filter_slh(window, sf_config),
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    fig = fig3_slh_phases()
-    shown = list(range(min(3, len(fig.epoch_bars))))
-    print(fig.table(epochs=shown))
-    print()
-    print(fig16_slh_accuracy().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

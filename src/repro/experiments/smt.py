@@ -85,12 +85,3 @@ def render(result: SMTResult, suite: Optional[str] = None) -> str:
     return format_table(
         ["benchmark", "PMS vs NP", "MS vs NP", "PMS vs PS"], rows, title=title
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(tab_smt()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -119,12 +119,3 @@ def render(figure: StreamLengthFigure) -> str:
              figure.short_fraction(benchmark), figure.len2_5_fraction(benchmark)]
         )
     return format_table(headers, rows, title="Stream lengths (% of streams)")
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    """Print this experiment's paper-style output."""
-    print(render(fig12_stream_lengths()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

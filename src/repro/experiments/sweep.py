@@ -699,6 +699,6 @@ def _run_parallel(
             # exit, stalling the parent for the worker's full runtime.
             for process in list(getattr(executor, "_processes", {}).values()):
                 process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=not timed_out, cancel_futures=True)
         todo = requeue
     return done

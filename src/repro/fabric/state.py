@@ -287,13 +287,14 @@ class CoordinatorState:
         ``outcome`` and ``seconds`` are the worker's report of how it
         served the job.  A worker whose lease expired may still return a
         correct result (the simulator is deterministic) — accept it
-        unless someone else finished first.
+        unless someone else finished first, or the job has already
+        failed: its sweeps settled with that verdict.
         """
         self._touch(worker)
         entry = self.jobs.get(key)
         if entry is None:
             return "unknown"
-        if entry.status == DONE:
+        if entry.status in (DONE, FAILED):
             return "duplicate"
         self._detach_from_lease(entry)
         entry.status = DONE

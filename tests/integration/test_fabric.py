@@ -123,6 +123,28 @@ class TestWorkerDeath:
         assert "presumed dead" in status["failed"][0]["error"]
 
 
+    def test_late_result_for_a_failed_job_is_refused(self, tmp_path):
+        clock = FakeClock()
+        coordinator = make_coordinator(
+            tmp_path / "store", lease_seconds=30.0, max_attempts=1,
+            clock=clock,
+        )
+        reply = coordinator.submit(grid_request(configs=("NP",)))
+        lease_id, jobs, _ = protocol.parse_lease_grant(
+            coordinator.lease(protocol.lease_request("slow", 1))
+        )
+        clock.advance(31.0)  # the lease expires: the job's only attempt
+        assert coordinator.sweep_status(reply["sweep"])["counts"]["failed"] == 1
+        ack = coordinator.complete(protocol.complete_report(
+            "slow", lease_id, [executed_item(k, j) for k, j, _c in jobs]
+        ))
+        assert ack["accepted"] == 0
+        status = coordinator.sweep_status(reply["sweep"], include_results=True)
+        assert status["counts"]["failed"] == 1
+        assert [row["status"] for row in status["results"]] == ["failed"]
+        assert "result" not in status["results"][0]
+
+
 class TestCoordinatorRestart:
     def test_restart_rebuilds_from_the_store(self, tmp_path):
         shared = tmp_path / "store"

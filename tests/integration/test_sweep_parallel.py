@@ -6,7 +6,9 @@ same spec, and a second session re-simulates nothing because every run
 is served from the on-disk store.
 """
 
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -70,6 +72,19 @@ class TestParallelEqualsSerial:
         before = runner.cache_info()["simulated"]
         runner.run(BENCHMARKS[0], CONFIGS[0], accesses=ACCESSES)
         assert runner.cache_info()["simulated"] == before
+
+
+class TestPoolTeardown:
+    def test_no_worker_or_pool_thread_outlives_run_jobs(self):
+        # a pool left to wind down on its own races interpreter exit
+        before = set(threading.enumerate())
+        jobs = [sweep.Job("tonto", config, accesses=300)
+                for config in ("NP", "PS")]
+        outcome = sweep.run_jobs(jobs, jobs=2, use_store=False)
+        assert outcome.stats.executed_parallel == 2
+        assert multiprocessing.active_children() == []
+        assert [thread.name for thread in threading.enumerate()
+                if thread not in before] == []
 
 
 class TestStoreOffTraffic:

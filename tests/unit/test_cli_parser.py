@@ -4,7 +4,8 @@ import argparse
 
 import pytest
 
-from repro.cli import FIGURES, _build_parser, main
+from repro.cli import _build_parser, main
+from repro.experiments.figures import FIGURES
 
 
 class TestParser:
@@ -41,24 +42,27 @@ class TestParser:
 
 
 class TestFigureRegistry:
+    IDS = {fid for figure in FIGURES for fid in figure.ids}
+
     def test_every_paper_figure_registered(self):
         for fid in ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
                     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
                     "fig16"):
-            assert fid in FIGURES
+            assert fid in self.IDS
 
     def test_tables_registered(self):
-        for tid in ("hardware", "smt", "scheduler"):
-            assert tid in FIGURES
+        for tid in ("hardware", "smt", "scheduler",
+                    "degree", "asd-only", "epoch"):
+            assert tid in self.IDS
 
     def test_registry_targets_importable(self):
-        import importlib
-
-        for module_name, func_name, render_name in FIGURES.values():
-            module = importlib.import_module(module_name)
-            assert hasattr(module, func_name)
-            if render_name:
-                assert hasattr(module, render_name)
+        # each id answers to one record
+        assert len(self.IDS) == sum(len(figure.ids) for figure in FIGURES)
+        for figure in FIGURES:
+            assert figure.title and figure.paper
+            assert callable(figure.compute)
+            assert callable(figure.render)
+            assert callable(figure.claims)
 
 
 class TestObsFlags:

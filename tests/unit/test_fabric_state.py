@@ -161,6 +161,17 @@ class TestLeaseExpiry:
         assert state.complete("k1", "w1") == "first"
         assert state.jobs["k1"].status == DONE
 
+    def test_late_result_after_failure_is_refused(self):
+        # the job's sweep settled failed; a late answer must not flip it
+        state, clock = make_state(lease_seconds=30.0, max_attempts=1)
+        state.submit([entry("k1")])
+        state.lease("w1", 1)
+        clock.advance(31.0)
+        state.expire_leases()
+        assert state.complete("k1", "w1") == "duplicate"
+        assert state.jobs["k1"].status == FAILED
+        assert state.workers["w1"].completed == 0
+
 
 class TestCompletion:
     def test_first_then_duplicate(self):
