@@ -368,13 +368,13 @@ class Coordinator:
         """Submissions accepted after the first ``count`` (``/events``
         ``sweep`` payloads), and the number accepted so far."""
         with self.lock:
-            records = list(self.state.sweeps.values())
+            records, accepted = self.state.sweeps_since(count)
         return [
             {"sweep": record.id, "total": len(record.keys),
              "deduped": record.deduped,
              "queued": len(record.keys) - record.deduped}
-            for record in records[count:]
-        ], len(records)
+            for record in records
+        ], accepted
 
 
 class CoordinatorServer(ObsServer):

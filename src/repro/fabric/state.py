@@ -23,6 +23,11 @@ derives the view of one sweep, or of the sweeps accepted since the
 fleet was last idle, from the jobs themselves.  A settled sweep keeps
 the :class:`SweepTally` it settled with, since a failed job submitted
 again gets a fresh table entry that belongs to the new sweep.
+
+The record is bounded: past :data:`SETTLED_SWEEPS` settled sweeps the
+one that settled first is forgotten, with every finished job no kept
+sweep names.  A forgotten sweep reads as unknown; the store answers a
+later resubmission of its jobs.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
 
+#: Settled sweeps a coordinator keeps (about 40 KB of ``status()``).
+SETTLED_SWEEPS = 256
+
 
 @dataclass
 class JobEntry:
@@ -52,8 +60,8 @@ class JobEntry:
     spec: Dict[str, object]
     priority: int = 0
     status: str = QUEUED
-    #: sweeps that attached while the job was open; a sweep that finds
-    #: it done counts it as deduped instead
+    #: sweeps that attached while the job was open (some may since be
+    #: forgotten); a sweep that finds it done counts it as deduped
     sweeps: List[str] = field(default_factory=list)
     attempts: int = 0
     worker: Optional[str] = None
@@ -93,6 +101,7 @@ class SweepRecord:
     """One accepted submission and the job keys it resolved to."""
 
     id: str
+    number: int  # 1-based order of acceptance
     keys: List[str]
     deduped: int  # jobs already satisfied by the store at submit time
     submitted: float  # clock at submission
@@ -167,8 +176,9 @@ class CoordinatorState:
         """
         if all(record.settled is not None for record in self.window):
             self.window = []
-        sweep_id = f"sweep-{next(self._sweep_ids)}"
-        record = SweepRecord(id=sweep_id, keys=[], deduped=0,
+        number = next(self._sweep_ids)
+        sweep_id = f"sweep-{number}"
+        record = SweepRecord(id=sweep_id, number=number, keys=[], deduped=0,
                              submitted=self.clock())
         for key, job, spec, already_done in entries:
             record.keys.append(key)
@@ -179,7 +189,8 @@ class CoordinatorState:
                     status=DONE if already_done else QUEUED,
                     sweeps=[] if entry is None else [
                         earlier for earlier in entry.sweeps
-                        if self.sweeps[earlier].settled is None
+                        if earlier in self.sweeps
+                        and self.sweeps[earlier].settled is None
                     ],
                 )
                 self.jobs[key] = entry
@@ -341,7 +352,9 @@ class CoordinatorState:
 
     def _settle_sweeps_of(self, entry: JobEntry) -> None:
         for sweep_id in entry.sweeps:
-            self._settle(self.sweeps[sweep_id])
+            record = self.sweeps.get(sweep_id)
+            if record is not None:  # a forgotten sweep settled long ago
+                self._settle(record)
 
     def _settle(self, record: SweepRecord) -> None:
         """The one place a sweep settles: once, when every job closed,
@@ -352,6 +365,27 @@ class CoordinatorState:
             record.settled = self.clock()
             record.tally = self.tally(record)
             self.on_settle(record)
+            self._forget()
+
+    def _forget(self) -> None:
+        """Keep at most :data:`SETTLED_SWEEPS` settled sweeps, forgetting
+        those that settled first but never the newest (its number counts
+        the sweeps accepted), then drop every job entry that no kept
+        sweep names and that is neither queued nor leased."""
+        *older, newest = self.sweeps.values()
+        settled = sorted(
+            (record for record in older if record.settled is not None),
+            key=lambda record: (record.settled, record.number),
+        )
+        excess = len(settled) + (newest.settled is not None) - SETTLED_SWEEPS
+        if excess <= 0:
+            return
+        for record in settled[:excess]:
+            del self.sweeps[record.id]
+        named = {key for record in self.sweeps.values() for key in record.keys}
+        for key in [key for key, entry in self.jobs.items()
+                    if key not in named and entry.status in (DONE, FAILED)]:
+            del self.jobs[key]
 
     def _touch(self, worker: str) -> None:
         info = self.workers.get(worker)
@@ -392,6 +426,14 @@ class CoordinatorState:
                     if entry.seconds is not None:
                         tally.seconds.append(entry.seconds)
         return tally
+
+    def sweeps_since(self, count: int) -> Tuple[List[SweepRecord], int]:
+        """The kept sweeps accepted after the first ``count``, and the
+        number accepted so far, forgotten ones included, so a reader
+        that keeps it as a cursor sees each later sweep once."""
+        records = list(self.sweeps.values())
+        accepted = records[-1].number if records else 0  # never forgotten
+        return [record for record in records if record.number > count], accepted
 
     def sweep_status(self, sweep_id: str) -> Optional[Dict[str, object]]:
         record = self.sweeps.get(sweep_id)

@@ -33,7 +33,6 @@ _LAZY = {
     "FidelityGate": "repro.fastsim.gate",
     "FidelityOutcome": "repro.fastsim.orchestrator",
     "run_fidelity_sweep": "repro.fastsim.orchestrator",
-    "FastModelProbes": "repro.fastsim.probes",
     "predict": "repro.fastsim.model",
     "simulate_job_fast": "repro.fastsim.model",
 }
@@ -56,7 +55,6 @@ __all__ = [
     "CalibrationRecord",
     "FidelityGate",
     "FidelityOutcome",
-    "FastModelProbes",
     "FAST_MODEL_VERSION",
     "FIDELITY_AUTO",
     "FIDELITY_EXACT",

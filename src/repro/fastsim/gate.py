@@ -59,9 +59,10 @@ DENOMINATOR_FLOORS: Mapping[str, float] = {
 BOUND_MARGIN = 1.25
 BOUND_FLOOR = 0.01
 
-#: Default validation-sample sizing.
-DEFAULT_FRACTION = 0.2
-DEFAULT_MIN_SAMPLES = 3
+#: Validation-sample sizing: this fraction of a sweep's fast jobs, and
+#: at least this many of them.
+FRACTION = 0.2
+MIN_SAMPLES = 3
 
 
 def metric_value(result: RunResult, metric: str) -> float:
@@ -129,25 +130,9 @@ class CalibrationRecord:
 class FidelityGate:
     """Selects validation points and calibrates error bars.
 
-    ``fraction`` of a sweep's jobs (at least ``min_samples``, at most
-    all of them) is validated against the exact simulator.  ``salt``
-    perturbs the selection without touching job identities — sweeps
-    that want non-overlapping validation sets use distinct salts.
+    :data:`FRACTION` of a sweep's jobs (at least :data:`MIN_SAMPLES`,
+    at most all of them) is validated against the exact simulator.
     """
-
-    def __init__(
-        self,
-        fraction: float = DEFAULT_FRACTION,
-        min_samples: int = DEFAULT_MIN_SAMPLES,
-        salt: str = "",
-    ) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.fraction = fraction
-        self.min_samples = min_samples
-        self.salt = salt
 
     # ------------------------------------------------------------------
     def sample_size(self, population: int) -> int:
@@ -155,23 +140,20 @@ class FidelityGate:
         if population <= 0:
             return 0
         return min(
-            population,
-            max(self.min_samples, math.ceil(self.fraction * population)),
+            population, max(MIN_SAMPLES, math.ceil(FRACTION * population))
         )
 
     def select(self, job_keys: Sequence[str]) -> List[int]:
         """Indices of the jobs chosen for exact validation.
 
-        Jobs are ranked by the SHA-256 digest of ``salt + job key``;
-        the lowest digests win.  Pure function of the inputs — every
+        Jobs are ranked by the SHA-256 digest of their job key; the
+        lowest digests win.  Pure function of the inputs — every
         process that prepares the same sweep agrees on the sample.
         """
         ranked = sorted(
             range(len(job_keys)),
             key=lambda index: (
-                hashlib.sha256(
-                    (self.salt + str(job_keys[index])).encode("utf-8")
-                ).hexdigest(),
+                hashlib.sha256(str(job_keys[index]).encode("utf-8")).hexdigest(),
                 index,
             ),
         )
@@ -197,7 +179,7 @@ class FidelityGate:
             }
         return CalibrationRecord(
             samples=len(pairs),
-            fraction=self.fraction,
+            fraction=FRACTION,
             model_version=FAST_MODEL_VERSION,
             errors=errors,
         )

@@ -44,10 +44,10 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.common.config import SystemConfig
 from repro.dram.power import DRAMPowerModel
 from repro.fastsim.banktables import BankTimingTable, bank_table
-from repro.fastsim.probes import FastModelProbes
 from repro.fastsim.version import FAST_MODEL_VERSION, FIDELITY_FAST
 from repro.prefetch.slh import LikelihoodTables
 from repro.system.results import RunResult
+from repro.telemetry.probes import EpochProbes
 from repro.workloads.trace import Trace
 
 #: Stream position at which the Power5-style processor-side prefetcher
@@ -79,7 +79,7 @@ class _FastState:
 
     The per-config pass keeps its counters in locals and stores them
     here before each boundary; ``epochs``, the count of closed epochs,
-    lives only here.
+    lives only here and :func:`_close_epoch` advances it.
     """
 
     __slots__ = (
@@ -96,7 +96,7 @@ class _FastState:
 def _close_epoch(
     state: _FastState,
     table: BankTimingTable,
-    probes: Optional[FastModelProbes],
+    probes: Optional[EpochProbes],
     slh: Optional[LikelihoodTables],
 ) -> float:
     """Batched state advance at one SLH epoch boundary.
@@ -104,9 +104,8 @@ def _close_epoch(
     Converts the closing epoch's observed bank/bus busy time into
     utilisation, returns the queue wait applied throughout the *next*
     epoch (M/D/1 waiting time against the busier of the two
-    resources), and emits one probe sample.  ``state`` is left as it
-    is, so the trailing partial epoch can be sampled without being
-    counted; the caller advances ``state.epochs``.
+    resources), counts the epoch closed and hands it to ``probes``:
+    its 1-based index, the running counters and the point values.
     """
     epoch_mc = max(1.0, state.epoch_cpu / state.cpu_ratio)
     rho_bank = state.epoch_bank / (epoch_mc * table.banks)
@@ -118,20 +117,21 @@ def _close_epoch(
     # (dependent misses release in clumps when a stall resolves), which
     # the deterministic-service halving underestimates.
     q_wait = avg_service * rho / (1.0 - rho)
+    state.epochs += 1
     if probes is not None:
-        probes.sample(
+        points = {"fast.rho": rho, "fast.queue_wait_mc": q_wait}
+        if slh is not None:
+            points["fast.slh_bars"] = tuple(slh.curr[1:])
+        probes.record_epoch(
             state.epochs,
             {
-                "rho": rho,
-                "queue_wait_mc": q_wait,
-                "mc_reads": state.mc_reads,
-                "pb_hits": state.pb_hits,
-                "prefetches": state.pb_inserts,
-                "row_hit_rate": (
-                    state.row_hits / state.row_refs if state.row_refs else 0.0
-                ),
-                "slh_bars": list(slh.curr[1:]) if slh is not None else [],
+                "mc.reads": state.mc_reads,
+                "fast.pb_hits": state.pb_hits,
+                "fast.prefetches": state.pb_inserts,
+                "fast.row_hits": state.row_hits,
+                "fast.row_refs": state.row_refs,
             },
+            points,
         )
     return q_wait
 
@@ -223,7 +223,7 @@ def _ps_waste(pos: int, ramp: int, lead: int) -> int:
 def predict(
     config: SystemConfig,
     traces: Union[Trace, Sequence[Trace]],
-    probes: Optional[FastModelProbes] = None,
+    probes: Optional[EpochProbes] = None,
 ) -> RunResult:
     """Predict one run's outcome from one pass over the trace's misses.
 
@@ -232,7 +232,9 @@ def predict(
     thread) so callers can swap fidelity tiers without reshaping
     arguments.  Several traces are interleaved record by record into
     one stream.  The capacity filter comes from :func:`miss_stream`, so
-    only the first config to see a trace pays for it.
+    only the first config to see a trace pays for it.  An unbound
+    :class:`~repro.telemetry.probes.EpochProbes` passed as ``probes``
+    records every closed epoch; the unclosed tail is not sampled.
     """
     if isinstance(traces, Trace):
         traces = [traces]
@@ -240,6 +242,8 @@ def predict(
     if not traces:
         raise ValueError("predict: traces is empty; pass at least one Trace")
     config.validate()
+    if probes is not None:
+        probes.bind()
     trace = traces[0] if len(traces) == 1 else Trace.interleave(traces)
     hier = config.hierarchy
     core = config.core
@@ -442,7 +446,6 @@ def predict(
                 st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
                 st.row_hits, st.row_refs = row_hits, refs
                 q_wait = _close_epoch(st, table, probes, slh)
-                st.epochs += 1
                 lat_base = overhead_mc + q_wait
                 ps_need = (lat_base + read_hit) * cpu_ratio
                 epoch_start_cpu, epoch_start_refs = cpu_cycles, refs
@@ -494,7 +497,6 @@ def predict(
             st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
             st.row_hits, st.row_refs = row_hits, refs
             q_wait = _close_epoch(st, table, probes, None)
-            st.epochs += 1
             lat_base = overhead_mc + q_wait
             ps_need = (lat_base + read_hit) * cpu_ratio
             epoch_start_cpu, epoch_start_refs = cpu_cycles, refs
@@ -513,17 +515,6 @@ def predict(
         # utilisation the epochs observed.
         mc_reads += ps_overshoot
         dram_reads += ps_overshoot
-
-    # Sample the trailing partial epoch so probes cover the tail.  It
-    # closes no epoch: a probed run reports what an unprobed one does.
-    if probes is not None and cpu_cycles != epoch_start_cpu:
-        st.epoch_cpu, st.epoch_bank, st.epoch_refs = (
-            cpu_cycles - epoch_start_cpu, epoch_bank,
-            row_refs - epoch_start_refs,
-        )
-        st.mc_reads, st.pb_hits, st.pb_inserts = mc_reads, pb_hits, pb_inserts
-        st.row_hits, st.row_refs = row_hits, row_refs
-        _close_epoch(st, table, probes, slh)
 
     mc_cycles = max(1, round(cpu_cycles / cpu_ratio))
     regular = dram_reads + dram_writes - pb_inserts
@@ -583,7 +574,7 @@ def simulate_job_fast(
     accesses: int,
     seed: int,
     threads: int = 1,
-    probes: Optional[FastModelProbes] = None,
+    probes: Optional[EpochProbes] = None,
 ) -> RunResult:
     """Fast-tier twin of :func:`repro.experiments.runner.simulate_job`.
 

@@ -54,7 +54,7 @@ from repro.fastsim.version import SWEEP_FIDELITIES
 from repro.system.results import RunResult
 
 #: The config whose runs anchor gain-vs-baseline escalation decisions.
-DEFAULT_BASELINE_CONFIG = "NP"
+BASELINE_CONFIG = "NP"
 
 
 @dataclasses.dataclass
@@ -76,9 +76,7 @@ def _twin(job: Job) -> Job:
     return replace(job, fidelity="exact")
 
 
-def validation_plan(
-    jobs: Sequence[Job], gate: Optional[FidelityGate] = None
-) -> List[Job]:
+def validation_plan(jobs: Sequence[Job]) -> List[Job]:
     """The jobs, then the exact twin of each fast job the gate samples.
 
     The gate samples by store job key, so every process that plans the
@@ -86,14 +84,13 @@ def validation_plan(
     """
     fast = [job for job in jobs if job.fidelity == "fast"]
     keys = [store.job_key(prepare(job)[1]) for job in fast]
-    sample = (gate or FidelityGate()).select(keys)
+    sample = FidelityGate().select(keys)
     return list(jobs) + [_twin(fast[i]) for i in sample]
 
 
 def calibrate_plan(
     jobs: Sequence[Job],
     results: Sequence[Optional[RunResult]],
-    gate: Optional[FidelityGate] = None,
 ) -> Optional[CalibrationRecord]:
     """Calibrate a finished plan and stamp its fast results.
 
@@ -117,7 +114,7 @@ def calibrate_plan(
     ]
     if not pairs:
         return None
-    record = (gate or FidelityGate()).calibrate(pairs)
+    record = FidelityGate().calibrate(pairs)
     for _job, result in fast:
         FidelityGate.attach(result, record)
     return record
@@ -127,8 +124,6 @@ def run_fidelity_sweep(
     specs: Sequence[Job],
     fidelity: str = "exact",
     jobs: int = 1,
-    gate: Optional[FidelityGate] = None,
-    baseline_config: str = DEFAULT_BASELINE_CONFIG,
     use_store: Optional[bool] = None,
     **run_kwargs: object,
 ) -> FidelityOutcome:
@@ -152,16 +147,15 @@ def run_fidelity_sweep(
         )
         return FidelityOutcome(results=outcome.results, stats=outcome.stats)
 
-    gate = gate or FidelityGate()
     tiered = [
         replace(job, fidelity="exact" if fidelity == "auto" and job.overrides
                 else "fast")
         for job in specs
     ]
-    plan = validation_plan(tiered, gate)
+    plan = validation_plan(tiered)
     outcome = run_jobs(plan, jobs=jobs, use_store=use_store, **run_kwargs)
     stats = outcome.stats
-    record = calibrate_plan(plan, outcome.results, gate)
+    record = calibrate_plan(plan, outcome.results)
     if record is not None:
         # The sweep persisted the fast results before calibration
         # existed; re-put them stamped so stored entries carry the bars.
@@ -184,9 +178,7 @@ def run_fidelity_sweep(
         # serve them instead of their fast twins.
         for i in validated:
             results[i] = twins[_twin(tiered[i])]
-        escalated = _escalate_boundary_points(
-            tiered, results, record, baseline_config
-        )
+        escalated = _escalate_boundary_points(tiered, results, record)
         if escalated:
             rerun = run_jobs(
                 [_twin(tiered[i]) for i in escalated],
@@ -209,12 +201,11 @@ def _escalate_boundary_points(
     specs: Sequence[Job],
     results: Sequence[RunResult],
     record: CalibrationRecord,
-    baseline_config: str,
 ) -> List[int]:
     """Indices of fast points too close to the gain decision boundary.
 
     A point is undecidable when its predicted gain over the sweep's
-    own baseline run (same benchmark/trace shape, ``baseline_config``)
+    own baseline run (same benchmark/trace shape, :data:`BASELINE_CONFIG`)
     is smaller than the calibrated cycle-error band — the fast model
     cannot even sign the comparison there, so ``auto`` buys the exact
     answer.  Only fast-tier jobs take part: an exact job (a variant) is
@@ -228,11 +219,11 @@ def _escalate_boundary_points(
     fast = [i for i, job in enumerate(specs) if job.fidelity == "fast"]
     baselines: Dict[Tuple, RunResult] = {
         cell(specs[i]): results[i] for i in fast
-        if specs[i].config_name == baseline_config
+        if specs[i].config_name == BASELINE_CONFIG
     }
     return [
         i for i in fast
-        if specs[i].config_name != baseline_config
+        if specs[i].config_name != BASELINE_CONFIG
         and results[i].fidelity is not None
         and cell(specs[i]) in baselines
         and near_decision_boundary(results[i], baselines[cell(specs[i])],

@@ -1,23 +1,16 @@
-"""Bridges from existing instrumentation into the metrics registry.
+"""The bridge from a finished run into the metrics registry.
 
-The simulator already measures itself — ``RunResult.stats`` carries the
-end-of-run counter bag, ``System.loop_stats`` the main-loop accounting,
-and the telemetry :class:`~repro.telemetry.tracer.Tracer` its per-kind
-event counts.  This module folds those *coarse per-run totals* into a
-metrics registry, once per completed run — never per cycle, so the
-simulated machine stays free of metrics calls on its hot paths (and of
-wall-clock reads entirely; everything here is counts).
-
-:func:`publish_run` reads only the ``RunResult``, so the sweep engine
-calls it in the parent for every job it executed, whichever process or
-fidelity tier ran it.  :func:`publish_loop` and :func:`publish_tracer`
-need the live ``System`` and are called by ``System._collect`` with the
-process's default registry.  A disabled registry returns immediately.
+The simulator already measures itself: ``RunResult.stats`` carries the
+end-of-run counter bag.  :func:`publish_run` folds its *coarse per-run
+totals* into a metrics registry, once per completed run — never per
+cycle, so the simulated machine stays free of metrics calls (and of
+wall-clock reads entirely; everything here is counts).  It reads only
+the ``RunResult``, so the sweep engine calls it in the parent for every
+job it executed, whichever process or fidelity tier ran it.  A
+disabled registry returns immediately.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -58,47 +51,3 @@ def publish_run(registry: MetricsRegistry, result, loop_mode: str) -> None:
                 f"repro_run_{suffix}_total",
                 f"Per-run total of the {stat_key} counter.",
             ).inc(value)
-
-
-def publish_loop(
-    registry: MetricsRegistry, loop_stats: Mapping[str, object]
-) -> None:
-    """Fold one run's main-loop accounting (``System.loop_stats``)."""
-    if not registry.enabled:
-        return
-    mode = str(loop_stats.get("mode", "")) or "unknown"
-    registry.counter(
-        "repro_loop_ticks_total",
-        "Main-loop ticks actually executed, by loop mode.",
-        ("loop_mode",),
-    ).inc(loop_stats.get("ticks_executed", 0), loop_mode=mode)
-    registry.counter(
-        "repro_loop_jumps_total", "Event-driven fast-forward jumps taken."
-    ).inc(loop_stats.get("jumps", 0))
-    registry.counter(
-        "repro_loop_cycles_skipped_total",
-        "Cycles covered by fast-forward jumps instead of ticks.",
-    ).inc(loop_stats.get("cycles_skipped", 0))
-
-
-def publish_tracer(registry: MetricsRegistry, tracer) -> None:
-    """Mirror a tracer's per-kind event counts and overhead.
-
-    ``tracer`` is a :class:`~repro.telemetry.tracer.Tracer`; its
-    :meth:`~repro.telemetry.tracer.Tracer.metrics_snapshot` is the
-    small bridge API the telemetry package exposes for exactly this.
-    """
-    if not registry.enabled:
-        return
-    snapshot = tracer.metrics_snapshot()
-    events = registry.counter(
-        "repro_telemetry_events_total",
-        "Telemetry events emitted across traced runs, by kind.",
-        ("kind",),
-    )
-    for kind, count in sorted(snapshot["events"].items()):
-        events.inc(count, kind=kind)
-    registry.counter(
-        "repro_telemetry_overhead_seconds_total",
-        "Self-measured wall clock spent inside tracer dispatch.",
-    ).inc(snapshot["overhead_seconds"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.experiments.sweep import expand_grid
-from repro.fastsim.gate import CalibrationRecord, FidelityGate
+from repro.fastsim.gate import CalibrationRecord
 from repro.fastsim.orchestrator import FidelityOutcome, run_fidelity_sweep
 from repro.system.presets import CONFIG_NAMES
 from repro.workloads.dynamic import trace_benchmark
@@ -24,7 +24,6 @@ def calibrate_trace(
     accesses: Optional[int] = None,
     seed: Optional[int] = None,
     jobs: int = 1,
-    gate: Optional[FidelityGate] = None,
     use_store: Optional[bool] = None,
 ) -> Tuple[CalibrationRecord, FidelityOutcome]:
     """Calibrate the fast model on one converted trace file.
@@ -42,7 +41,7 @@ def calibrate_trace(
     specs = expand_grid([benchmark], list(configs), accesses=accesses,
                         seed=seed)
     outcome = run_fidelity_sweep(
-        specs, fidelity="fast", jobs=jobs, gate=gate, use_store=use_store,
+        specs, fidelity="fast", jobs=jobs, use_store=use_store,
     )
     assert outcome.record is not None  # fast sweeps always calibrate
     return outcome.record, outcome

@@ -34,8 +34,6 @@ from repro.controller.controller import MemoryController
 from repro.cpu.core import Core
 from repro.dram.device import DRAMDevice
 from repro.dram.power import DRAMPowerModel
-from repro.obs import bridge
-from repro.obs import metrics as obs_metrics
 from repro.prefetch.asd_processor_side import build_processor_side
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.system.results import RunResult
@@ -316,7 +314,7 @@ class System:
             telemetry = {"tracer": self.tracer.summary()}
             if self.probes is not None:
                 telemetry["probes"] = self.probes.summary()
-        result = RunResult(
+        return RunResult(
             config_name=self.config.name,
             benchmark=self.traces[0].name,
             cycles=self.now,
@@ -326,16 +324,6 @@ class System:
             power=self.power_model.finalize(self.now),
             telemetry=telemetry,
         )
-        # Main-loop and tracer totals for the fleet-level metrics
-        # registry (repro.obs) — one bridge call per completed run, never
-        # per cycle, and a no-op unless metrics were explicitly enabled.
-        # The result's own totals are folded by the sweep that ran it.
-        registry = obs_metrics.default_registry()
-        if registry.enabled:
-            bridge.publish_loop(registry, self.loop_stats)
-            if self.tracer.enabled:
-                bridge.publish_tracer(registry, self.tracer)
-        return result
 
 
 def simulate(

@@ -6,10 +6,11 @@ The observability layer for the whole simulator:
   instrumented block emits into (``NULL_TRACER`` is the shared disabled
   default, so untraced runs pay nothing).
 * :mod:`repro.telemetry.events` — the typed event catalogue.
-* :mod:`repro.telemetry.series` — bounded ring-buffered time series.
-* :mod:`repro.telemetry.probes` — :class:`EpochProbes`, sampling SLH
-  snapshots, queue depths, prefetch accuracy/coverage, policy index and
-  DRAM power once per epoch.
+* :mod:`repro.telemetry.series` — bounded per-epoch time series.
+* :mod:`repro.telemetry.probes` — :class:`EpochProbes`, the per-epoch
+  series of one run of either tier: SLH snapshots, queue depths,
+  prefetch accuracy/coverage, policy index and DRAM power for an exact
+  run, the fast model's own quantities for a fast one.
 * :mod:`repro.telemetry.exporters` — JSONL event logs, CSV/JSON series
   dumps, human-readable epoch reports.
 * :mod:`repro.telemetry.session` — :class:`TelemetrySession`, wiring it
@@ -38,7 +39,7 @@ from repro.telemetry.exporters import (
     series_to_json,
 )
 from repro.telemetry.probes import EpochProbes
-from repro.telemetry.series import RingBuffer, Series
+from repro.telemetry.series import Series
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -54,7 +55,6 @@ __all__ = [
     "PrefetchHit",
     "PrefetchIssued",
     "QueueDepthSample",
-    "RingBuffer",
     "Series",
     "TelemetrySession",
     "TraceEvent",

@@ -1,92 +1,56 @@
-"""Ring-buffered per-epoch time series.
+"""Bounded per-epoch time series.
 
 Probes sample unbounded runs, so series storage must be bounded: a
-:class:`RingBuffer` keeps the most recent ``capacity`` samples and
-counts what it dropped, and a :class:`Series` pairs each retained value
-with the epoch index it was sampled at (so wrapped series still line up
-across probes).
+:class:`Series` keeps the most recent ``capacity`` samples in a
+``collections.deque``, counts what it dropped, and pairs each retained
+value with the epoch index it was sampled at (so wrapped series still
+line up across probes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
-
-
-class RingBuffer:
-    """Fixed-capacity FIFO over arbitrary values.
-
-    Appending past capacity overwrites the oldest sample; ``dropped``
-    counts how many were lost that way.  ``values()`` always returns the
-    retained samples oldest-first.
-    """
-
-    __slots__ = ("capacity", "_buf", "_start", "dropped")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._buf: List[Any] = []
-        self._start = 0  # index of the oldest element once wrapped
-        self.dropped = 0
-
-    def append(self, value: Any) -> None:
-        """Add a sample, evicting the oldest when full."""
-        if len(self._buf) < self.capacity:
-            self._buf.append(value)
-            return
-        self._buf[self._start] = value
-        self._start = (self._start + 1) % self.capacity
-        self.dropped += 1
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.values())
-
-    def values(self) -> List[Any]:
-        """Retained samples, oldest first."""
-        return self._buf[self._start :] + self._buf[: self._start]
+from collections import deque
+from typing import Any, Deque, List, Tuple
 
 
 class Series:
-    """A named sequence of (epoch, value) samples in a ring buffer."""
+    """A named sequence of (epoch, value) samples, oldest dropped first."""
 
-    __slots__ = ("name", "_ring")
+    __slots__ = ("name", "_samples", "dropped")
 
     def __init__(self, name: str, capacity: int = 4096) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
         self.name = name
-        self._ring = RingBuffer(capacity)
+        self._samples: Deque[Tuple[int, Any]] = deque(maxlen=capacity)
+        #: samples lost to wraparound
+        self.dropped = 0
 
     def record(self, epoch: int, value: Any) -> None:
         """Append one sample taken at ``epoch``."""
-        self._ring.append((epoch, value))
+        if len(self._samples) == self._samples.maxlen:
+            self.dropped += 1
+        self._samples.append((epoch, value))
 
     def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def dropped(self) -> int:
-        """Samples lost to ring wraparound."""
-        return self._ring.dropped
+        return len(self._samples)
 
     def samples(self) -> List[Tuple[int, Any]]:
         """All retained (epoch, value) pairs, oldest first."""
-        return self._ring.values()
+        return list(self._samples)
 
     def epochs(self) -> List[int]:
         """Epoch indices of the retained samples."""
-        return [e for e, _ in self._ring.values()]
+        return [e for e, _ in self._samples]
 
     def points(self) -> List[Any]:
         """Values of the retained samples."""
-        return [v for _, v in self._ring.values()]
+        return [v for _, v in self._samples]
 
     @property
     def is_scalar(self) -> bool:
         """True when every retained value is a plain number."""
-        return all(isinstance(v, (int, float)) for _, v in self._ring.values())
+        return all(isinstance(v, (int, float)) for _, v in self._samples)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Series({self.name!r}, n={len(self)}, dropped={self.dropped})"

@@ -38,7 +38,7 @@ class Tracer:
     """
 
     __slots__ = ("enabled", "_global_sinks", "_kind_sinks", "counts",
-                 "_overhead_s", "_published_counts", "_published_overhead_s")
+                 "_overhead_s")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -47,8 +47,6 @@ class Tracer:
         #: events dispatched so far, per kind
         self.counts: Dict[str, int] = defaultdict(int)
         self._overhead_s = 0.0
-        self._published_counts: Dict[str, int] = {}
-        self._published_overhead_s = 0.0
 
     # ------------------------------------------------------------------
     # subscription
@@ -114,25 +112,6 @@ class Tracer:
             "total_events": self.total_events,
             "overhead_seconds": self._overhead_s,
         }
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Per-kind counts and overhead *since the previous snapshot*.
-
-        This is the bridge API :func:`repro.obs.bridge.publish_tracer`
-        folds into the fleet-level metrics registry after each traced
-        run.  Delta semantics (not cumulative) make the fold idempotent
-        when one tracer outlives several runs: each event and each
-        second of overhead is published exactly once.
-        """
-        events = {
-            kind: count - self._published_counts.get(kind, 0)
-            for kind, count in sorted(self.counts.items())
-            if count - self._published_counts.get(kind, 0)
-        }
-        overhead = self._overhead_s - self._published_overhead_s
-        self._published_counts = dict(self.counts)
-        self._published_overhead_s = self._overhead_s
-        return {"events": events, "overhead_seconds": overhead}
 
 
 #: The shared, permanently disabled tracer every block defaults to.

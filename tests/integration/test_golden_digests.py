@@ -9,8 +9,9 @@ computes fails here.  One exact probe series (``EpochProbes`` reads
 the occupancy integrals mid-run) is pinned the same way.  The fast
 tier has no second implementation to check against, so its results
 (``simulate_job_fast``: the exact grid's variants, plus every profile
-under NP/PS/MS/PMS), one fast-model probe series and the generated
-trace records it reads (every profile) are pinned as well.
+under NP/PS/MS/PMS), one fast-tier probe series (the same
+``EpochProbes``, pinned the same way) and the generated trace records
+it reads (every profile) are pinned as well.
 
 Re-pin only when a change is meant to alter results::
 
@@ -25,7 +26,7 @@ import pytest
 
 from repro import BENCHMARKS, generate_trace, get_profile
 from repro.experiments import runner, store
-from repro.fastsim import FastModelProbes, simulate_job_fast
+from repro.fastsim import simulate_job_fast
 from repro.system.presets import make_config
 from repro.telemetry import EpochProbes, Tracer
 
@@ -236,7 +237,7 @@ FAST_GOLDEN = {
     "notesbench/PMS": "1b27efdfc5b1381978676be51bfa3c7119d4de58b4439db99846ea86d320adec",
 }
 EXACT_PROBE_GOLDEN = "5337a96c9da89e5e65b3d9384f411bc1420edb2fb37ae659f101bf5d240c8867"
-PROBE_GOLDEN = "fe25c67828bddfefa20e99324aab8d321b2eb1ab2b7bc7c828a59cff1015e469"
+PROBE_GOLDEN = "c8d22d3af8ebf386e65c8bcbe04458b67f30ea399ab272ba3dab6ad153f1b91b"
 TRACE_GOLDEN = {
     "GemsFDTD": "9c3d326aa1a927c85859ea2d82a19e42954c0b091b579359834efbae1e9a5fa5",
     "milc": "753c6da1f773350c867698bd7693c5e354d7e20ee69db165d666d8cd99ece83c",
@@ -305,10 +306,10 @@ def _exact_probe_digest():
 
 
 def _probe_digest():
-    probes = FastModelProbes()
+    probes = EpochProbes(interval=1)
     simulate_job_fast(make_config("PMS"), "GemsFDTD", PROBE_ACCESSES, SEED,
                       probes=probes)
-    return _sha256(probes.as_dict())
+    return _sha256({name: s.samples() for name, s in probes.series.items()})
 
 
 def _trace_digest(label):

@@ -107,18 +107,23 @@ def test_queue_depth_samples_identical_across_modes():
     assert len(samples["event"]) > 2
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_probe_series_identical_across_modes(threads):
+@pytest.mark.parametrize("threads,interval", [
+    pytest.param(1, 1, id="1"),
+    pytest.param(2, 1, id="2"),
+    pytest.param(1, 3, id="1-interval3"),
+    pytest.param(2, 3, id="2-interval3"),
+])
+def test_probe_series_identical_across_modes(threads, interval):
     # EpochProbes reads the mc.ticks / mc.occ_* integrals mid-run, at
-    # every epoch boundary: the event loop must hold them exact there,
-    # not only at the end of the run
+    # every sampled epoch boundary: the event loop must hold them exact
+    # there, not only at the end of the run, whatever the stride
     traces = [
         generate_trace(get_profile("GemsFDTD").workload, 8000, seed=1 + t)
         for t in range(threads)
     ]
     series = {}
     for loop in LOOP_MODES:
-        probes = EpochProbes(interval=1)
+        probes = EpochProbes(interval=interval)
         config = make_config("PMS", threads=threads)
         System(config, traces, tracer=Tracer(enabled=True),
                probes=probes).run(loop=loop)
@@ -133,7 +138,10 @@ def test_probe_series_identical_across_modes(threads):
         if name.startswith("queue.") and name.endswith(".avg")
     ]
     assert len(averages) == 4
-    assert all(len(values) > 4 and max(values) > 0 for values in averages)
+    sampled = list(range(1, probes.epochs_seen + 1, interval))
+    assert probes.epochs_seen > 4 and probes.sampled_epochs() == sampled
+    assert all(len(values) == len(sampled) and max(values) > 0
+               for values in averages)
 
 
 def test_resolve_loop_mode_validates():

@@ -4,10 +4,14 @@ Covers the acceptance path of the obs subsystem: a sweep with metrics
 enabled populates job/store/run counters; a forced worker crash or
 timeout leaves a readable post-mortem JSON under
 ``.repro-results/postmortem/``; and a disabled registry keeps every
-instrumented path on its zero-cost branch.
+instrumented path on its zero-cost branch.  Run metrics are folded in
+the sweep's parent from each result, so the simulator itself imports
+no part of ``repro.obs``.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -20,6 +24,9 @@ from repro.obs.progress import SweepProgress
 from repro.system.simulator import default_loop_mode
 
 ACCESSES = 900
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+)
 
 
 @pytest.fixture(autouse=True)
@@ -101,6 +108,35 @@ class TestMetricsFlow:
         # a store hit executes nothing, so it counts nothing
         sweep.run_jobs(specs, jobs=jobs, metrics=registry)
         assert sum(value for _, value in completed.samples()) == 4.0
+
+    def test_simulator_imports_no_obs_module(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.system.simulator; print(sorted("
+             "m for m in sys.modules if m.startswith('repro.obs')))"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_serial_and_pool_sweeps_register_the_same_metrics(self):
+        names = {}
+        for jobs in (1, 2):
+            runner.clear_cache()
+            registry = obs_metrics.MetricsRegistry(enabled=True)
+            obs_metrics.set_default_registry(registry)
+            specs = [sweep.Job("milc", "NP", accesses=ACCESSES),
+                     sweep.Job("tonto", "PMS", accesses=ACCESSES)]
+            out = sweep.run_jobs(specs, jobs=jobs, metrics=registry,
+                                 use_store=False)
+            assert (out.stats.executed_serial
+                    + out.stats.executed_parallel) == 2
+            names[jobs] = sorted(inst.name for inst in registry.collect())
+        assert names[1] == names[2]
+        assert "repro_runs_completed_total" in names[1]
 
     def test_parallel_sweep_reports_queue_wait_and_exec_time(self):
         registry = obs_metrics.MetricsRegistry(enabled=True)

@@ -5,7 +5,8 @@ the full event catalogue as parseable JSONL; probe series line up with
 the simulator's own state (the SLH decision series must equal the
 inequality-(5) verdicts recomputed from the recorded ``lht`` vectors);
 and telemetry flows through the CLI and the experiment runner without
-polluting the run cache.
+polluting the run cache.  Both fidelity tiers record into the same
+``EpochProbes``: one stride, one window-delta rule, closed epochs only.
 """
 
 import gc
@@ -15,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import runner
+from repro.fastsim import simulate_job_fast
 from repro.system.presets import make_config
 from repro.system.simulator import System, simulate
 from repro.telemetry import (
@@ -22,7 +24,10 @@ from repro.telemetry import (
     EpochProbes,
     TelemetrySession,
     Tracer,
+    epoch_report,
     read_events_jsonl,
+    series_to_csv,
+    series_to_json,
 )
 from repro.workloads.trace import Trace
 
@@ -158,6 +163,97 @@ class TestProbesNeedATracer:
         simulate(_small_epoch_config(), [_two_phase_trace()],
                  tracer=Tracer(), probes=probes)
         assert probes.samples_taken > 0
+
+
+#: (benchmark, config) cells both tiers probe, at 8,000 accesses
+TIER_CELLS = [(bench, config) for bench in ("GemsFDTD", "milc")
+              for config in ("PS", "PMS")]
+TIER_INTERVALS = (1, 3)
+
+
+def _probe_run(tier, bench, config, interval):
+    """(probes, result, closed epochs) of one probed run of ``tier``."""
+    probes = EpochProbes(interval=interval)
+    if tier == "exact":
+        result = runner.simulate_job(make_config(config), bench, 8000, 1,
+                                     tracer=Tracer(enabled=True), probes=probes)
+        return probes, result, int(result.stats.get("ms.epochs", 0))
+    result = simulate_job_fast(make_config(config), bench, 8000, 1,
+                               probes=probes)
+    return probes, result, int(result.stats["fast.epochs"])
+
+
+@pytest.fixture(scope="module")
+def tier_runs():
+    return {
+        (tier, bench, config, interval): _probe_run(tier, bench, config,
+                                                    interval)
+        for tier in ("exact", "fast")
+        for bench, config in TIER_CELLS
+        for interval in TIER_INTERVALS
+    }
+
+
+class TestOneSeriesModel:
+    """The exact and fast tiers record into one ``EpochProbes`` schema."""
+
+    def test_both_tiers_sample_every_kth_closed_epoch(self, tier_runs):
+        for (tier, bench, config, interval), run in tier_runs.items():
+            probes, _result, closed = run
+            # closed epochs 1, 1+k, 1+2k, ...; never the unclosed tail
+            assert probes.epochs_seen == closed, (tier, bench, config)
+            assert probes.sampled_epochs() == list(
+                range(1, closed + 1, interval)), (tier, bench, config)
+        for bench, _ in TIER_CELLS:
+            # not vacuous: under PMS both tiers close several epochs (the
+            # exact tier's epochs are the memory-side engine's, so PS
+            # closes none there)
+            for tier in ("exact", "fast"):
+                assert tier_runs[tier, bench, "PMS", 3][2] > 3
+
+    def test_one_name_for_reads_and_fast_names_for_the_rest(self, tier_runs):
+        for (tier, bench, config, interval), run in tier_runs.items():
+            probes, _result, closed = run
+            if closed:
+                assert "mc.reads" in probes.series, (tier, bench, config)
+            if tier == "fast":
+                assert all(name == "mc.reads" or name.startswith("fast.")
+                           for name in probes.series), sorted(probes.series)
+
+    def test_reads_are_counted_per_window(self, tier_runs):
+        for (tier, bench, config, interval), run in tier_runs.items():
+            if interval != 1 or not run[2]:
+                continue
+            probes, result, _closed = run
+            reads = probes.get("mc.reads").points()
+            # one epoch's reads each, never a running total: together
+            # they are the closed epochs' reads, the tail left out
+            assert min(reads) >= 1000, (tier, bench, config, reads)
+            assert sum(reads) <= result.stats["mc.reads_arrived"] - (
+                result.stats.get("fast.ps_overshoot_reads", 0))
+            if tier == "exact":
+                assert reads == [1000] * len(reads)
+            # a stride of 3 sums the windows it spans
+            window = dict(probes.get("mc.reads").samples())
+            strided = tier_runs[tier, bench, config, 3][0].get("mc.reads")
+            start = 0
+            for epoch, value in strided.samples():
+                assert value == sum(window[e] for e in range(start + 1,
+                                                             epoch + 1))
+                start = epoch
+
+    def test_exporters_serve_fast_probes(self, tier_runs, tmp_path):
+        probes = tier_runs["fast", "GemsFDTD", "PMS", 1][0]
+        rows = series_to_csv(probes, str(tmp_path / "fast.csv"))
+        header = (tmp_path / "fast.csv").read_text().splitlines()[0]
+        assert rows == probes.samples_taken
+        assert "mc.reads" in header.split(",")
+        doc = series_to_json(probes, str(tmp_path / "fast.json"))
+        assert doc["series"]["fast.slh_bars"]["epochs"] == (
+            probes.sampled_epochs())
+        report = epoch_report(probes)
+        assert str(probes.sampled_epochs()[-1]) in report
+        assert "no epochs sampled" not in report
 
 
 class TestCliTelemetry:

@@ -1,7 +1,14 @@
 """Unit tests for CoordinatorState with an injected fake clock."""
 
 from repro.experiments import sweep
-from repro.fabric.state import DONE, FAILED, LEASED, QUEUED, CoordinatorState
+from repro.fabric.state import (
+    DONE,
+    FAILED,
+    LEASED,
+    QUEUED,
+    SETTLED_SWEEPS,
+    CoordinatorState,
+)
 
 
 class FakeClock:
@@ -237,3 +244,83 @@ class TestViews:
         view = state.workers_view()
         assert view["w1"]["last_seen_seconds_ago"] == 7.0
         assert view["w1"]["leased"] == 1
+
+
+class TestBoundedRecord:
+    """Past SETTLED_SWEEPS settled sweeps the oldest is forgotten, with
+    the finished jobs no kept sweep names."""
+
+    def test_cap_plus_one_settled_sweeps(self):
+        state, clock = make_state()
+        open_sweep = state.submit([entry("open")])
+        first = state.submit([entry("k0", already_done=True)])
+        for n in range(1, SETTLED_SWEEPS + 1):
+            clock.advance(1.0)
+            state.submit([entry("grid", already_done=True),
+                          entry(f"k{n}", already_done=True)])
+        # the oldest settled sweep went; the open one stays
+        assert len(state.sweeps) == SETTLED_SWEEPS + 1
+        assert first.id not in state.sweeps
+        assert state.sweep_status(first.id) is None
+        assert open_sweep.id in state.sweeps
+        # k0 only belonged to the forgotten sweep; the queued job stays
+        assert "k0" not in state.jobs
+        assert state.jobs["open"].status == QUEUED
+        assert "grid" in state.jobs and "k1" in state.jobs
+        assert state.sweep_status(f"sweep-{SETTLED_SWEEPS + 2}")["done"]
+        # the open sweep settles last, so it stays and the one that
+        # settled first after the forgotten sweep goes
+        clock.advance(1.0)
+        state.lease("w1", 1)
+        state.complete("open", "w1")
+        assert len(state.sweeps) == SETTLED_SWEEPS
+        assert "sweep-3" not in state.sweeps and "k1" not in state.jobs
+        assert state.sweeps[open_sweep.id].tally.counts[DONE] == 1
+
+    def test_failed_job_given_again_after_its_sweep_was_forgotten(self):
+        state, _ = make_state(max_attempts=1)
+        first = state.submit([entry("k1")])
+        state.lease("w1", 1)
+        assert state.fail("k1", "w1", "boom") == "failed"
+        for n in range(SETTLED_SWEEPS):
+            state.submit([entry(f"done{n}", already_done=True)])
+        assert first.id not in state.sweeps and "k1" not in state.jobs
+        again = state.submit([entry("k1")])
+        assert again.deduped == 0 and again.settled is None
+        assert state.jobs["k1"].sweeps == [again.id]
+        assert state.lease("w1", 1).keys == ["k1"]
+        assert state.complete("k1", "w1") == "first"
+        assert state.sweep_status(again.id)["done"] is True
+
+    def test_cursor_counts_forgotten_sweeps(self):
+        state, _ = make_state()
+        records, seen = state.sweeps_since(0)
+        assert (records, seen) == ([], 0)
+        for n in range(1, SETTLED_SWEEPS + 3):
+            state.submit([entry("grid", already_done=True)])
+            records, seen = state.sweeps_since(seen)
+            # one new sweep per read: no replay, and none skipped when
+            # the oldest is forgotten
+            assert [record.id for record in records] == [f"sweep-{n}"]
+            assert seen == n
+        assert len(state.sweeps) == SETTLED_SWEEPS
+        records, total = state.sweeps_since(0)
+        assert total == SETTLED_SWEEPS + 2
+        assert records[0].id == "sweep-3"
+
+    def test_newest_sweep_is_kept_to_count_from(self):
+        state, clock = make_state()
+        for n in range(SETTLED_SWEEPS + 1):
+            state.submit([entry(f"k{n}")])
+        newest = state.submit([entry("done", already_done=True)])
+        assert newest.settled is not None
+        state.lease("w1", SETTLED_SWEEPS + 1)
+        for n in range(SETTLED_SWEEPS + 1):
+            clock.advance(1.0)
+            state.complete(f"k{n}", "w1")
+        # it settled first, yet the cursor still counts from it
+        assert len(state.sweeps) == SETTLED_SWEEPS
+        assert newest.id in state.sweeps and "sweep-3" in state.sweeps
+        assert "sweep-1" not in state.sweeps and "sweep-2" not in state.sweeps
+        assert state.sweeps_since(SETTLED_SWEEPS + 1) == (
+            [newest], SETTLED_SWEEPS + 2)

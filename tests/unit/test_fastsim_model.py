@@ -5,10 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro import generate_trace, get_profile, make_config
-from repro.fastsim import FastModelProbes, predict, simulate_job_fast
+from repro.fastsim import predict, simulate_job_fast
 from repro.fastsim.banktables import bank_table, clear_tables
 from repro.fastsim.model import miss_stream
 from repro.fastsim.version import FAST_MODEL_VERSION
+from repro.system.simulator import System
+from repro.telemetry import EpochProbes, Tracer, series_to_json
 from repro.workloads.trace import Trace
 
 ACCESSES = 1500
@@ -128,30 +130,45 @@ class TestCapacityFilter:
 
 class TestProbes:
     def test_epoch_series_recorded(self):
-        probes = FastModelProbes()
+        probes = EpochProbes()
         predict(make_config("PMS"), [trace_for("milc")], probes=probes)
-        assert probes.samples > 0
-        assert probes.rows("rho"), "no utilisation samples"
-        for _epoch, rho in probes.rows("rho"):
-            assert 0.0 <= rho < 1.0
-        assert len(probes.rows("mc_reads")) == probes.samples
+        assert probes.samples_taken > 0
+        rho = probes.get("fast.rho").points()
+        assert rho, "no utilisation samples"
+        assert all(0.0 <= value < 1.0 for value in rho)
+        assert len(probes.get("mc.reads")) == probes.samples_taken
 
     @pytest.mark.parametrize("name", ["NP", "PS", "MS", "PMS"])
     def test_probes_do_not_change_the_result(self, name):
-        # the trailing partial epoch is sampled, not closed: a probed
-        # run reports the same epochs and final queue wait
+        # probes record the closed epochs only: the unclosed tail is
+        # neither sampled nor counted
         trace = trace_for("milc")
-        probes = FastModelProbes()
+        probes = EpochProbes()
         probed = predict(make_config(name), [trace], probes=probes)
         assert probed == predict(make_config(name), [trace])
-        assert probes.samples == probed.stats["fast.epochs"] + 1
+        assert probes.samples_taken == probed.stats["fast.epochs"]
+        assert probes.sampled_epochs() == list(
+            range(1, probed.stats["fast.epochs"] + 1))
 
     def test_as_dict_is_json_shaped(self):
-        probes = FastModelProbes()
+        probes = EpochProbes()
         predict(make_config("PMS"), [trace_for("milc")], probes=probes)
-        doc = probes.as_dict()
-        assert doc["samples"] == probes.samples
-        assert "rho" in doc["series"]
+        doc = series_to_json(probes)
+        assert doc["samples_taken"] == probes.samples_taken
+        assert "fast.rho" in doc["series"]
+        assert all(isinstance(value, list)
+                   for value in doc["series"]["fast.slh_bars"]["values"])
+
+    def test_probes_record_one_run(self):
+        probes = EpochProbes()
+        predict(make_config("PMS"), [trace_for("milc")], probes=probes)
+        with pytest.raises(RuntimeError, match="one run"):
+            predict(make_config("PMS"), [trace_for("milc")], probes=probes)
+        exact = EpochProbes()
+        System(make_config("PMS"), [trace_for("milc")],
+               tracer=Tracer(enabled=True), probes=exact)
+        with pytest.raises(RuntimeError, match="one run"):
+            predict(make_config("PMS"), [trace_for("milc")], probes=exact)
 
 
 class TestBankTables:

@@ -1,42 +1,44 @@
-"""Unit tests for repro.telemetry.series — ring buffers and series."""
+"""Unit tests for repro.telemetry.series — bounded per-epoch series."""
 
 import pytest
 
-from repro.telemetry.series import RingBuffer, Series
+from repro.telemetry.series import Series
+
+
+def filled(capacity, count):
+    series = Series("x", capacity=capacity)
+    for epoch in range(1, count + 1):
+        series.record(epoch, epoch * 10)
+    return series
 
 
 class TestRingBuffer:
+    """The bound: the newest ``capacity`` samples stay, the rest count."""
+
     def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
+        with pytest.raises(ValueError, match="capacity"):
+            Series("x", capacity=0)
 
     def test_under_capacity_keeps_order(self):
-        rb = RingBuffer(4)
-        for v in (1, 2, 3):
-            rb.append(v)
-        assert rb.values() == [1, 2, 3]
-        assert rb.dropped == 0
+        series = filled(4, 3)
+        assert series.samples() == [(1, 10), (2, 20), (3, 30)]
+        assert series.dropped == 0
 
     def test_wraparound_keeps_most_recent(self):
-        rb = RingBuffer(3)
-        for v in range(6):
-            rb.append(v)
-        assert rb.values() == [3, 4, 5]
-        assert rb.dropped == 3
-        assert len(rb) == 3
+        series = filled(3, 6)
+        assert series.points() == [40, 50, 60]
+        assert series.dropped == 3
+        assert len(series) == 3
 
     def test_wraparound_partial(self):
-        rb = RingBuffer(4)
-        for v in range(5):
-            rb.append(v)
-        assert rb.values() == [1, 2, 3, 4]
-        assert rb.dropped == 1
+        series = filled(4, 5)
+        assert series.epochs() == [2, 3, 4, 5]
+        assert series.dropped == 1
 
     def test_iteration_matches_values(self):
-        rb = RingBuffer(2)
-        for v in (1, 2, 3):
-            rb.append(v)
-        assert list(rb) == rb.values() == [2, 3]
+        series = filled(2, 3)
+        assert series.samples() == list(zip(series.epochs(), series.points()))
+        assert series.samples() == [(2, 20), (3, 30)]
 
 
 class TestSeries:
