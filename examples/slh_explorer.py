@@ -16,7 +16,6 @@ Run:  python examples/slh_explorer.py [benchmark] [epoch_reads]
 
 import sys
 
-from repro import get_profile
 from repro.analysis.slh_accuracy import exact_slh, slh_rms_error
 from repro.experiments.runner import get_trace
 from repro.experiments.slh_figures import filter_slh, mc_read_stream

@@ -56,12 +56,7 @@ from repro.prefetch import (
     slh_bars,
 )
 from repro.system import RunResult, System, make_config, simulate
-from repro.telemetry import (
-    NULL_TRACER,
-    EpochProbes,
-    TelemetrySession,
-    Tracer,
-)
+from repro.telemetry import EpochProbes
 from repro.workloads import (
     BENCHMARKS,
     FOCUS_BENCHMARKS,
@@ -94,7 +89,6 @@ __all__ = [
     "HierarchyConfig",
     "LikelihoodTables",
     "LINE_SIZE",
-    "NULL_TRACER",
     "MemoryCommand",
     "MemorySidePrefetcher",
     "MemorySidePrefetcherConfig",
@@ -111,9 +105,7 @@ __all__ = [
     "SUITES",
     "System",
     "SystemConfig",
-    "TelemetrySession",
     "Trace",
-    "Tracer",
     "generate_trace",
     "get_profile",
     "make_config",

@@ -8,11 +8,11 @@ a near-miss) showed the hot-path refactors can silently violate:
   ``datetime.now()``-style), no unseeded randomness, no OS entropy, no
   set-iteration-order dependence inside the simulated machine
   (``repro.{cache,controller,cpu,dram,fastsim,prefetch,scenarios,
-  system}``).  Telemetry and perf modules are allowlisted — tracer
-  self-measurement legitimately reads ``time.perf_counter``.
+  system,telemetry}``).
 * ``PAR*`` — **dual-path parity**: a class that defines both ``tick``
   and ``tick_reference`` must bump the same statically-extractable
-  stats keys and emit the same tracer event kinds from both bodies.
+  stats keys from both bodies, and ``bulk_tick`` the same integrals
+  as ``tick``.
 * ``CYC*`` — **cycle accounting**: a function that writes a
   cycle/fast-forward variable must also integrate the skipped time
   into the ``ticks``/``occ_*`` counters (directly or by delegating to

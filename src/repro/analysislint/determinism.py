@@ -11,9 +11,9 @@ silently breaks that, so inside the simulated machine
 
 * ``DET001`` — wall-clock/monotonic reads (``time.time``,
   ``time.perf_counter``, ``time.monotonic``, ``time.time_ns``, ...)
-  and ``datetime.now()``-style calls.  The paths in
-  ``rules.WALLCLOCK_ALLOWLIST`` are exempt: tracer self-measurement is
-  *about* wall-clock time.
+  and ``datetime.now()``-style calls, including through a name that
+  ``from time import ...`` or ``from datetime import ...`` binds
+  (aliases too: ``from time import perf_counter as clock``).
 * ``DET002`` — module-level ``random.*`` calls and bare seeded-nowhere
   helpers (``random()``, ``randint``...).  Seeded ``random.Random(seed)``
   instances are fine — the workloads package builds its traces from
@@ -28,10 +28,10 @@ silently breaks that, so inside the simulated machine
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Dict, List, Set
 
 from repro.analysislint.core import Finding, SourceFile, SourceTree, call_name
-from repro.analysislint.rules import SIM_PACKAGES, WALLCLOCK_ALLOWLIST, Rule
+from repro.analysislint.rules import SIM_PACKAGES, Rule
 
 _WALLCLOCK_CALLS = {
     "time.time",
@@ -73,10 +73,19 @@ _RANDOM_FUNCS = {
 _ENTROPY_CALLS = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}
 
 
-def _sim_files(tree: SourceTree) -> Iterable[SourceFile]:
-    for sf in tree.in_packages(SIM_PACKAGES):
-        if not any(marker in sf.relpath for marker in WALLCLOCK_ALLOWLIST):
-            yield sf
+#: modules whose ``from X import name`` bindings DET001 resolves
+_CLOCK_MODULES = ("time", "datetime")
+
+
+def _clock_imports(sf: SourceFile) -> Dict[str, str]:
+    """Local name -> dotted origin for every ``from time import ...`` /
+    ``from datetime import ...`` binding in the module."""
+    bound: Dict[str, str] = {}
+    for node in ast.walk(sf.tree):
+        if isinstance(node, ast.ImportFrom) and node.module in _CLOCK_MODULES:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
 
 
 class WallClockRule(Rule):
@@ -87,11 +96,15 @@ class WallClockRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree):
+        for sf in tree.in_packages(SIM_PACKAGES):
+            bound = _clock_imports(sf)
             for node in ast.walk(sf.tree):
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)
+                head, dot, rest = name.partition(".")
+                if head in bound:
+                    name = bound[head] + dot + rest
                 if name in _WALLCLOCK_CALLS or name.endswith(".perf_counter"):
                     if sf.waived(node, self.id):
                         continue
@@ -115,7 +128,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree):
+        for sf in tree.in_packages(SIM_PACKAGES):
             # names imported from the random module in this file
             imported: Set[str] = set()
             for node in ast.walk(sf.tree):
@@ -155,7 +168,7 @@ class UrandomRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree):
+        for sf in tree.in_packages(SIM_PACKAGES):
             for node in ast.walk(sf.tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -183,7 +196,7 @@ class SetIterationRule(Rule):
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        for sf in _sim_files(tree):
+        for sf in tree.in_packages(SIM_PACKAGES):
             set_names = self._set_bindings(sf)
             for node in ast.walk(sf.tree):
                 if not isinstance(node, (ast.For, ast.comprehension)):

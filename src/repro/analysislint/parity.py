@@ -1,16 +1,16 @@
 """PAR rules — the event-driven and reference tick paths must agree.
 
-PR 3 split the main loop: ``tick`` is the guarded/hot path,
+The main loop has two paths: ``tick`` is the guarded/hot path,
 ``tick_reference`` the literal per-cycle oracle.  The golden equality
 tests prove *behavioural* equality on the suites they run; these rules
 prove *structural* equality on every class that defines both paths, so
-a refactor that adds a counter or a tracer event to one body and not
-the other is caught at lint time, before any golden test runs:
+a refactor that adds a counter to one body and not the other is caught
+at lint time, before any golden test runs:
 
 * ``PAR001`` — both paths must write the same statically-extractable
   set of stats keys;
-* ``PAR002`` — both paths must emit the same set of tracer event
-  kinds.
+* ``PAR003`` — ``bulk_tick`` (a fast-forward window) must write the
+  same per-cycle integrals as ``tick``.
 
 The event path of a class that defines ``settle_integrals`` is ``tick``
 plus that method: ``tick`` leaves the ``ticks``/``occ_*`` integrals to
@@ -20,7 +20,7 @@ method that forgets one integral the reference path keeps is caught.
 
 Both checks look one call level deep within the class: a key bumped by
 ``self._reorder_to_caq`` counts for whichever body calls it, so shared
-helpers do not create false divergence, and moving an emit into a
+helpers do not create false divergence, and moving a write into a
 helper used by only one path is still caught.
 """
 
@@ -40,7 +40,7 @@ PAIR = ("tick", "tick_reference")
 BULK_PAIR = ("tick", "bulk_tick")
 
 #: The method that settles the integrals ``tick`` no longer writes;
-#: PAR001/PAR002 count it on ``tick``'s side of :data:`PAIR`.
+#: PAR001 counts it on ``tick``'s side of :data:`PAIR`.
 SETTLE = "settle_integrals"
 
 
@@ -88,24 +88,8 @@ def called_self_methods(func: ast.FunctionDef) -> Set[str]:
     return called
 
 
-def _direct_event_kinds(func: ast.FunctionDef) -> Set[str]:
-    """Tracer event classes constructed inside ``X.emit(Kind(...))``."""
-    kinds: Set[str] = set()
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            and node.args
-            and isinstance(node.args[0], ast.Call)
-            and isinstance(node.args[0].func, ast.Name)
-        ):
-            kinds.add(node.args[0].func.id)
-    return kinds
-
-
 class _PairAnalysis:
-    """Per-class key/event sets for both paths, shared by PAR001/2."""
+    """Per-class stats-key sets for both paths, shared by PAR001/3."""
 
     def __init__(
         self,
@@ -124,25 +108,20 @@ class _PairAnalysis:
                 continue
             key_writes.setdefault(use.symbol, set()).update(use.keys)
         self.keys: Dict[str, Set[str]] = {}
-        self.events: Dict[str, Set[str]] = {}
         for name in pair:
             bodies = [name]
             if pair == PAIR and name == PAIR[0] and SETTLE in methods:
                 bodies.append(SETTLE)
             keys: Set[str] = set()
-            events: Set[str] = set()
             for body in bodies:
                 func = methods[body]
                 keys.update(key_writes.get(sf.qualname(func), ()))
-                events.update(_direct_event_kinds(func))
                 for callee_name in called_self_methods(func):
                     callee = methods.get(callee_name)
                     if callee is None:
                         continue
                     keys.update(key_writes.get(sf.qualname(callee), ()))
-                    events.update(_direct_event_kinds(callee))
             self.keys[name] = keys
-            self.events[name] = events
 
 
 def _analyses(
@@ -197,34 +176,6 @@ class StatsParityRule(Rule):
         return findings
 
 
-class EventParityRule(Rule):
-    """PAR002: ``tick`` and ``tick_reference`` emit the same event types."""
-
-    id = "PAR002"
-    title = "tick and tick_reference must emit the same tracer events"
-
-    def check(self, tree: SourceTree) -> List[Finding]:
-        findings: List[Finding] = []
-        for pa in _analyses(tree):
-            tick_events = pa.events[PAIR[0]]
-            ref_events = pa.events[PAIR[1]]
-            if tick_events == ref_events:
-                continue
-            line = pa.cls.lineno
-            if pa.sf.waived(line, self.id):
-                continue
-            findings.append(
-                self.finding(
-                    pa.sf.relpath,
-                    line,
-                    f"{pa.cls.name}: dual-path tracer-event divergence — "
-                    + _describe_divergence(tick_events, ref_events),
-                    pa.cls.name,
-                )
-            )
-        return findings
-
-
 def _integral_keys(keys: Set[str]) -> Set[str]:
     """The per-cycle accounting keys a fast-forward must keep exact.
 
@@ -244,7 +195,7 @@ class BulkTickParityRule(Rule):
     """PAR003: ``bulk_tick`` fast-forward matches ``tick``'s integrals."""
 
     id = "PAR003"
-    title = "bulk_tick must match tick's integral stats and tracer events"
+    title = "bulk_tick must match tick's integral stats"
 
     def check(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
@@ -260,21 +211,6 @@ class BulkTickParityRule(Rule):
                         f"{pa.cls.name}: fast-forward integral-stats "
                         "divergence — "
                         + _describe_divergence(tick_keys, bulk_keys, BULK_PAIR),
-                        pa.cls.name,
-                    )
-                )
-            tick_events = pa.events[BULK_PAIR[0]]
-            bulk_events = pa.events[BULK_PAIR[1]]
-            if tick_events != bulk_events and not pa.sf.waived(line, self.id):
-                findings.append(
-                    self.finding(
-                        pa.sf.relpath,
-                        line,
-                        f"{pa.cls.name}: fast-forward tracer-event "
-                        "divergence — "
-                        + _describe_divergence(
-                            tick_events, bulk_events, BULK_PAIR
-                        ),
                         pa.cls.name,
                     )
                 )

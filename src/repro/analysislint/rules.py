@@ -22,22 +22,17 @@ from typing import List, Sequence
 
 from repro.analysislint.core import Finding, SourceTree
 
-#: the simulated machine: the DET rules and CYC001
+#: the simulated machine, and the probes that sample it mid-run: the
+#: DET rules and CYC001
 SIM_PACKAGES = frozenset(
     {"cache", "controller", "cpu", "dram", "fastsim", "prefetch",
-     "scenarios", "system"}
+     "scenarios", "system", "telemetry"}
 )
 #: the code that holds locks: CONC003
 FLEET_PACKAGES = frozenset({"fabric", "obs"})
 #: the writers of durable artifacts other processes read back: ATO001
 ATOMIC_PACKAGES = frozenset(
     {"common", "experiments", "fabric", "obs", "scenarios"}
-)
-#: path substrings where wall-clock reads are legitimate (DET001): the
-#: tracer self-measures, the perf harness times the host, obs/fabric
-#: timestamp fleet-level records and lease timers
-WALLCLOCK_ALLOWLIST = (
-    "repro/telemetry/", "repro/perf.py", "repro/obs/", "repro/fabric/",
 )
 
 
@@ -76,11 +71,7 @@ def all_rules() -> Sequence[Rule]:
         UrandomRule,
         WallClockRule,
     )
-    from repro.analysislint.parity import (
-        BulkTickParityRule,
-        EventParityRule,
-        StatsParityRule,
-    )
+    from repro.analysislint.parity import BulkTickParityRule, StatsParityRule
     from repro.analysislint.registry import DynamicKeyRule, UnwrittenReadRule
 
     return (
@@ -89,7 +80,6 @@ def all_rules() -> Sequence[Rule]:
         UrandomRule(),
         SetIterationRule(),
         StatsParityRule(),
-        EventParityRule(),
         BulkTickParityRule(),
         CycleAccountingRule(),
         DynamicKeyRule(),

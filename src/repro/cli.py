@@ -19,7 +19,7 @@ Commands:
   pluggable objective, reproducible per seed, results deduped into
   the store
 * ``cost``      — the hardware-cost table (Section 5.1)
-* ``telemetry`` — run one benchmark with full instrumentation and
+* ``telemetry`` — run one benchmark with epoch probes attached and
   export/print the epoch-resolved series (see docs/telemetry.md)
 * ``obs``       — fleet observability: ``obs serve`` exposes the
   metrics snapshots of past sweeps over HTTP; ``obs trace export``
@@ -35,12 +35,12 @@ Commands:
   dual-path parity, cycle accounting, stat keys, lock discipline,
   atomic writes; see docs/linting.md)
 
-``run`` and ``compare`` accept ``--trace-events PATH`` (JSONL event
-log) and ``--probe-interval N`` (sample epoch series every N epochs);
-both default to off, costing nothing.  ``compare``, ``suite`` and
-``sweep`` accept ``--jobs N`` (parallel workers) and ``--no-store``
-(skip the on-disk result store); traced runs are always serial and
-never stored.  ``sweep`` additionally drives a live progress line
+``run`` and ``compare`` accept ``--probe-interval N`` (sample epoch
+series every N epochs); it defaults to off, costing nothing.
+``compare``, ``suite`` and ``sweep`` accept ``--jobs N`` (parallel
+workers) and ``--no-store`` (skip the on-disk result store); probed
+runs are always serial and never stored.  ``sweep`` additionally
+drives a live progress line
 (suppress with ``--no-progress``), always writes a metrics snapshot
 under ``.repro-results/metrics/``, and serves ``/metrics`` +
 ``/healthz`` + ``/progress`` live when given ``--metrics-port N``.
@@ -48,7 +48,7 @@ under ``.repro-results/metrics/``, and serves ``/metrics`` +
 Every simulating command builds its cells as
 :class:`~repro.experiments.sweep.Job` objects (:func:`_jobs`).
 ``compare``, ``suite`` and ``sweep`` resolve them through ``run_jobs``
-(the result store and the worker pool); ``run``, traced ``compare`` and
+(the result store and the worker pool); ``run``, probed ``compare`` and
 ``telemetry`` simulate them in this process on every call and store
 nothing (:func:`_simulate`).
 """
@@ -80,9 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="trace length in memory accesses")
         p.add_argument("--seed", type=int, default=1)
 
-    def telem(p):
-        p.add_argument("--trace-events", metavar="PATH", default=None,
-                       help="write a JSONL event log to PATH")
+    def probed(p):
         p.add_argument("--probe-interval", type=int, metavar="N",
                        default=None,
                        help="sample epoch-resolved series every N epochs")
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit the full result as JSON")
     common(run)
-    telem(run)
+    probed(run)
 
     def parallel(p, jobs_help="worker processes (default REPRO_JOBS or 1)"):
         p.add_argument("-j", "--jobs", type=int, default=None,
@@ -119,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="NP/PS/MS/PMS on one benchmark")
     compare.add_argument("-b", "--benchmark", required=True)
     common(compare)
-    telem(compare)
+    probed(compare)
     parallel(compare)
 
     suite = sub.add_parser("suite", help="a whole suite (Figure 5/6/7 table)")
@@ -222,15 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cost = sub.add_parser("cost", help="hardware cost table")
     cost.add_argument("--threads", type=int, nargs="+", default=(1, 2, 4))
 
-    tel = sub.add_parser(
-        "telemetry", help="instrumented run: epoch series + event log"
-    )
+    tel = sub.add_parser("telemetry", help="probed run: epoch series")
     tel.add_argument("-b", "--benchmark", required=True)
     tel.add_argument("-c", "--config", default="PMS")
     tel.add_argument("--probe-interval", type=int, metavar="N", default=1,
                      help="sample epoch series every N epochs (default 1)")
-    tel.add_argument("--events", metavar="PATH", default=None,
-                     help="also write a JSONL event log to PATH")
     tel.add_argument("--series-csv", metavar="PATH", default=None,
                      help="write scalar epoch series to a CSV file")
     tel.add_argument("--series-json", metavar="PATH", default=None,
@@ -387,28 +381,22 @@ def _by_bench(specs, results) -> dict:
     return by_bench
 
 
-def _simulate(job, trace_events=None, probe_interval=None):
+def _simulate(job, probe_interval=None):
     """Simulate one job in this process, on every call, storing nothing:
-    ``sweep.prepare``, then ``runner.simulate_job`` inside a
-    ``TelemetrySession`` when either telemetry argument is set.
+    ``sweep.prepare``, then ``runner.simulate_job``, with
+    :class:`~repro.telemetry.probes.EpochProbes` attached when
+    ``probe_interval`` is set.
 
-    Returns ``(result, session)``; the session is None when untraced.
+    Returns ``(result, probes)``; probes is None when unprobed.
     """
     from repro.experiments import runner, sweep
+    from repro.telemetry.probes import EpochProbes
 
     job, _, config = sweep.prepare(job)
-    cell = (config, job.benchmark, job.accesses, job.seed, job.threads)
-    if trace_events is None and probe_interval is None:
-        return runner.simulate_job(*cell), None
-    from repro.telemetry.session import TelemetrySession
-
-    with TelemetrySession(trace_events=trace_events,
-                          probe_interval=probe_interval) as session:
-        result = runner.simulate_job(*cell, tracer=session.tracer,
-                                     probes=session.probes)
-    if session.writer is not None and result.telemetry is not None:
-        result.telemetry["events_written"] = session.writer.events_written
-    return result, session
+    probes = None if probe_interval is None else EpochProbes(probe_interval)
+    result = runner.simulate_job(config, job.benchmark, job.accesses,
+                                 job.seed, job.threads, probes=probes)
+    return result, probes
 
 
 def _verbose_logging(verbose: bool) -> None:
@@ -437,7 +425,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     (job,) = _jobs(args, [args.benchmark], [args.config],
                    threads=args.threads, scheduler=args.scheduler)
-    result, session = _simulate(job, args.trace_events, args.probe_interval)
+    result, probes = _simulate(job, args.probe_interval)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -455,39 +443,25 @@ def _cmd_run(args) -> int:
     if result.power:
         print(f"  DRAM energy        {result.power.energy_uj:.1f} uJ "
               f"({result.power.avg_power_mw:.0f} mW avg)")
-    if session is not None:
-        tracer = session.tracer
-        print(f"  telemetry          {tracer.total_events} events, "
-              f"{tracer.overhead_seconds() * 1e3:.1f} ms overhead")
-        if session.probes is not None:
-            print()
-            print(session.report())
+    if probes is not None:
+        from repro.telemetry.exporters import epoch_report
+
+        print()
+        print(epoch_report(probes))
     return 0
-
-
-def _events_path_for(base: Optional[str], config_name: str) -> Optional[str]:
-    """Per-config event-log path: ``out.jsonl`` -> ``out.NP.jsonl``."""
-    if base is None:
-        return None
-    root, ext = os.path.splitext(base)
-    return f"{root}.{config_name}{ext or '.jsonl'}"
 
 
 def _cmd_compare(args) -> int:
     specs = _jobs(args, [args.benchmark], CONFIG_NAMES)
-    if args.trace_events is None and args.probe_interval is None:
+    if args.probe_interval is None:
         from repro.experiments.sweep import run_jobs
 
         results = run_jobs(specs, jobs=_workers(args),
                            use_store=False if args.no_store else None).results
     else:
-        # Traced runs are serial-only and never stored: their side
-        # effects (event logs, probe series) are the point.
-        results = [
-            _simulate(job, _events_path_for(args.trace_events, job.config_name),
-                      args.probe_interval)[0]
-            for job in specs
-        ]
+        # Probed runs are serial-only and never stored: their series
+        # are the point.
+        results = [_simulate(job, args.probe_interval)[0] for job in specs]
     np_run = results[CONFIG_NAMES.index("NP")]
     rows = [
         [job.config_name, r.cycles, r.gain_vs(np_run), r.avg_read_latency(),
@@ -905,24 +879,22 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_telemetry(args) -> int:
+    from repro.telemetry.exporters import (
+        epoch_report,
+        series_to_csv,
+        series_to_json,
+    )
+
     (job,) = _jobs(args, [args.benchmark], [args.config])
-    result, session = _simulate(job, args.events, args.probe_interval)
+    result, probes = _simulate(job, args.probe_interval)
     print(result.summary())
     print()
-    print(session.report(max_rows=args.rows))
-    tracer = session.tracer
-    print()
-    print(f"events: {tracer.total_events} "
-          f"({', '.join(f'{k}={v}' for k, v in sorted(tracer.counts.items()))})")
-    print(f"tracer overhead: {tracer.overhead_seconds() * 1e3:.1f} ms")
-    if args.events:
-        print(f"event log: {args.events} "
-              f"({session.writer.events_written} events)")
+    print(epoch_report(probes, max_rows=args.rows))
     if args.series_csv:
-        rows = session.export_csv(args.series_csv)
+        rows = series_to_csv(probes, args.series_csv)
         print(f"series CSV: {args.series_csv} ({rows} epochs)")
     if args.series_json:
-        session.export_json(args.series_json)
+        series_to_json(probes, args.series_json)
         print(f"series JSON: {args.series_json}")
     return 0
 

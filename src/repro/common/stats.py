@@ -107,19 +107,6 @@ class Stats:
             return 0.0
         return self._values.get(numerator, 0) / denom
 
-    def snapshot_delta(self, prev: Mapping[str, float]) -> Dict[str, float]:
-        """Per-key difference between the current counters and ``prev``.
-
-        ``prev`` is a plain mapping (typically an earlier ``as_dict()``
-        snapshot); keys missing from it count as 0, so the delta of a
-        counter that first appeared after the snapshot is its full
-        value.  Keys present only in ``prev`` are ignored — counters
-        never disappear from a live ``Stats``.
-        """
-        return {
-            key: value - prev.get(key, 0) for key, value in self._values.items()
-        }
-
     def total(self, prefix: str = "") -> float:
         """Sum of every counter whose key starts with ``prefix``.
 

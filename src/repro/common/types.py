@@ -50,11 +50,6 @@ class Provenance(enum.Enum):
     # lookup of the per-provenance tables the controller keys by them.
     __hash__ = object.__hash__
 
-    @property
-    def is_regular(self) -> bool:
-        """True for commands the controller treats as regular traffic."""
-        return self is not Provenance.MS_PREFETCH
-
 
 class Direction(enum.Enum):
     """Direction of a detected stream."""

@@ -32,14 +32,9 @@ from repro.controller.schedulers.base import Scheduler
 from repro.dram.device import DRAMDevice
 from repro.prefetch.adaptive_scheduling import lpq_allowed
 from repro.prefetch.memory_side import MemorySidePrefetcher
-from repro.telemetry.events import QueueDepthSample
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 #: Called with (cmd, now) when a read's data is available to the chip.
 ReadCallback = Callable[[MemoryCommand, int], None]
-
-#: Ticks between QueueDepthSample events on an enabled tracer.
-QUEUE_SAMPLE_INTERVAL = 256
 
 #: Per-provenance latency counter names, precomputed so completion
 #: delivery (one of the hottest paths) never builds f-strings.
@@ -70,7 +65,6 @@ class MemoryController:
         prefetcher: MemorySidePrefetcher,
         cpu_ratio: int = 8,
         on_read_complete: Optional[ReadCallback] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         config.validate()
         self.config = config
@@ -78,8 +72,9 @@ class MemoryController:
         self.ms = prefetcher
         self.cpu_ratio = cpu_ratio
         self.on_read_complete = on_read_complete
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: set by the core: callable returning outstanding demand misses
+        #: set by the core: callable returning outstanding demand misses.
+        #: Nothing in the simulator calls it; it stays because
+        #: perfbench/layers.py:123 (SimProfiler.instrument) wraps it.
         self.core_depth_probe: Optional[Callable[[], int]] = None
         self.queues = ReorderQueues(config.read_queue_depth, config.write_queue_depth)
         self.caq = CommandQueue(config.caq_depth, "CAQ")
@@ -159,17 +154,15 @@ class MemoryController:
         if completions and completions[0][0] <= now:
             self._deliver_completions(now)
         ms = self.ms
-        if ms._tick_engine or ms.tracer.enabled:
+        if ms._tick_engine:
             # otherwise MemorySidePrefetcher.tick has nothing to do
-            ms.tick(now * self.cpu_ratio, now)
+            ms.tick(now * self.cpu_ratio)
         if self._caq_items or self._lpq_items:
             self._final_scheduler(now)
         if self._rq_items or self._wq_items:
             self._reorder_to_caq(now)
         # no integral arithmetic here: the queue mutations keep the
         # occupancy accumulators, and settle_integrals reads them
-        if self.tracer.enabled and now % QUEUE_SAMPLE_INTERVAL == 0:
-            self._emit_depth_sample(now)
 
     def settle_integrals(self, clock: int) -> None:
         """Write the ``ticks``/``occ_*`` integrals as of ``clock``.
@@ -201,14 +194,14 @@ class MemoryController:
         """The literal per-cycle tick — one MC cycle's executable
         specification, matching the pre-fast-forward main loop: every
         pipeline stage is invoked unconditionally, the integrals go
-        through the Stats API, and the MS block's clocks and engine
-        tick every cycle.  ``run(loop="reference")`` steps the machine
+        through the Stats API, and the MS block's engine ticks every
+        cycle.  ``run(loop="reference")`` steps the machine
         exclusively through this path; the guarded :meth:`tick` plus
         :meth:`bulk_tick` must land in exactly the same state (the
         golden equality test pins that)."""
         self._now = now
         self._deliver_completions(now)
-        self.ms.tick_reference(now * self.cpu_ratio, now)
+        self.ms.tick_reference(now * self.cpu_ratio)
         self._final_scheduler(now)
         self._reorder_to_caq(now)
         # occupancy integrals: averages fall out as sum / ticks
@@ -218,21 +211,6 @@ class MemoryController:
         bump("occ_write_queue", len(self.queues.writes))
         bump("occ_caq", len(self.caq))
         bump("occ_lpq", len(self.ms.lpq))
-        if self.tracer.enabled and now % QUEUE_SAMPLE_INTERVAL == 0:
-            self._emit_depth_sample(now)
-
-    def _emit_depth_sample(self, t: int) -> None:
-        probe = self.core_depth_probe
-        self.tracer.emit(
-            QueueDepthSample(
-                t=t,
-                read_queue=len(self.queues.reads),
-                write_queue=len(self.queues.writes),
-                caq=len(self.caq),
-                lpq=len(self.ms.lpq),
-                core_outstanding=probe() if probe is not None else 0,
-            )
-        )
 
     # -- event-driven fast-forward support -------------------------------
     def bulk_tick(self, start: int, cycles: int) -> None:
@@ -241,17 +219,13 @@ class MemoryController:
         The event-driven main loop calls this instead of ticking
         through a deterministic wait.  Queue contents are constant
         across such a window by construction, so the occupancy
-        integrals need nothing here (they settle from the clock), and
-        the telemetry samples a per-cycle loop would have emitted at
-        ``QUEUE_SAMPLE_INTERVAL`` boundaries are emitted here with the
-        (constant) depths — a fast-forward jump leaves no holes in the
-        queue-depth series.
+        integrals need nothing here (they settle from the clock).
         """
         end = start + cycles - 1
         self._now = end
         ms = self.ms
-        if ms._tick_engine or ms.tracer.enabled:
-            ms.tick(end * self.cpu_ratio, end)
+        if ms._tick_engine:
+            ms.tick(end * self.cpu_ratio)
         rq_items = self._rq_items
         if rq_items and ms.enabled:
             # CAQ-full wait: _reorder_to_caq still probes the oldest
@@ -265,10 +239,6 @@ class MemoryController:
             ):
                 self._conflict_counted.add(head_read.uid)
                 ms.scheduler.record_conflict()
-        if self.tracer.enabled:
-            first = start + (-start) % QUEUE_SAMPLE_INTERVAL
-            for t in range(first, end + 1, QUEUE_SAMPLE_INTERVAL):
-                self._emit_depth_sample(t)
 
     def next_scheduler_event(
         self, now: int

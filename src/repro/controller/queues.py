@@ -8,7 +8,7 @@ order", paper Section 3).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 from repro.common.types import MemoryCommand
 
@@ -84,7 +84,3 @@ class ReorderQueues:
             self.writes.remove(cmd)
         else:
             self.reads.remove(cmd)
-
-    def all_commands(self) -> Iterable[MemoryCommand]:
-        yield from self.reads
-        yield from self.writes

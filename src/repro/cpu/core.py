@@ -24,8 +24,6 @@ from repro.common.stats import Stats
 from repro.common.types import CommandKind, MemoryCommand, Provenance
 from repro.controller.controller import MemoryController
 from repro.prefetch.processor_side import ProcessorSidePrefetcher
-from repro.telemetry.events import PrefetchDiscard
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.trace import Trace
 
 
@@ -85,7 +83,6 @@ class Core:
         ps: ProcessorSidePrefetcher,
         controller: MemoryController,
         traces: List[Trace],
-        tracer: Optional[Tracer] = None,
     ) -> None:
         config.validate()
         if not traces:
@@ -94,7 +91,6 @@ class Core:
         self.hierarchy = hierarchy
         self.ps = ps
         self.controller = controller
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.contexts = [_ThreadContext(i, t) for i, t in enumerate(traces)]
         self.budget_per_thread = max(1, config.cpu_ratio // len(traces))
         # line -> contexts waiting for it (demand misses, incl. merges)
@@ -268,12 +264,6 @@ class Core:
                 values["ps_issued"] += 1
             else:
                 values["ps_dropped_queue"] += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        PrefetchDiscard(
-                            t=now, line=req.line, reason="ps_queue_full"
-                        )
-                    )
 
     # ------------------------------------------------------------------
     def _on_read_complete(self, cmd: MemoryCommand, now: int) -> None:

@@ -16,8 +16,6 @@ from repro.common.stats import Stats
 from repro.common.types import MemoryCommand, Provenance
 from repro.dram.bank import Bank
 from repro.dram.power import DRAMPowerModel
-from repro.telemetry.events import DramCommand
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,11 +76,9 @@ class DRAMDevice:
         self,
         config: DRAMConfig,
         power: Optional[DRAMPowerModel] = None,
-        tracer: Optional[Tracer] = None,
     ):
         config.validate()
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.timing = config.timing
         self.amap = AddressMap(config.total_banks, config.row_lines)
         closed = config.page_policy == "closed"
@@ -232,19 +228,6 @@ class DRAMDevice:
             values["row_hits"] += 1
         if self.power is not None:
             self.power.record_access(is_write, activated)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                DramCommand(
-                    t=now,
-                    line=cmd.line,
-                    bank=bank_i,
-                    row=row,
-                    is_write=cmd.is_write,
-                    provenance=cmd.provenance.value,
-                    row_hit=not activated,
-                    completion=completion,
-                )
-            )
         return _new_tuple(IssueResult, (True, completion, None))
 
     # ------------------------------------------------------------------

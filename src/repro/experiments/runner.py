@@ -7,7 +7,7 @@ run path: results are read from and written to the content-addressed
 store off the process-memory store that :func:`clear_cache` empties),
 and ``jobs=N`` fans cells out to worker processes with results equal,
 field for field, to serial ones.  A config variant is a
-:class:`~repro.experiments.sweep.Job` with ``overrides``.  Traced runs
+:class:`~repro.experiments.sweep.Job` with ``overrides``.  Probed runs
 call :func:`simulate_job` (or ``simulate``) directly and are never
 stored.
 
@@ -39,7 +39,6 @@ from repro.obs.progress import SweepProgress
 from repro.system.results import RunResult
 from repro.system.simulator import simulate
 from repro.telemetry.probes import EpochProbes
-from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace
@@ -138,7 +137,6 @@ def simulate_job(
     accesses: int,
     seed: int,
     threads: int = 1,
-    tracer: Optional[Tracer] = None,
     probes: Optional[EpochProbes] = None,
 ) -> RunResult:
     """Simulate one fully-resolved job (no store).
@@ -156,7 +154,7 @@ def simulate_job(
             get_trace(benchmark, accesses, seed + t) for t in range(threads)
         ]
     _sim_count += 1
-    return simulate(config, traces, tracer=tracer, probes=probes)
+    return simulate(config, traces, probes=probes)
 
 
 def run(

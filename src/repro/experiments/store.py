@@ -21,9 +21,9 @@ automatically invalidates exactly the affected entries — stale results
 can never be served — and an override that leaves the config unchanged
 shares the preset's key.
 
-Traced runs (tracer or probes attached) are **never** stored: their
-side effects are the point of running them, and a stored result cannot
-replay events.  :func:`encode_result` enforces this.
+Probed runs (``EpochProbes`` attached) are **never** stored: their
+series are the point of running them, and a stored result cannot
+replay probe samples.  :func:`encode_result` enforces this.
 
 Concurrency: writes are atomic (``os.replace`` of a same-directory temp
 file), so parallel sweep workers and multiple processes can share one
@@ -150,11 +150,11 @@ def job_key(spec: Mapping[str, object]) -> str:
 
 
 def encode_result(result: RunResult) -> Dict[str, object]:
-    """Lossless, JSON-safe encoding of an untraced :class:`RunResult`."""
+    """Lossless, JSON-safe encoding of an unprobed :class:`RunResult`."""
     if result.telemetry is not None:
         raise ValueError(
-            "traced runs are never stored: telemetry side effects "
-            "(events, probe samples) cannot be replayed from a store"
+            "probed runs are never stored: probe samples cannot be "
+            "replayed from a store"
         )
     payload: Dict[str, object] = {
         "config_name": result.config_name,

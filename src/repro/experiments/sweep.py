@@ -28,8 +28,8 @@ strings.  A parallel sweep therefore compares equal, field for field,
 to the serial run of the same specs (asserted by
 ``tests/integration/test_sweep_parallel``).
 
-Telemetry never enters this module: traced runs are serial-only by the
-rule established in :mod:`repro.telemetry` (see docs/telemetry.md).
+Telemetry never enters this module: probed runs are serial-only and
+never stored (see docs/telemetry.md).
 
 Observability (:mod:`repro.obs`, docs/observability.md): every call to
 :func:`run_jobs` reports serving outcomes, per-job wall times, queue

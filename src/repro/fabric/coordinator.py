@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import store, sweep
 from repro.fabric import protocol
-from repro.fabric.state import DONE, FAILED, CoordinatorState, SweepRecord
+from repro.fabric.state import DONE, FAILED, CoordinatorState, SweepRecord, SweepWindow
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import ObsServer
@@ -327,9 +327,9 @@ class Coordinator:
             status = self.state.sweep_status(sweep_id)
             if status is None:
                 return None
+            record = self.state.sweeps[sweep_id]
             status["progress"] = self.state.progress(
-                [self.state.sweeps[sweep_id]]
-            )
+                SweepWindow({sweep_id: record}))
             if include_results:
                 status["results"] = self._results_locked(sweep_id)
         return status

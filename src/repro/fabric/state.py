@@ -27,7 +27,9 @@ again gets a fresh table entry that belongs to the new sweep.
 The record is bounded: past :data:`SETTLED_SWEEPS` settled sweeps the
 one that settled first is forgotten, with every finished job no kept
 sweep names.  A forgotten sweep reads as unknown; the store answers a
-later resubmission of its jobs.
+later resubmission of its jobs.  It leaves the fleet's
+:class:`SweepWindow` too, folded into totals the window keeps as plain
+numbers, so the window's progress still counts it.
 """
 
 from __future__ import annotations
@@ -110,6 +112,49 @@ class SweepRecord:
 
 
 @dataclass
+class SweepWindow:
+    """The sweeps accepted since the fleet was last idle (or one sweep,
+    for its own progress).
+
+    ``records`` holds the kept ones by id, in acceptance order.  A
+    settled sweep the coordinator forgets is folded (:meth:`fold`) into
+    the plain totals below, which :meth:`CoordinatorState.progress`
+    adds to the kept sweeps' tallies.
+    """
+
+    records: Dict[str, SweepRecord] = field(default_factory=dict)
+    #: the folded sweeps' jobs, failed jobs, done-job outcomes and the
+    #: seconds of the jobs a worker executed
+    jobs: int = 0
+    failed: int = 0
+    outcomes: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(OUTCOMES, 0))
+    seconds: float = 0.0
+    executed: int = 0
+    #: earliest submission and latest settle of the folded sweeps
+    submitted: Optional[float] = None
+    settled: Optional[float] = None
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def fold(self, record: SweepRecord) -> None:
+        """Replace the settled ``record`` by its share of the totals."""
+        del self.records[record.id]
+        tally = record.tally
+        self.jobs += len(record.keys)
+        self.failed += tally.counts[FAILED]
+        for name, count in tally.outcomes.items():
+            self.outcomes[name] += count
+        self.seconds = sum(tally.seconds, self.seconds)
+        self.executed += len(tally.seconds)
+        if self.submitted is None or record.submitted < self.submitted:
+            self.submitted = record.submitted
+        if self.settled is None or record.settled > self.settled:
+            self.settled = record.settled
+
+
+@dataclass
 class WorkerInfo:
     """Liveness and lifetime counters for one worker id."""
 
@@ -146,7 +191,7 @@ class CoordinatorState:
         self.jobs: Dict[str, JobEntry] = {}
         self.sweeps: Dict[str, SweepRecord] = {}
         #: the sweeps accepted since the fleet was last idle
-        self.window: List[SweepRecord] = []
+        self.window = SweepWindow()
         self.leases: Dict[str, Lease] = {}
         self.workers: Dict[str, WorkerInfo] = {}
         #: (-priority, seq, key): higher priority first, FIFO within.
@@ -174,8 +219,9 @@ class CoordinatorState:
         read the new entry.  A submission that finds every earlier
         sweep settled starts a new window.
         """
-        if all(record.settled is not None for record in self.window):
-            self.window = []
+        if all(record.settled is not None
+               for record in self.window.records.values()):
+            self.window = SweepWindow()
         number = next(self._sweep_ids)
         sweep_id = f"sweep-{number}"
         record = SweepRecord(id=sweep_id, number=number, keys=[], deduped=0,
@@ -201,7 +247,7 @@ class CoordinatorState:
             elif sweep_id not in entry.sweeps:
                 entry.sweeps.append(sweep_id)
         self.sweeps[sweep_id] = record
-        self.window.append(record)
+        self.window.records[sweep_id] = record
         self._settle(record)
         return record
 
@@ -370,8 +416,9 @@ class CoordinatorState:
     def _forget(self) -> None:
         """Keep at most :data:`SETTLED_SWEEPS` settled sweeps, forgetting
         those that settled first but never the newest (its number counts
-        the sweeps accepted), then drop every job entry that no kept
-        sweep names and that is neither queued nor leased."""
+        the sweeps accepted) and folding any still in the window into
+        its totals, then drop every job entry that no kept sweep names
+        and that is neither queued nor leased."""
         *older, newest = self.sweeps.values()
         settled = sorted(
             (record for record in older if record.settled is not None),
@@ -382,6 +429,8 @@ class CoordinatorState:
             return
         for record in settled[:excess]:
             del self.sweeps[record.id]
+            if record.id in self.window.records:
+                self.window.fold(record)
         named = {key for record in self.sweeps.values() for key in record.keys}
         for key in [key for key, entry in self.jobs.items()
                     if key not in named and entry.status in (DONE, FAILED)]:
@@ -449,15 +498,17 @@ class CoordinatorState:
             "failed": list(tally.failed),
         }
 
-    def progress(self, records: Sequence[SweepRecord]) -> Dict[str, object]:
-        """The progress snapshot of ``records`` (one sweep, or the window).
+    def progress(self, window: SweepWindow) -> Dict[str, object]:
+        """The progress snapshot of ``window`` (the fleet's, or one
+        sweep's).
 
-        Counts sum over the sweeps' tallies, and a failed job counts as
-        done and as a ``failed`` event.  Finished once every sweep has
-        settled.
+        Counts sum over the kept sweeps' tallies and the folded totals,
+        and a failed job counts as done and as a ``failed`` event.
+        Finished once every sweep has settled.
         """
-        outcomes = dict.fromkeys(OUTCOMES, 0)
-        failed = 0
+        records = list(window.records.values())
+        outcomes = dict(window.outcomes)
+        failed = window.failed
         times: List[float] = []
         for record in records:
             tally = self.tally(record)
@@ -467,14 +518,20 @@ class CoordinatorState:
             times += tally.seconds
         now = self.clock()
         settled = [record.settled for record in records]
+        if window.settled is not None:
+            settled.append(window.settled)
         finished = None not in settled
         end = max(settled, default=now) if finished else now
+        starts = [record.submitted for record in records[:1]]
+        if window.submitted is not None:
+            starts.append(window.submitted)
+        executed = window.executed + len(times)
         return make_snapshot(
-            sum(len(record.keys) for record in records),
+            window.jobs + sum(len(record.keys) for record in records),
             failed + outcomes["store"] + outcomes["fabric"],
             outcomes, {"failed": failed} if failed else {},
-            end - (records[0].submitted if records else now),
-            sum(times) / len(times) if times else None,
+            end - min(starts, default=now),
+            sum(times, window.seconds) / executed if executed else None,
             len(self.workers), finished,
         )
 

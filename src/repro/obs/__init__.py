@@ -2,7 +2,7 @@
 and crash post-mortems.
 
 Where :mod:`repro.telemetry` looks *inside one run* (epoch-resolved
-series, typed event traces), ``repro.obs`` watches the *fleet*: how
+series), ``repro.obs`` watches the *fleet*: how
 many jobs a sweep executed and where they were served from, what the
 result store's hit rate is, how long jobs take, and what was happening
 right before a worker died.  See docs/observability.md for the metric
@@ -21,9 +21,10 @@ docs/telemetry.md.
   status line.
 * :mod:`repro.obs.flightrec` — the flight recorder and its
   ``.repro-results/postmortem/<job-key>.json`` crash dumps.
-* :mod:`repro.obs.bridge` — folds per-run totals (``RunResult``,
-  loop stats, tracer counts) into the registry.
-* :mod:`repro.obs.spans` — the span-based wall-clock tracer
+* :mod:`repro.obs.bridge` — folds a finished run's coarse totals
+  (DRAM and prefetch traffic from ``RunResult.stats``) into the
+  registry.
+* :mod:`repro.obs.spans` — span-based wall-clock tracing
   (``NULL_SPANS`` disabled default, ``REPRO_SPANS=1`` or the CLI to
   enable) stitching sweep/fabric work into per-trace trees.
 * :mod:`repro.obs.critpath` — critical-path / straggler / self-time

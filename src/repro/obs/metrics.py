@@ -1,12 +1,12 @@
 """Process-wide metrics registry: labeled counters, gauges, histograms.
 
 This is the *fleet-level* counterpart of :mod:`repro.telemetry`: where
-the tracer answers "what happened inside this one run, cycle by
-cycle", the metrics registry answers "what is this process doing across
+the epoch probes answer "what happened inside this one run, epoch by
+epoch", the metrics registry answers "what is this process doing across
 many runs" — jobs executed, store hits, wall time spent — in a shape
 Prometheus (or any text scraper) understands.
 
-The enablement model mirrors ``NULL_TRACER``:
+The enablement model is disabled by default:
 
 * :data:`NULL_METRICS` is a shared, permanently *disabled* registry.
   Every mutator (``inc``/``set``/``observe``) on an instrument of a
@@ -34,7 +34,7 @@ Mutation is thread-safe (the HTTP endpoint of :mod:`repro.obs.server`
 reads registries from a second thread); the enabled-path cost is one
 lock acquisition per update, which is negligible at the per-job /
 per-run granularity this subsystem operates at (never per simulated
-cycle — that is the tracer's domain).
+cycle or epoch — that is the probes' domain).
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ class MetricsRegistry:
 
 
 #: The shared, permanently disabled registry instrumented call sites
-#: default to — the metrics analogue of ``NULL_TRACER``.
+#: default to.
 NULL_METRICS = MetricsRegistry(enabled=False)
 
 _default: Optional[MetricsRegistry] = None

@@ -10,7 +10,7 @@ they share trace/parent ids, which the fabric carries on the wire
 (protocol v3, see docs/fabric.md).
 
 The collector follows the same disabled-by-default contract as
-``NULL_TRACER`` / ``NULL_METRICS``: instrumented sites ask
+``NULL_METRICS``: instrumented sites ask
 :func:`default_collector`, which resolves to the shared, permanently
 disabled :data:`NULL_SPANS` unless the process installed a live
 collector (``set_default_collector``, the CLI does) or the environment
@@ -179,7 +179,7 @@ class Span:
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "start_unix",
                  "attributes", "status", "_collector", "_t0", "_done")
 
-    #: Mirrors the tracer/metrics guard idiom: sites may skip attribute
+    #: Mirrors the metrics guard idiom: sites may skip attribute
     #: computation entirely when the span is the shared null handle.
     enabled = True
 

@@ -25,8 +25,6 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.common.config import AdaptiveSchedulingConfig
 from repro.common.stats import Stats
 from repro.common.types import MemoryCommand
-from repro.telemetry.events import PolicyChange
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
 @dataclass(slots=True)
@@ -120,16 +118,9 @@ class AdaptiveScheduler:
     boundary (the paper reuses the SLH epoch for policy adaptation).
     """
 
-    def __init__(
-        self,
-        config: AdaptiveSchedulingConfig,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, config: AdaptiveSchedulingConfig) -> None:
         config.validate()
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: MC cycle of the surrounding epoch boundary (event timestamps)
-        self.now_mc = 0
         if config.fixed_policy is not None:
             self.policy = config.fixed_policy
         else:
@@ -156,7 +147,6 @@ class AdaptiveScheduler:
         self.stats.bump("epochs")
         if self.config.fixed_policy is not None:
             return
-        old_policy = self.policy
         if conflicts > self.config.raise_threshold and self.policy > 1:
             self.policy -= 1
             self.stats.bump("steps_conservative")
@@ -164,12 +154,3 @@ class AdaptiveScheduler:
             self.policy += 1
             self.stats.bump("steps_aggressive")
         self.stats.bump(f"epochs_at_policy_{self.policy}")
-        if self.policy != old_policy and self.tracer.enabled:
-            self.tracer.emit(
-                PolicyChange(
-                    t=self.now_mc,
-                    old_policy=old_policy,
-                    new_policy=self.policy,
-                    conflicts=conflicts,
-                )
-            )

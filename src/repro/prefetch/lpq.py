@@ -14,20 +14,15 @@ from typing import Deque, Optional, Set
 
 from repro.common.stats import Stats
 from repro.common.types import MemoryCommand
-from repro.telemetry.events import PrefetchDiscard
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
 class LowPriorityQueue:
     """Bounded FIFO of memory-side prefetch commands."""
 
-    def __init__(self, depth: int, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, depth: int) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
         self.depth = depth
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: MC cycle of the last controller tick (event timestamping)
-        self.now_mc = 0
         self._queue: Deque[MemoryCommand] = deque()
         self._lines: Set[int] = set()
         #: occupancy accumulator: each push subtracts its clock and each
@@ -56,21 +51,9 @@ class LowPriorityQueue:
         full or duplicate."""
         if cmd.line in self._lines:
             self.stats.bump("dropped_duplicate")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchDiscard(
-                        t=self.now_mc, line=cmd.line, reason="lpq_duplicate"
-                    )
-                )
             return False
         if self.full:
             self.stats.bump("dropped_full")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchDiscard(
-                        t=self.now_mc, line=cmd.line, reason="lpq_full"
-                    )
-                )
             return False
         self._queue.append(cmd)
         self._lines.add(cmd.line)
@@ -98,8 +81,4 @@ class LowPriorityQueue:
         self._lines.discard(line)
         self.occ_acc += clock
         self._stat_values["squashed"] += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                PrefetchDiscard(t=self.now_mc, line=line, reason="squashed")
-            )
         return True

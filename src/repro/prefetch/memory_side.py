@@ -14,6 +14,11 @@ The controller drives it through four hooks:
 * :meth:`notify_issue` / :meth:`notify_complete` as prefetch commands
   leave the LPQ and return from DRAM.
 
+It calls back through two attributes: ``on_merge_ready`` (set by the
+controller) delivers reads merged with a completed prefetch, and
+``on_epoch`` (set by :class:`~repro.telemetry.probes.EpochProbes`)
+samples each closed SLH epoch.
+
 Commands enter the controller in the core phase of cycle ``now_mc``
 (the LPQ clock is ``now_mc + 1`` there) and the check points run in its
 controller phase (clock ``now_mc``); the LPQ's occupancy accumulator is
@@ -31,16 +36,12 @@ from repro.prefetch.adaptive_scheduling import AdaptiveScheduler
 from repro.prefetch.engines import ASDEngine, PrefetchEngine, build_engine
 from repro.prefetch.lpq import LowPriorityQueue
 from repro.prefetch.prefetch_buffer import PrefetchBuffer
-from repro.telemetry.events import (
-    EpochBoundary,
-    PrefetchDiscard,
-    PrefetchHit,
-    PrefetchIssued,
-)
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 #: Callback: a regular read merged with an in-flight prefetch is ready.
 MergeCallback = Callable[[MemoryCommand], None]
+
+#: Callback: an SLH epoch closed in the core phase of this MC cycle.
+EpochCallback = Callable[[int], None]
 
 
 class MemorySidePrefetcher:
@@ -50,18 +51,14 @@ class MemorySidePrefetcher:
         self,
         config: MemorySidePrefetcherConfig,
         threads: int = 1,
-        tracer: Optional[Tracer] = None,
     ):
         config.validate()
         self.config = config
         self.enabled = config.enabled
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: MC cycle of the last controller tick (event timestamping)
-        self.now_mc = 0
         self.engine: PrefetchEngine = build_engine(config, threads)
-        self.buffer = PrefetchBuffer(config.buffer, tracer=self.tracer)
-        self.lpq = LowPriorityQueue(config.lpq_depth, tracer=self.tracer)
-        self.scheduler = AdaptiveScheduler(config.scheduling, tracer=self.tracer)
+        self.buffer = PrefetchBuffer(config.buffer)
+        self.lpq = LowPriorityQueue(config.lpq_depth)
+        self.scheduler = AdaptiveScheduler(config.scheduling)
         self.in_flight: Set[int] = set()
         #: regular reads waiting on an in-flight prefetch of their line
         self._merged: Dict[int, List[MemoryCommand]] = {}
@@ -69,6 +66,8 @@ class MemorySidePrefetcher:
         self._cancelled: Set[int] = set()
         #: set by the controller: delivers merged reads on completion
         self.on_merge_ready: Optional[MergeCallback] = None
+        #: set by EpochProbes: samples each closed epoch
+        self.on_epoch: Optional[EpochCallback] = None
         self._reads_this_epoch = 0
         # tick() fast path: only the ASD engine with CPU-cycle stream
         # lifetimes has per-cycle work (read-clock lifetimes expire
@@ -90,7 +89,6 @@ class MemorySidePrefetcher:
         """Fork an entering Read into the stream-detection hardware."""
         if not self.enabled:
             return
-        self.now_mc = now_mc
         values = self._stat_values
         values["reads_observed"] += 1
         candidates = self.engine.observe_read(cmd.line, cmd.thread, now_cpu)
@@ -100,18 +98,10 @@ class MemorySidePrefetcher:
         if self._reads_this_epoch >= self.config.slh.epoch_reads:
             self._reads_this_epoch = 0
             self.engine.epoch_flush()
-            self.scheduler.now_mc = now_mc
             self.scheduler.epoch_update()
             values["epochs"] += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EpochBoundary(
-                        t=now_mc,
-                        epoch=int(self.stats["epochs"]),
-                        reads=self.config.slh.epoch_reads,
-                        policy=self.scheduler.policy,
-                    )
-                )
+            if self.on_epoch is not None:
+                self.on_epoch(now_mc)
 
     def _try_generate(self, line: int, thread: int, now_mc: int) -> None:
         """Dedup a candidate line and place it in the LPQ."""
@@ -146,10 +136,6 @@ class MemorySidePrefetcher:
             self.lpq.drop_line(line, now_mc)
         if self.buffer.read_hit(line):
             self._stat_values["buffer_hits"] += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchHit(t=self.now_mc, line=line, where="buffer")
-                )
             return True
         return False
 
@@ -186,10 +172,6 @@ class MemorySidePrefetcher:
             return False
         self._merged.setdefault(cmd.line, []).append(cmd)
         self._stat_values["merged_reads"] += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                PrefetchHit(t=self.now_mc, line=cmd.line, where="merge")
-            )
         return True
 
     # ------------------------------------------------------------------
@@ -210,10 +192,6 @@ class MemorySidePrefetcher:
     def notify_issue(self, cmd: MemoryCommand) -> None:
         self.in_flight.add(cmd.line)
         self._stat_values["issued"] += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                PrefetchIssued(t=self.now_mc, line=cmd.line, thread=cmd.thread)
-            )
 
     def notify_complete(self, cmd: MemoryCommand) -> None:
         self.in_flight.discard(cmd.line)
@@ -221,14 +199,6 @@ class MemorySidePrefetcher:
         if cmd.line in self._cancelled:
             self._cancelled.discard(cmd.line)
             self.stats.bump("completed_cancelled")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchDiscard(
-                        t=self.now_mc,
-                        line=cmd.line,
-                        reason="cancelled_in_flight",
-                    )
-                )
             return
         self.buffer.insert(cmd.line)
         merged = self._merged.pop(cmd.line, None)
@@ -240,29 +210,16 @@ class MemorySidePrefetcher:
                 for waiting in merged:
                     self.on_merge_ready(waiting)
 
-    def tick(self, now_cpu: int, now_mc: Optional[int] = None) -> None:
-        """Let the engine expire time-based state (Stream Filter slots).
-
-        ``now_mc`` keeps the telemetry clock of this block and its
-        queues current; callers that never trace may omit it.  The
-        clocks exist purely to timestamp traced events, so they are
-        only maintained while the tracer is on.
-        """
-        if now_mc is not None and self.tracer.enabled:
-            self.now_mc = now_mc
-            self.buffer.now_mc = now_mc
-            self.lpq.now_mc = now_mc
+    def tick(self, now_cpu: int) -> None:
+        """Let the engine expire time-based state (Stream Filter slots)."""
         if self._tick_engine:
             self.engine.tick(now_cpu)
 
-    def tick_reference(self, now_cpu: int, now_mc: int) -> None:
+    def tick_reference(self, now_cpu: int) -> None:
         """Per-cycle tick exactly as the pre-fast-forward simulator ran
-        it: the telemetry clocks advance and the engine ticks
-        unconditionally every MC cycle.  The reference main loop steps
-        through this; :meth:`tick` reaches the same state lazily."""
-        self.now_mc = now_mc
-        self.buffer.now_mc = now_mc
-        self.lpq.now_mc = now_mc
+        it: the engine ticks unconditionally every MC cycle.  The
+        reference main loop steps through this; :meth:`tick` reaches
+        the same state lazily."""
         if self.enabled:
             self.engine.tick(now_cpu)
 

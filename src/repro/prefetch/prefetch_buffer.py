@@ -17,12 +17,10 @@ displaced or invalidated untouched are *useless*.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.config import PrefetchBufferConfig
 from repro.common.stats import Stats
-from repro.telemetry.events import PrefetchDiscard
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
 class _Entry:
@@ -36,16 +34,9 @@ class _Entry:
 class PrefetchBuffer:
     """Set-associative, LRU, read-once line buffer."""
 
-    def __init__(
-        self,
-        config: PrefetchBufferConfig,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, config: PrefetchBufferConfig) -> None:
         config.validate()
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: MC cycle of the last controller tick (event timestamping)
-        self.now_mc = 0
         self.num_sets = config.entries // config.assoc
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._clock = 0
@@ -67,12 +58,6 @@ class PrefetchBuffer:
             victim = min(entries, key=entries.get)
             del entries[victim]
             self._stat_values["evicted_unused"] += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchDiscard(
-                        t=self.now_mc, line=victim, reason="evicted_unused"
-                    )
-                )
         entries[line] = self._clock
         self._stat_values["inserts"] += 1
 
@@ -95,12 +80,6 @@ class PrefetchBuffer:
         if line in entries:
             del entries[line]
             self.stats.bump("write_invalidations")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PrefetchDiscard(
-                        t=self.now_mc, line=line, reason="write_invalidate"
-                    )
-                )
             return True
         return False
 

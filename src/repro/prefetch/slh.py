@@ -147,7 +147,3 @@ class LikelihoodTables:
     def bars_epoch_start(self) -> List[float]:
         """SLH bars from the snapshot taken at the last epoch boundary."""
         return slh_bars(self.epoch_start, self.lm)
-
-    def bars_next(self) -> List[float]:
-        """SLH bars of the histogram being gathered for the next epoch."""
-        return slh_bars(self.next, self.lm)

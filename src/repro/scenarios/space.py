@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.dynamic import encode_workload
 from repro.workloads.synthetic import StreamWorkload, WorkloadPhase

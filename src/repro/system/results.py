@@ -24,8 +24,8 @@ class RunResult:
     cpu_ratio: int
     stats: Dict[str, float] = field(default_factory=dict)
     power: Optional[PowerReport] = None
-    #: telemetry digest (tracer event counts, probe coverage) when the
-    #: run was traced; None for untraced runs — see repro.telemetry
+    #: ``{"probes": EpochProbes.summary()}`` when the run was probed;
+    #: None otherwise — see repro.telemetry
     telemetry: Optional[Dict[str, object]] = None
     #: fidelity record (docs/fidelity.md): None for plain exact runs;
     #: fast-model results carry ``{"tier": "fast", "model_version": N}``
@@ -35,7 +35,7 @@ class RunResult:
 
     @property
     def telemetry_active(self) -> bool:
-        """True when this run executed with telemetry enabled."""
+        """True when this run executed with probes attached."""
         return self.telemetry is not None
 
     @property

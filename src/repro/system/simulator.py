@@ -38,7 +38,6 @@ from repro.prefetch.asd_processor_side import build_processor_side
 from repro.prefetch.memory_side import MemorySidePrefetcher
 from repro.system.results import RunResult
 from repro.telemetry.probes import EpochProbes
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.trace import Trace
 
 #: Hard cap so a mis-configured run fails loudly instead of spinning.
@@ -71,25 +70,23 @@ def resolve_loop_mode(loop: Optional[str]) -> str:
 class System:
     """A fully wired simulated machine, runnable once.
 
-    ``tracer`` (default: the disabled :data:`NULL_TRACER`) is threaded
-    through every instrumented block; ``probes`` — an unbound
-    :class:`EpochProbes` — is bound to this system at construction and
-    samples per-epoch series while the run executes.
+    ``probes`` — an unbound :class:`EpochProbes` — is bound to this
+    system at construction and samples per-epoch series while the run
+    executes.  ``tracer`` accepts only None: perfbench/layers.py:144
+    (``SimProfiler.simulate``) still passes ``tracer=None``.
     """
 
     def __init__(
         self,
         config: SystemConfig,
         traces: Union[Trace, Sequence[Trace]],
-        tracer: Optional[Tracer] = None,
+        tracer: None = None,
         probes: Optional[EpochProbes] = None,
     ):
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if probes is not None and not self.tracer.enabled:
-            # probes sample on epoch_boundary events: with no enabled
-            # tracer they would record nothing, and binding them to the
-            # shared NULL_TRACER would keep this System alive
-            raise ValueError("probes need an enabled tracer to sample on")
+        if tracer is not None:
+            raise TypeError(
+                "System takes no tracer: EpochProbes is the only recorder"
+            )
         if isinstance(traces, Trace):
             traces = [traces]
         traces = list(traces)
@@ -97,18 +94,13 @@ class System:
         self.config = config
         self.probes = probes
         self.power_model = DRAMPowerModel(config.dram, config.dram_power)
-        self.dram = DRAMDevice(
-            config.dram, power=self.power_model, tracer=self.tracer
-        )
-        self.ms = MemorySidePrefetcher(
-            config.ms_prefetcher, threads=len(traces), tracer=self.tracer
-        )
+        self.dram = DRAMDevice(config.dram, power=self.power_model)
+        self.ms = MemorySidePrefetcher(config.ms_prefetcher, threads=len(traces))
         self.controller = MemoryController(
             config.controller,
             self.dram,
             self.ms,
             cpu_ratio=config.core.cpu_ratio,
-            tracer=self.tracer,
         )
         self.hierarchy = CacheHierarchy(config.hierarchy)
         self.ps = build_processor_side(config.ps_prefetcher)
@@ -118,7 +110,6 @@ class System:
             self.ps,
             self.controller,
             traces,
-            tracer=self.tracer,
         )
         self.traces = traces
         self.now = 0
@@ -310,10 +301,8 @@ class System:
         stats.merge(self.ps.stats, "ps.")
         stats.set("sched.final_policy", self.ms.scheduler.policy)
         telemetry = None
-        if self.tracer.enabled:
-            telemetry = {"tracer": self.tracer.summary()}
-            if self.probes is not None:
-                telemetry["probes"] = self.probes.summary()
+        if self.probes is not None:
+            telemetry = {"probes": self.probes.summary()}
         return RunResult(
             config_name=self.config.name,
             benchmark=self.traces[0].name,
@@ -330,17 +319,16 @@ def simulate(
     config: SystemConfig,
     traces: Union[Trace, Sequence[Trace]],
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    tracer: Optional[Tracer] = None,
     probes: Optional[EpochProbes] = None,
     loop: Optional[str] = None,
 ) -> RunResult:
     """Build a :class:`System` from ``config`` and run it on ``traces``.
 
-    ``tracer`` / ``probes`` switch on the telemetry subsystem for this
-    run (see :mod:`repro.telemetry`); both default to off.  ``loop``
-    selects the main-loop mode (``"event"`` / ``"reference"``, default
+    ``probes`` records this run's per-epoch series (see
+    :mod:`repro.telemetry`); off by default.  ``loop`` selects the
+    main-loop mode (``"event"`` / ``"reference"``, default
     :func:`default_loop_mode`); results are identical either way.
     """
-    return System(config, traces, tracer=tracer, probes=probes).run(
+    return System(config, traces, probes=probes).run(
         max_cycles=max_cycles, loop=loop
     )

@@ -1,13 +1,11 @@
-"""Exporters: JSONL event logs, CSV/JSON time series, epoch reports.
+"""Exporters: CSV/JSON time series and epoch reports.
 
-Three consumption paths for telemetry data:
+Two consumption paths for probe data:
 
-* :class:`JsonlEventWriter` streams every event to a JSON-lines file as
-  it happens (subscribe it to a tracer); :func:`read_events_jsonl`
-  parses such a file back into typed event objects.
 * :func:`series_to_csv` / :func:`series_to_json` dump the probe series
   for spreadsheet / notebook analysis (CSV carries the scalar series in
-  one wide table; JSON carries everything, vectors included).
+  one wide table; JSON carries everything, vectors and the per-window
+  stats counters included).
 * :func:`epoch_report` renders a human-readable per-epoch table of the
   headline dynamics (policy, queues, accuracy, coverage, power).
 """
@@ -15,63 +13,10 @@ Three consumption paths for telemetry data:
 from __future__ import annotations
 
 import json
-from typing import IO, List, Optional, Union
+from typing import Dict, Optional
 
-from repro.telemetry.events import TraceEvent, event_from_dict
 from repro.telemetry.probes import EpochProbes
-
-
-class JsonlEventWriter:
-    """Tracer sink that appends one JSON line per event.
-
-    Accepts a path (opened and owned, closed by :meth:`close`) or any
-    file-like object (borrowed, left open).  The writer is callable so
-    it can be passed to ``tracer.subscribe`` directly.
-    """
-
-    def __init__(self, target: Union[str, IO[str]]) -> None:
-        if isinstance(target, str):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns = True
-        else:
-            self._fh = target
-            self._owns = False
-        self.events_written = 0
-
-    def __call__(self, event: TraceEvent) -> None:
-        """Write one event as a JSON line."""
-        self._fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        self._fh.write("\n")
-        self.events_written += 1
-
-    def close(self) -> None:
-        """Flush and, when the writer opened the file, close it."""
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlEventWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_events_jsonl(path: str) -> List[TraceEvent]:
-    """Parse a JSONL event log back into typed event objects.
-
-    Blank lines are skipped; malformed JSON or unknown event kinds
-    raise, so a truncated or corrupted log is detected rather than
-    silently shortened.
-    """
-    events: List[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            events.append(event_from_dict(json.loads(line)))
-    return events
+from repro.telemetry.series import Series
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +47,23 @@ def series_to_csv(probes: EpochProbes, path: str) -> int:
     return rows
 
 
+def _series_doc(table: Dict[str, Series]) -> dict:
+    return {
+        name: {
+            "epochs": series.epochs(),
+            "values": [
+                list(v) if isinstance(v, tuple) else v
+                for v in series.points()
+            ],
+            "dropped": series.dropped,
+        }
+        for name, series in sorted(table.items())
+    }
+
+
 def series_to_json(probes: EpochProbes, path: Optional[str] = None) -> dict:
-    """Serialise every probe series (vectors included) to JSON.
+    """Serialise every probe series (vectors included) to JSON, with the
+    stats counters' window deltas under ``counters``.
 
     Returns the document; also writes it to ``path`` when given.
     """
@@ -111,17 +71,8 @@ def series_to_json(probes: EpochProbes, path: Optional[str] = None) -> dict:
         "interval": probes.interval,
         "epochs_seen": probes.epochs_seen,
         "samples_taken": probes.samples_taken,
-        "series": {
-            name: {
-                "epochs": series.epochs(),
-                "values": [
-                    list(v) if isinstance(v, tuple) else v
-                    for v in series.points()
-                ],
-                "dropped": series.dropped,
-            }
-            for name, series in sorted(probes.series.items())
-        },
+        "series": _series_doc(probes.series),
+        "counters": _series_doc(probes.counters),
     }
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -138,7 +89,7 @@ def epoch_report(probes: EpochProbes, max_rows: int = 40) -> str:
     regular commands, and DRAM power.
     """
     # imported lazily: repro.analysis pulls in the system package, which
-    # is itself instrumented with repro.telemetry (would be a cycle)
+    # imports repro.telemetry (would be a cycle)
     from repro.analysis.report import format_table
 
     epochs = probes.sampled_epochs()

@@ -1,14 +1,16 @@
 """Per-epoch time series of one run, from either fidelity tier.
 
-:class:`EpochProbes` records one run.  Bound to a live
-:class:`~repro.system.simulator.System`, it subscribes to the tracer's
-``epoch_boundary`` events and samples the state the paper's dynamic
-claims are about — SLH snapshots per thread and direction, queue
-depths, prefetch accuracy and coverage, delayed regular commands, the
-Adaptive Scheduling policy index, and DRAM activity/power.  The fast
-model (:func:`repro.fastsim.model.predict`) has no live system: it
-hands each closed epoch's running counters and point values to
-:meth:`EpochProbes.record_epoch` instead.
+:class:`EpochProbes` is the simulator's only recorder.  Bound to a live
+:class:`~repro.system.simulator.System`, it installs the memory-side
+prefetcher's epoch hook and, at each SLH epoch boundary, samples the
+state the paper's dynamic claims are about — SLH snapshots per thread
+and direction, queue depths, prefetch accuracy and coverage, delayed
+regular commands, the Adaptive Scheduling policy index, and DRAM
+activity/power — plus the window delta of every running stats counter
+(:meth:`EpochProbes.counter`): the discard reasons, merges and policy
+steps included.  The fast model (:func:`repro.fastsim.model.predict`)
+has no live system: it hands each closed epoch's running counters and
+point values to :meth:`EpochProbes.record_epoch` instead.
 
 Both tiers share one sampling rule.  Epochs carry their 1-based index,
 every ``interval``-th closed epoch is sampled starting with the first,
@@ -24,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.common.stats import Stats
-from repro.telemetry.events import EpochBoundary, TraceEvent
 from repro.telemetry.series import Series
 
 #: Direction key -> short series-name suffix.
@@ -36,8 +37,8 @@ class EpochProbes:
 
     Parameters:
         interval: sample every N-th closed epoch (1 = every epoch).
-        capacity: per-series bound (oldest samples are dropped past
-            this; drops are counted per series).
+        capacity: per-series bound, counters included (oldest samples
+            are dropped past this; drops are counted per series).
     """
 
     def __init__(self, interval: int = 1, capacity: int = 4096) -> None:
@@ -46,6 +47,8 @@ class EpochProbes:
         self.interval = interval
         self.capacity = capacity
         self.series: Dict[str, Series] = {}
+        #: exact tier: each stats counter's window delta, by ``block.key``
+        self.counters: Dict[str, Series] = {}
         self.epochs_seen = 0
         self.samples_taken = 0
         self._bound = False
@@ -62,8 +65,9 @@ class EpochProbes:
 
         ``system`` is the exact tier's live system, bound before it
         runs: the baseline totals are taken here so the first sample's
-        deltas cover the first window.  The fast model binds with no
-        system and calls :meth:`record_epoch` itself.
+        deltas cover the first window, and the memory-side prefetcher
+        calls :meth:`_on_epoch` at each boundary.  The fast model binds
+        with no system and calls :meth:`record_epoch` itself.
         """
         if self._bound:
             raise RuntimeError("EpochProbes records exactly one run")
@@ -81,12 +85,16 @@ class EpochProbes:
             "core": system.core.stats,
         }
         self._prev = self._totals(system.now)
-        system.tracer.subscribe(self._on_event, kinds=("epoch_boundary",))
+        system.ms.on_epoch = self._on_epoch
 
-    def _series(self, name: str) -> Series:
-        s = self.series.get(name)
+    def _series(self, name: str, table: Optional[Dict[str, Series]] = None) -> Series:
+        """The named series of ``table`` (default :attr:`series`),
+        created on first use."""
+        if table is None:
+            table = self.series
+        s = table.get(name)
         if s is None:
-            s = self.series[name] = Series(name, self.capacity)
+            s = table[name] = Series(name, self.capacity)
         return s
 
     # ------------------------------------------------------------------
@@ -124,11 +132,11 @@ class EpochProbes:
         for name, value in points.items():
             self._series(name).record(epoch, value)
 
-    def _on_event(self, event: TraceEvent) -> None:
-        """Tracer sink: sample the closed epoch when the stride says so."""
-        assert isinstance(event, EpochBoundary)
+    def _on_epoch(self, t: int) -> None:
+        """Epoch hook: sample the epoch that closed in the core phase of
+        MC cycle ``t`` when the stride says so."""
         if self._due():
-            self._sample(event)
+            self._sample(self.epochs_seen, t)
 
     def _totals(self, now: int) -> Dict[str, float]:
         """The bound system's running counters as ``block.key`` totals."""
@@ -142,19 +150,22 @@ class EpochProbes:
         totals["now"] = now
         return totals
 
-    def _sample(self, event: EpochBoundary) -> None:
-        """Take one full sample at epoch ``event.epoch``."""
+    def _sample(self, epoch: int, t: int) -> None:
+        """Take one full sample of ``epoch``, closed at MC cycle ``t``."""
         system = self._system
-        epoch = event.epoch
         def rec(name, value):
             self._series(name).record(epoch, value)
 
         if system.loop_stats["mode"] == "event":
             # the event loop keeps the occupancy integrals as queue
             # accumulators: settle them at this sample's clock (the
-            # boundary fires in the core phase of cycle event.t)
-            system.controller.settle_integrals(event.t + 1)
-        deltas = self._window(self._totals(event.t))
+            # boundary fires in the core phase of cycle t)
+            system.controller.settle_integrals(t + 1)
+        deltas = self._window(self._totals(t))
+        blocks = self._stats_blocks
+        for name, delta in deltas.items():
+            if name.partition(".")[0] in blocks:  # not power.* or now
+                self._series(name, self.counters).record(epoch, delta)
 
         # -- scheduling ------------------------------------------------
         rec("policy.index", system.ms.scheduler.policy)
@@ -240,6 +251,13 @@ class EpochProbes:
     def get(self, name: str) -> Optional[Series]:
         """The named series, or None if never sampled."""
         return self.series.get(name)
+
+    def counter(self, name: str) -> Optional[Series]:
+        """Window deltas of the stats counter ``name`` (``block.key``,
+        e.g. ``lpq.dropped_full``), or None if it never existed at a
+        sample.  A counter's series starts at the first sample after
+        its first write."""
+        return self.counters.get(name)
 
     def scalar_names(self) -> List[str]:
         """Names of all scalar-valued series, sorted."""

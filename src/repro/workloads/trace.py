@@ -76,12 +76,6 @@ class Trace:
         """A new trace holding records [start:stop] (sampling helper)."""
         return Trace(self.records[start:stop], name=f"{self.name}[{start}:{stop}]")
 
-    def concat(self, other: "Trace") -> "Trace":
-        """This trace followed by ``other`` (phase-splicing helper)."""
-        return Trace(
-            self.records + other.records, name=f"{self.name}+{other.name}"
-        )
-
     @staticmethod
     def interleave(traces: Sequence["Trace"], chunk: int = 1) -> "Trace":
         """Round-robin interleave several traces in ``chunk``-sized runs.

@@ -28,7 +28,7 @@ from repro import BENCHMARKS, generate_trace, get_profile
 from repro.experiments import runner, store
 from repro.fastsim import simulate_job_fast
 from repro.system.presets import make_config
-from repro.telemetry import EpochProbes, Tracer
+from repro.telemetry import EpochProbes
 
 ACCESSES = 2000
 SEED = 1
@@ -301,7 +301,7 @@ def _fast_digest(label):
 def _exact_probe_digest():
     probes = EpochProbes(interval=1)
     runner.simulate_job(make_config("PMS"), "GemsFDTD", PROBE_ACCESSES, SEED,
-                        tracer=Tracer(enabled=True), probes=probes)
+                        probes=probes)
     return _sha256({name: s.samples() for name, s in probes.series.items()})
 
 

@@ -4,8 +4,13 @@ The ``reference`` main-loop mode is the literal per-cycle tick — the
 executable specification.  The ``event`` mode fast-forwards
 deterministic waits and must land on a field-for-field identical
 :class:`~repro.system.results.RunResult` (cycles, instructions, every
-stat, power) for every benchmark character, config, and thread count.
+stat, power) for every benchmark character, config, and thread count —
+and, in a seeded sample of regimes, under the config overrides the
+defaults never reach (refresh deadlines, closed pages, long bursts,
+other queue depths and schedulers, CPU-clock stream lifetimes).
 """
+
+import random
 
 import pytest
 
@@ -18,7 +23,6 @@ from repro.system.simulator import (
     simulate,
 )
 from repro.telemetry.probes import EpochProbes
-from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import SUITES
 
 #: First benchmark of each suite: streaming FP, NAS kernel, commercial.
@@ -37,9 +41,9 @@ def _traces(benchmark, threads, seed=11):
     ]
 
 
-def _run(config_name, traces, loop, tracer=None):
+def _run(config_name, traces, loop):
     config = make_config(config_name, threads=len(traces))
-    system = System(config, traces, tracer=tracer)
+    system = System(config, traces)
     result = system.run(loop=loop)
     return system, result
 
@@ -89,24 +93,6 @@ def test_event_mode_never_overshoots_cap():
     assert system.now <= 501
 
 
-def test_queue_depth_samples_identical_across_modes():
-    # fast-forward jumps must not drop the 256-cycle telemetry samples
-    traces = _traces(BENCHMARKS[0], 1)
-    samples = {}
-    for loop in LOOP_MODES:
-        tracer = Tracer(enabled=True)
-        collected = samples[loop] = []
-        tracer.subscribe(
-            lambda e, out=collected: out.append(
-                (e.t, e.read_queue, e.write_queue, e.caq, e.lpq)
-            ),
-            kinds=("queue_depth",),
-        )
-        _run("PMS", traces, loop, tracer=tracer)
-    assert samples["event"] == samples["reference"]
-    assert len(samples["event"]) > 2
-
-
 @pytest.mark.parametrize("threads,interval", [
     pytest.param(1, 1, id="1"),
     pytest.param(2, 1, id="2"),
@@ -125,8 +111,7 @@ def test_probe_series_identical_across_modes(threads, interval):
     for loop in LOOP_MODES:
         probes = EpochProbes(interval=interval)
         config = make_config("PMS", threads=threads)
-        System(config, traces, tracer=Tracer(enabled=True),
-               probes=probes).run(loop=loop)
+        System(config, traces, probes=probes).run(loop=loop)
         series[loop] = {
             name: s.samples() for name, s in probes.series.items()
         }
@@ -163,3 +148,115 @@ def test_simulate_passes_loop_through():
     ref = simulate(config, traces, loop="reference")
     evt = simulate(config, traces, loop="event")
     assert ref == evt
+
+
+# -- a seeded sample of regimes -----------------------------------------
+
+#: configs the regime sample draws from
+REGIME_CONFIGS = ("NP", "PS", "MS", "PMS", "PMS_POLICY1", "PMS_POLICY3",
+                  "PMS_POLICY5", "PMS_NEXTLINE", "PMS_P5MC", "PMS_DEGREE4")
+
+#: override families, each a list of alternative settings
+REGIME_OVERRIDES = {
+    "refresh": [(("dram.timing.t_refi", 150),), (("dram.timing.t_refi", 300),)],
+    "closed_page": [(("dram.page_policy", "closed"),)],
+    "burst6": [(("dram.timing.burst_cycles", 6),)],
+    "caq_depth": [(("controller.caq_depth", 1),), (("controller.caq_depth", 8),)],
+    "mlp": [(("core.mlp", 2),), (("core.mlp", 4),)],
+    "scheduler": [(("controller.scheduler", "in_order"),),
+                  (("controller.scheduler", "memoryless"),)],
+    "lpq1": [(("ms_prefetcher.lpq_depth", 1),)],
+    "epoch300": [(("ms_prefetcher.slh.epoch_reads", 300),)],
+    "cpu_lifetimes": [(
+        ("ms_prefetcher.stream_filter.lifetime_unit", "cpu"),
+        ("ms_prefetcher.stream_filter.lifetime_init", 400),
+        ("ms_prefetcher.stream_filter.lifetime_increment", 400),
+        ("ms_prefetcher.stream_filter.lifetime_cap", 3200),
+    )],
+}
+
+REGIME_BENCHMARKS = ("milc", "GemsFDTD", "bt", "tpcc")
+
+REGIME_ACCESSES = 1500
+
+
+def _regime_sample(cells=24, seed=31):
+    """``(label, benchmark, config, threads, overrides)`` per cell.
+
+    Each override family leads in every ninth cell, so all of them are
+    drawn; the second family, every value, the config, the thread count
+    and the benchmark come from a seeded generator.
+    """
+    rng = random.Random(seed)
+    families = sorted(REGIME_OVERRIDES)
+    sample = []
+    for i in range(cells):
+        first = families[i % len(families)]
+        second = rng.choice([f for f in families if f != first])
+        overrides = tuple(
+            setting
+            for family in (first, second)
+            for setting in rng.choice(REGIME_OVERRIDES[family])
+        )
+        bench = rng.choice(REGIME_BENCHMARKS)
+        config_name = rng.choice(REGIME_CONFIGS)
+        threads = rng.choice((1, 2))
+        label = f"{bench}-{config_name}-{threads}-{first}+{second}"
+        sample.append((label, bench, config_name, threads, overrides))
+    return sample
+
+
+REGIME_SAMPLE = _regime_sample()
+
+
+def _regime_run(bench, config_name, threads, overrides, loop, probes=None):
+    traces = [
+        generate_trace(get_profile(bench).workload, REGIME_ACCESSES, seed=1 + t)
+        for t in range(threads)
+    ]
+    config = make_config(config_name, threads=threads).with_overrides(overrides)
+    return System(config, traces, probes=probes).run(loop=loop)
+
+
+@pytest.mark.parametrize(
+    "bench,config_name,threads,overrides",
+    [cell[1:] for cell in REGIME_SAMPLE],
+    ids=[cell[0] for cell in REGIME_SAMPLE],
+)
+def test_event_loop_matches_reference_across_regimes(bench, config_name,
+                                                     threads, overrides):
+    ref = _regime_run(bench, config_name, threads, overrides, "reference")
+    evt = _regime_run(bench, config_name, threads, overrides, "event")
+    assert evt == ref
+    if any(path == "dram.timing.t_refi" for path, _ in overrides):
+        # not vacuous: the event loop met its refresh-deadline path
+        assert evt.stats["dram.refreshes"] > 0
+
+
+def test_regime_sample_draws_every_family():
+    drawn = {path for cell in REGIME_SAMPLE for path, _ in cell[4]}
+    assert drawn == {path for family in REGIME_OVERRIDES.values()
+                     for settings in family for path, _ in settings}
+    assert {cell[2] for cell in REGIME_SAMPLE} == set(REGIME_CONFIGS)
+    assert {cell[3] for cell in REGIME_SAMPLE} == {1, 2}
+
+
+def test_probe_series_identical_across_modes_under_overrides():
+    # refresh deadlines and 300-read epochs: the probes sample mid-run
+    # while the event loop catches up refreshes lazily
+    overrides = (("dram.timing.t_refi", 150),
+                 ("ms_prefetcher.slh.epoch_reads", 300))
+    recorded = {}
+    for loop in LOOP_MODES:
+        probes = EpochProbes(interval=1)
+        result = _regime_run("GemsFDTD", "PMS", 2, overrides, loop, probes)
+        recorded[loop] = (
+            result,
+            {name: s.samples() for name, s in probes.series.items()},
+            {name: s.samples() for name, s in probes.counters.items()},
+        )
+    assert recorded["event"] == recorded["reference"]
+    result, series, counters = recorded["event"]
+    assert result.stats["dram.refreshes"] > 0
+    assert len(series["policy.index"]) == result.stats["ms.epochs"] > 4
+    assert any(value for _, value in counters["dram.refreshes"])

@@ -1,15 +1,15 @@
 """Integration tests for the telemetry subsystem against live runs.
 
-Covers the acceptance claims in docs/telemetry.md: a traced run emits
-the full event catalogue as parseable JSONL; probe series line up with
-the simulator's own state (the SLH decision series must equal the
+Covers the acceptance claims in docs/telemetry.md: a probed run records
+every quantity the simulator counts, per epoch window (series plus the
+stats counters' window deltas); probe series line up with the
+simulator's own state (the SLH decision series must equal the
 inequality-(5) verdicts recomputed from the recorded ``lht`` vectors);
-and telemetry flows through the CLI and the experiment runner without
-polluting the run cache.  Both fidelity tiers record into the same
+and probes flow through the CLI and the experiment runner without
+polluting the result store.  Both fidelity tiers record into the same
 ``EpochProbes``: one stride, one window-delta rule, closed epochs only.
 """
 
-import gc
 import json
 
 import pytest
@@ -20,12 +20,8 @@ from repro.fastsim import simulate_job_fast
 from repro.system.presets import make_config
 from repro.system.simulator import System, simulate
 from repro.telemetry import (
-    NULL_TRACER,
     EpochProbes,
-    TelemetrySession,
-    Tracer,
     epoch_report,
-    read_events_jsonl,
     series_to_csv,
     series_to_json,
 )
@@ -57,30 +53,41 @@ def _small_epoch_config(epoch_reads: int = 200):
 
 
 class TestTracedRun:
-    def test_event_log_covers_the_catalogue(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        session = TelemetrySession(trace_events=path, probe_interval=1)
-        result = simulate(
-            _small_epoch_config(), [_two_phase_trace()],
-            tracer=session.tracer, probes=session.probes,
-        )
-        session.close()
+    """A probed run: the epoch hook samples, nothing else is attached."""
 
+    def test_probes_cover_every_former_event_kind(self):
+        # epochs, prefetch issue, hits, discards by reason, policy steps,
+        # queue depths and DRAM commands each have a series or a stats
+        # counter's window deltas, nonzero in some window
+        probes = EpochProbes(interval=1)
+        result = simulate(_small_epoch_config(), [_two_phase_trace()],
+                          probes=probes)
         assert result.telemetry_active
-        events = read_events_jsonl(path)
-        kinds = {e.kind for e in events}
-        for kind in ("epoch_boundary", "prefetch_issued", "prefetch_hit",
-                     "prefetch_discard", "policy_change", "dram_command",
-                     "queue_depth"):
-            assert kind in kinds, f"missing {kind}"
-        assert len(events) == session.tracer.total_events
+        assert probes.epochs_seen == result.stats["ms.epochs"] > 4
+        assert probes.sampled_epochs() == list(range(1, probes.epochs_seen + 1))
 
-        boundaries = [e for e in events if e.kind == "epoch_boundary"]
-        assert [b.epoch for b in boundaries] == list(
-            range(1, len(boundaries) + 1)
-        )
-        times = [e.t for e in events]
-        assert times == sorted(times)
+        def moved(series):
+            return series is not None and any(series.points())
+
+        kinds = {
+            "epoch_boundary": [probes.counter("ms.epochs")],
+            "prefetch_issued": [probes.get("prefetch.issued")],
+            "prefetch_hit": [probes.get("prefetch.buffer_hits"),
+                             probes.counter("ms.merged_reads")],
+            "prefetch_discard": [probes.counter(name) for name in (
+                "lpq.dropped_full", "lpq.dropped_duplicate", "lpq.squashed",
+                "pb.evicted_unused", "pb.write_invalidations",
+                "ms.completed_cancelled", "core.ps_dropped_queue")],
+            "policy_change": [probes.counter("sched.steps_conservative"),
+                              probes.counter("sched.steps_aggressive")],
+            "queue_depth": [probes.get(f"queue.{q}.avg") for q in (
+                "lpq", "caq", "read_queue", "write_queue")],
+            "dram_command": [probes.get("dram.reads"), probes.get("dram.writes")],
+        }
+        for kind, sources in kinds.items():
+            assert any(moved(series) for series in sources), kind
+        # every window of the epoch counter is exactly one epoch
+        assert probes.counter("ms.epochs").points() == [1] * probes.epochs_seen
 
     def test_untraced_run_attaches_no_telemetry(self):
         result = simulate(_small_epoch_config(), [_two_phase_trace(10, 8)])
@@ -91,10 +98,9 @@ class TestTracedRun:
         """slh.decision.* must equal lht(k) < 2*lht(k+d) recomputed from
         the recorded lht vectors — the probe reads the same tables the
         engine prefetches from."""
-        tracer = Tracer()
         probes = EpochProbes(interval=1)
         config = _small_epoch_config()
-        simulate(config, [_two_phase_trace()], tracer=tracer, probes=probes)
+        simulate(config, [_two_phase_trace()], probes=probes)
 
         degree = config.ms_prefetcher.degree
         checked = 0
@@ -116,53 +122,45 @@ class TestTracedRun:
         asc = probes.get("slh.decision.t0.asc")
         assert len(set(asc.points())) > 1
 
-    def test_probe_policy_series_matches_boundary_events(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        session = TelemetrySession(trace_events=path, probe_interval=1)
-        simulate(
-            _small_epoch_config(), [_two_phase_trace()],
-            tracer=session.tracer, probes=session.probes,
-        )
-        session.close()
-        by_epoch = {
-            e.epoch: e.policy
-            for e in read_events_jsonl(path)
-            if e.kind == "epoch_boundary"
-        }
-        for epoch, policy in session.probes.get("policy.index").samples():
-            assert by_epoch[epoch] == policy
-
-
-class TestProbesNeedATracer:
-    """Probes sample on the tracer's epoch events: without an enabled
-    tracer they would record nothing, and binding them to the shared
-    NULL_TRACER would keep every such System alive for the process."""
-
-    @staticmethod
-    def _held():
-        """(sinks on NULL_TRACER, live System objects)."""
-        gc.collect()
-        sinks = len(NULL_TRACER._global_sinks) + sum(
-            len(sinks) for sinks in NULL_TRACER._kind_sinks.values()
-        )
-        return sinks, sum(isinstance(o, System) for o in gc.get_objects())
-
-    def test_simulate_refuses_probes_without_enabled_tracer(self):
-        before = self._held()
-        for tracer in (None, Tracer(enabled=False)):
-            with pytest.raises(ValueError, match="probes"):
-                simulate(_small_epoch_config(), [_two_phase_trace(10, 8)],
-                         tracer=tracer, probes=EpochProbes())
-        with pytest.raises(ValueError, match="probes"):
-            runner.simulate_job(make_config("PMS"), "tonto", 500, 1,
-                                probes=EpochProbes())
-        assert self._held() == before
-
-    def test_probes_with_enabled_tracer_still_sample(self):
+    def test_probe_policy_series_matches_boundary_events(self):
+        # the scheduler counts each boundary under the policy it adopted
+        # there: with one epoch per window, that counter moves by one
+        # exactly for the policy the probe sampled
         probes = EpochProbes(interval=1)
-        simulate(_small_epoch_config(), [_two_phase_trace()],
-                 tracer=Tracer(), probes=probes)
-        assert probes.samples_taken > 0
+        simulate(_small_epoch_config(), [_two_phase_trace()], probes=probes)
+        windows = {
+            policy: dict(probes.counter(f"sched.epochs_at_policy_{policy}")
+                         .samples())
+            for policy in range(1, 6)
+            if probes.counter(f"sched.epochs_at_policy_{policy}") is not None
+        }
+        samples = probes.get("policy.index").samples()
+        assert len({policy for _, policy in samples}) > 1
+        for epoch, policy in samples:
+            for other, window in windows.items():
+                assert window.get(epoch, 0) == (other == policy), (epoch, other)
+
+
+class TestProbesNeedNoTracer:
+    """The memory-side prefetcher's epoch hook is the only wiring a
+    probed run needs."""
+
+    def test_simulate_samples_with_probes_alone(self):
+        probes = EpochProbes(interval=1)
+        simulate(_small_epoch_config(), [_two_phase_trace()], probes=probes)
+        assert probes.samples_taken == probes.epochs_seen > 0
+        runner_probes = EpochProbes(interval=2)
+        result = runner.simulate_job(make_config("PMS"), "GemsFDTD", 4000, 1,
+                                     probes=runner_probes)
+        assert runner_probes.samples_taken > 0
+        assert result.telemetry == {"probes": runner_probes.summary()}
+
+    def test_system_refuses_a_tracer(self):
+        # the keyword stays for callers that pass tracer=None
+        System(_small_epoch_config(), [_two_phase_trace(10, 8)], tracer=None)
+        with pytest.raises(TypeError, match="tracer"):
+            System(_small_epoch_config(), [_two_phase_trace(10, 8)],
+                   tracer=object())
 
 
 #: (benchmark, config) cells both tiers probe, at 8,000 accesses
@@ -176,7 +174,7 @@ def _probe_run(tier, bench, config, interval):
     probes = EpochProbes(interval=interval)
     if tier == "exact":
         result = runner.simulate_job(make_config(config), bench, 8000, 1,
-                                     tracer=Tracer(enabled=True), probes=probes)
+                                     probes=probes)
         return probes, result, int(result.stats.get("ms.epochs", 0))
     result = simulate_job_fast(make_config(config), bench, 8000, 1,
                                probes=probes)
@@ -257,33 +255,24 @@ class TestOneSeriesModel:
 
 
 class TestCliTelemetry:
-    def test_run_trace_events_writes_parseable_jsonl(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
+    def test_run_probe_interval_prints_epoch_report(self, capsys):
         assert main([
-            "run", "-b", "GemsFDTD", "-n", "4000",
-            "--trace-events", str(path), "--probe-interval", "1",
+            "run", "-b", "GemsFDTD", "-n", "4000", "--probe-interval", "1",
         ]) == 0
         out = capsys.readouterr().out
-        assert "telemetry" in out
         assert "epoch telemetry" in out
-        kinds = set()
-        with open(path) as fh:
-            for line in fh:
-                kinds.add(json.loads(line)["kind"])
-        for kind in ("epoch_boundary", "prefetch_issued", "prefetch_hit",
-                     "prefetch_discard", "policy_change"):
-            assert kind in kinds
+        assert "MC cycles" in out
 
-    def test_run_json_includes_telemetry_block(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
+    def test_run_json_includes_telemetry_block(self, capsys):
         assert main([
             "run", "-b", "GemsFDTD", "-n", "4000", "--json",
-            "--trace-events", str(path),
+            "--probe-interval", "2",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
-        telemetry = doc["telemetry"]
-        assert telemetry["tracer"]["total_events"] > 0
-        assert telemetry["events_written"] > 0
+        probes = doc["telemetry"]["probes"]
+        assert list(doc["telemetry"]) == ["probes"]
+        assert probes["interval"] == 2
+        assert probes["samples_taken"] > 0
 
     def test_run_without_flags_has_no_telemetry(self, capsys):
         assert main(["run", "-b", "GemsFDTD", "-n", "2000", "--json"]) == 0
@@ -299,20 +288,20 @@ class TestCliTelemetry:
         ]) == 0
         out = capsys.readouterr().out
         assert "epoch telemetry" in out
-        assert "events:" in out
+        assert f"series JSON: {json_path}" in out
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("epoch,")
         doc = json.loads(json_path.read_text())
         assert any(n.startswith("slh.lht.") for n in doc["series"])
+        assert any(doc["counters"]["lpq.squashed"]["values"])
 
-    def test_compare_splits_event_logs_per_config(self, tmp_path, capsys):
-        base = tmp_path / "cmp.jsonl"
+    def test_compare_probes_each_config_in_process(self, capsys):
+        before = runner.cache_info()["simulated"]
         assert main([
-            "compare", "-b", "tonto", "-n", "2000",
-            "--trace-events", str(base),
+            "compare", "-b", "tonto", "-n", "2000", "--probe-interval", "1",
         ]) == 0
+        out = capsys.readouterr().out
+        # probed runs are simulated on every call and never stored
+        assert runner.cache_info()["simulated"] == before + 4
         for config in ("NP", "PS", "MS", "PMS"):
-            per_config = tmp_path / f"cmp.{config}.jsonl"
-            assert per_config.exists(), config
-            first = json.loads(per_config.read_text().splitlines()[0])
-            assert "kind" in first
+            assert config in out

@@ -30,3 +30,9 @@ class LeakyBlock:
 def walk_sets(pending):
     flat = [x for s in pending for x in {s}]  # DET004 (set comprehension iter)
     return flat
+
+
+def bare_clock():
+    from time import perf_counter as clock
+
+    return clock()  # DET001 (a name bound by from-import, aliased)

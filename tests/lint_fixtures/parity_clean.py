@@ -3,24 +3,17 @@
 Exercises the equivalences the rules are expected to see through:
 
 * ``bump`` on one path vs a batched ``raw()`` add on the other;
-* an event emitted directly on one path but via a shared ``self._note``
+* a counter bumped directly on one path but via a shared ``self._note``
   helper on the other (one-level self-call expansion).
 """
 
 
-class RetireEvent:
-    def __init__(self, now):
-        self.now = now
-
-
 class BalancedController:
-    def __init__(self, stats, tracer):
+    def __init__(self, stats):
         self.stats = stats
-        self.tracer = tracer
         self._stat_values = self.stats.raw()
 
     def _note(self, now):
-        self.tracer.emit(RetireEvent(now))
         self.stats.bump("noted")
 
     def tick(self, now):
@@ -31,4 +24,3 @@ class BalancedController:
     def tick_reference(self, now):
         self.stats.bump("issued")
         self.stats.bump("noted")
-        self.tracer.emit(RetireEvent(now))

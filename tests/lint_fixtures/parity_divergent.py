@@ -1,34 +1,19 @@
-"""Dual-path parity violations: PAR001 and PAR002 must fire here.
+"""Dual-path parity violation: PAR001 must fire here.
 
 ``SkewedController.tick`` and ``tick_reference`` are supposed to be the
 same behaviour at two speeds, but the fast path bumps a counter the
-reference never touches, and only the reference path emits the
-``QueueDepthSample`` tracer event.
+reference never touches.
 """
 
 
-class QueueDepthSample:
-    def __init__(self, depth):
-        self.depth = depth
-
-
-class RetireEvent:
-    def __init__(self, now):
-        self.now = now
-
-
 class SkewedController:
-    def __init__(self, stats, tracer):
+    def __init__(self, stats):
         self.stats = stats
-        self.tracer = tracer
         self.depth = 0
 
     def tick(self, now):
         self.stats.bump("issued")
         self.stats.bump("fast_only_counter")  # reference path never bumps this
-        self.tracer.emit(RetireEvent(now))
 
     def tick_reference(self, now):
         self.stats.bump("issued")
-        self.tracer.emit(RetireEvent(now))
-        self.tracer.emit(QueueDepthSample(self.depth))  # fast path never emits this

@@ -35,13 +35,6 @@ def test_slice_matches_python_semantics(recs, start, stop):
     assert trace.slice(start, stop).records == recs[start:stop]
 
 
-@given(records, records)
-def test_concat_preserves_counts(a, b):
-    combined = Trace(a).concat(Trace(b))
-    assert len(combined) == len(a) + len(b)
-    assert combined.instructions == Trace(a).instructions + Trace(b).instructions
-
-
 @given(st.lists(records, min_size=1, max_size=4),
        st.integers(min_value=1, max_value=5))
 def test_interleave_is_a_permutation(trace_lists, chunk):

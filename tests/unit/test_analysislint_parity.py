@@ -13,7 +13,6 @@ import pytest
 from repro.analysislint.parity import (
     BULK_PAIR,
     BulkTickParityRule,
-    EventParityRule,
     StatsParityRule,
     _analyses,
     _class_pairs,
@@ -39,11 +38,6 @@ class TestDivergentFixture:
         assert f.symbol == "SkewedController"
         assert "only in tick: fast_only_counter" in f.message
 
-    def test_event_divergence_flagged(self, tree):
-        findings = EventParityRule().check(tree)
-        assert len(findings) == 1
-        assert "only in tick_reference: QueueDepthSample" in findings[0].message
-
 
 class TestCleanFixture:
     @pytest.fixture(scope="class")
@@ -54,9 +48,11 @@ class TestCleanFixture:
         """values["k"] += 1 on one path equals stats.bump("k") on the other."""
         assert StatsParityRule().check(tree) == []
 
-    def test_helper_emit_matches_direct_emit(self, tree):
-        """An emit inside a self._note() helper counts for its caller."""
-        assert EventParityRule().check(tree) == []
+    def test_helper_bump_matches_direct_bump(self, tree):
+        """A bump inside a self._note() helper counts for its caller."""
+        (pa,) = _analyses(tree)
+        assert pa.keys["tick"] == {"issued", "noted"}
+        assert pa.keys["tick"] == pa.keys["tick_reference"]
 
     def test_pair_detection_sees_the_class(self, tree):
         pairs = _class_pairs(tree.files[0])
@@ -108,17 +104,11 @@ class TestBulkTickFixture:
     def test_integral_stats_divergence_flagged(self, tree):
         findings = BulkTickParityRule().check(tree)
         stats = [f for f in findings if "integral-stats" in f.message]
-        assert len(stats) == 1
+        assert len(stats) == len(findings) == 1
         assert stats[0].symbol == "SkippyController"
         assert "only in tick: occ_read" in stats[0].message
         # work counters are not integrals — they must not be reported
         assert "issued_reads" not in stats[0].message
-
-    def test_event_divergence_flagged(self, tree):
-        findings = BulkTickParityRule().check(tree)
-        events = [f for f in findings if "tracer-event" in f.message]
-        assert len(events) == 1
-        assert "only in tick: IdleJump" in events[0].message
 
     def test_covering_controller_clean(self, tree):
         assert {f.symbol for f in BulkTickParityRule().check(tree)} == {
@@ -157,9 +147,8 @@ class TestRealDualPathClasses:
         assert "MemorySidePrefetcher" in names
 
     def test_memory_controller_and_prefetcher_pass(self):
-        for rule_cls in (StatsParityRule, EventParityRule):
-            findings = rule_cls().check(real_tree())
-            assert findings == [], [f.render() for f in findings]
+        findings = StatsParityRule().check(real_tree())
+        assert findings == [], [f.render() for f in findings]
 
     def test_real_paths_extract_nonempty_behaviour(self):
         """Guards against the scan silently extracting nothing and the

@@ -216,12 +216,10 @@ OPTION_TABLE = [
     ("run", "--json", False, False),
     ("run", "-n --accesses", 15000, False),
     ("run", "--seed", 1, False),
-    ("run", "--trace-events", None, False),
     ("run", "--probe-interval", None, False),
     ("compare", "-b --benchmark", None, True),
     ("compare", "-n --accesses", 15000, False),
     ("compare", "--seed", 1, False),
-    ("compare", "--trace-events", None, False),
     ("compare", "--probe-interval", None, False),
     ("compare", "-j --jobs", None, False),
     ("compare", "--no-store", False, False),
@@ -272,7 +270,6 @@ OPTION_TABLE = [
     ("telemetry", "-b --benchmark", None, True),
     ("telemetry", "-c --config", "PMS", False),
     ("telemetry", "--probe-interval", 1, False),
-    ("telemetry", "--events", None, False),
     ("telemetry", "--series-csv", None, False),
     ("telemetry", "--series-json", None, False),
     ("telemetry", "--rows", 20, False),

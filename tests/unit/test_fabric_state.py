@@ -324,3 +324,32 @@ class TestBoundedRecord:
         assert "sweep-1" not in state.sweeps and "sweep-2" not in state.sweeps
         assert state.sweeps_since(SETTLED_SWEEPS + 1) == (
             [newest], SETTLED_SWEEPS + 2)
+
+    def test_window_folds_forgotten_sweeps_into_its_totals(self):
+        # one sweep stays open, so the window never resets while a
+        # 2-job grid is resubmitted 1,000 times
+        state, clock = make_state()
+        state.submit([entry("open")])
+        state.lease("w1", 1)
+        clock.advance(1.0)
+        state.submit([entry("g1"), entry("g2", config="PS")])
+        lease = state.lease("w1", 2)
+        for n, key in enumerate(list(lease.keys)):
+            clock.advance(0.5)
+            state.complete(key, "w1", seconds=0.1 * (n + 1))
+        for _ in range(1000):
+            clock.advance(0.01)
+            state.submit([entry("g1", already_done=True),
+                          entry("g2", already_done=True, config="PS")])
+        assert len(state.sweeps) == SETTLED_SWEEPS + 1
+        assert len(state.window) <= SETTLED_SWEEPS + 1
+        progress = state.progress(state.window)
+        assert (progress["total"], progress["done"]) == (2003, 2002)
+        assert progress["outcomes"] == {"store": 2000, "parallel": 0,
+                                        "serial": 0, "fabric": 2}
+        assert progress["mean_job_seconds"] == (0.1 + 0.2) / 2
+        assert progress["elapsed_seconds"] == clock.now - 100.0
+        assert not progress["finished"]
+        # the open sweep settles: the folded sweeps count as settled
+        state.complete("open", "w1")
+        assert state.progress(state.window)["finished"]

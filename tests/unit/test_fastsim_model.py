@@ -10,7 +10,7 @@ from repro.fastsim.banktables import bank_table, clear_tables
 from repro.fastsim.model import miss_stream
 from repro.fastsim.version import FAST_MODEL_VERSION
 from repro.system.simulator import System
-from repro.telemetry import EpochProbes, Tracer, series_to_json
+from repro.telemetry import EpochProbes, series_to_json
 from repro.workloads.trace import Trace
 
 ACCESSES = 1500
@@ -165,8 +165,7 @@ class TestProbes:
         with pytest.raises(RuntimeError, match="one run"):
             predict(make_config("PMS"), [trace_for("milc")], probes=probes)
         exact = EpochProbes()
-        System(make_config("PMS"), [trace_for("milc")],
-               tracer=Tracer(enabled=True), probes=exact)
+        System(make_config("PMS"), [trace_for("milc")], probes=exact)
         with pytest.raises(RuntimeError, match="one run"):
             predict(make_config("PMS"), [trace_for("milc")], probes=exact)
 

@@ -1,8 +1,7 @@
 """Unit tests for repro.obs.metrics — the fleet-level registry contract.
 
-The disabled-default behaviour deliberately mirrors the NULL_TRACER
-contract tested in test_telemetry_tracer.py: mutators on a disabled
-registry return immediately and allocate nothing.
+The disabled-default contract: mutators on a disabled registry return
+immediately and allocate nothing.
 """
 
 import pytest
@@ -11,9 +10,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRIC_LABEL_CAP,
     NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     MetricsRegistry,
     default_registry,

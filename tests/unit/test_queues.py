@@ -92,9 +92,3 @@ class TestReorderQueues:
         q.reads.push(read(1))
         q.writes.push(write(2))
         assert len(q) == 2
-
-    def test_all_commands(self):
-        q = ReorderQueues(4, 4)
-        q.reads.push(read(1))
-        q.writes.push(write(2))
-        assert sorted(c.line for c in q.all_commands()) == [1, 2]

@@ -155,7 +155,7 @@ class TestBars:
         assert t.bars_epoch_start()[4] == pytest.approx(1.0)
 
     def test_empty_bars_all_zero(self):
-        assert all(b == 0 for b in make_tables().bars_next())
+        assert all(b == 0 for b in make_tables().bars_epoch_start())
 
 
 class TestSlhBarsFunction:

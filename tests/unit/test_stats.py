@@ -79,28 +79,6 @@ class TestStats:
         assert Stats().ratio("a", "b") == 0.0
 
 
-class TestSnapshotDelta:
-    def test_delta_against_earlier_snapshot(self):
-        s = Stats()
-        s.bump("x", 5)
-        before = s.as_dict()
-        s.bump("x", 3)
-        s.bump("y", 2)
-        delta = s.snapshot_delta(before)
-        assert delta == {"x": 3, "y": 2}
-
-    def test_missing_prev_key_treated_as_zero(self):
-        s = Stats()
-        s.bump("fresh", 4)
-        assert s.snapshot_delta({}) == {"fresh": 4}
-
-    def test_delta_of_identical_snapshots_is_zero(self):
-        s = Stats()
-        s.bump("x", 1)
-        delta = s.snapshot_delta(s.as_dict())
-        assert delta == {"x": 0}
-
-
 class TestTotal:
     def test_total_sums_everything_without_prefix(self):
         s = Stats()

@@ -1,60 +1,9 @@
-"""Unit tests for repro.telemetry.exporters — JSONL, CSV/JSON, reports."""
+"""Unit tests for repro.telemetry.exporters — CSV/JSON, reports."""
 
-import io
 import json
 
-import pytest
-
-from repro.telemetry.events import EpochBoundary, PrefetchIssued
-from repro.telemetry.exporters import (
-    JsonlEventWriter,
-    epoch_report,
-    read_events_jsonl,
-    series_to_csv,
-    series_to_json,
-)
+from repro.telemetry.exporters import epoch_report, series_to_csv, series_to_json
 from repro.telemetry.probes import EpochProbes
-from repro.telemetry.tracer import Tracer
-
-
-class TestJsonlRoundTrip:
-    def test_events_round_trip_through_file(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        events = [
-            EpochBoundary(t=10, epoch=1, reads=1000, policy=2),
-            PrefetchIssued(t=11, line=7, thread=0),
-        ]
-        with JsonlEventWriter(path) as writer:
-            for event in events:
-                writer(event)
-            assert writer.events_written == 2
-        assert read_events_jsonl(path) == events
-
-    def test_subscribed_writer_captures_emissions(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        tracer = Tracer()
-        with JsonlEventWriter(path) as writer:
-            tracer.subscribe(writer)
-            tracer.emit(PrefetchIssued(t=1, line=2))
-        events = read_events_jsonl(path)
-        assert events == [PrefetchIssued(t=1, line=2)]
-
-    def test_borrowed_stream_left_open(self):
-        stream = io.StringIO()
-        writer = JsonlEventWriter(stream)
-        writer(EpochBoundary(t=1, epoch=1))
-        writer.close()
-        assert not stream.closed
-        assert json.loads(stream.getvalue())["kind"] == "epoch_boundary"
-
-    def test_blank_lines_skipped_unknown_kind_raises(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind":"epoch_boundary","t":1,"epoch":1,"reads":0,'
-                        '"policy":0}\n\n')
-        assert len(read_events_jsonl(str(path))) == 1
-        path.write_text('{"kind":"bogus","t":1}\n')
-        with pytest.raises(ValueError):
-            read_events_jsonl(str(path))
 
 
 def _synthetic_probes() -> EpochProbes:
@@ -69,6 +18,7 @@ def _synthetic_probes() -> EpochProbes:
         probes._series("mc.delayed_regular").record(epoch, epoch)
         probes._series("dram.power_mw").record(epoch, 700.0 + epoch)
         probes._series("slh.lht.t0.asc").record(epoch, (0, 10, 5))
+        probes._series("lpq.dropped_full", probes.counters).record(epoch, epoch)
         probes.samples_taken += 1
         probes.epochs_seen += 1
     return probes
@@ -86,6 +36,7 @@ class TestSeriesExport:
         assert header[0] == "epoch"
         assert "policy.index" in header
         assert "slh.lht.t0.asc" not in header  # vectors excluded from CSV
+        assert "lpq.dropped_full" not in header  # so are the counters
         assert len(lines) == 4
 
     def test_json_includes_vectors(self, tmp_path):
@@ -100,6 +51,15 @@ class TestSeriesExport:
     def test_json_without_path_returns_doc(self):
         doc = series_to_json(_synthetic_probes())
         assert doc["samples_taken"] == 3
+
+    def test_json_carries_counters_apart_from_series(self):
+        probes = _synthetic_probes()
+        doc = series_to_json(probes)
+        assert doc["counters"]["lpq.dropped_full"] == {
+            "epochs": [1, 2, 3], "values": [1, 2, 3], "dropped": 0}
+        assert "lpq.dropped_full" not in doc["series"]
+        assert probes.counter("lpq.dropped_full").points() == [1, 2, 3]
+        assert probes.counter("lpq.never_written") is None
 
 
 class TestEpochReport:

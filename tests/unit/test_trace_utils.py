@@ -24,15 +24,6 @@ class TestSlice:
         assert len(trace) == 3
 
 
-class TestConcat:
-    def test_concat_order(self):
-        combined = t([1, 2]).concat(t([3]))
-        assert [r[1] for r in combined.records] == [1, 2, 3]
-
-    def test_concat_name(self):
-        assert t([1], "a").concat(t([2], "b")).name == "a+b"
-
-
 class TestInterleave:
     def test_round_robin(self):
         mixed = Trace.interleave([t([1, 2]), t([10, 20])])

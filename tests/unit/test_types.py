@@ -18,18 +18,6 @@ class TestDirection:
         assert Direction.DESCENDING.step == -1
 
 
-class TestProvenance:
-    def test_demand_is_regular(self):
-        assert Provenance.DEMAND.is_regular
-
-    def test_ps_prefetch_is_regular(self):
-        # PS prefetches are indistinguishable from demand at the MC
-        assert Provenance.PS_PREFETCH.is_regular
-
-    def test_ms_prefetch_is_not_regular(self):
-        assert not Provenance.MS_PREFETCH.is_regular
-
-
 class TestMemoryCommand:
     def test_read_predicates(self):
         cmd = MemoryCommand(CommandKind.READ, 0x10)
